@@ -450,10 +450,7 @@ fn trace_entry(
     DecisionTraceEntry {
         user: user.0,
         at_s: now.seconds(),
-        trigger: match trigger {
-            Trigger::TripStarted => "trip-started",
-            Trigger::ScheduleUnderrun => "schedule-underrun",
-        },
+        trigger: trigger.as_str(),
         considered: stats.considered,
         cut_freshness: stats.cut_freshness,
         cut_preference: stats.cut_preference,

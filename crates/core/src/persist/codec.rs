@@ -1,4 +1,5 @@
-//! Little-endian byte codec and CRC32 used by the WAL and snapshots.
+//! Little-endian byte codec, CRC32 and the frame used by the WAL,
+//! snapshots and the shard wire.
 //!
 //! Hand-rolled on purpose: the wire format must stay stable across
 //! toolchain upgrades and must decode hostile bytes without panicking,
@@ -110,6 +111,20 @@ impl ByteWriter {
                 f(self, inner);
             }
             None => self.put_u8(0),
+        }
+    }
+
+    /// A `u32` item count, then every item (written by `f`). The count
+    /// is the iterator's exact length, so it always matches the items.
+    pub fn put_seq<I>(&mut self, items: I, mut f: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.put_u32(items.len() as u32);
+        for item in items {
+            f(self, item);
         }
     }
 }
@@ -232,17 +247,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| PersistError::Corrupt { what: "utf-8" })
     }
 
-    /// Bounded element count for `Vec` prefixes: a corrupted length must
-    /// not trigger a huge allocation, so the count is capped by the
-    /// bytes actually remaining (each element takes >= 1 byte).
-    pub fn seq_len(&mut self) -> Result<usize, PersistError> {
-        let n = self.u32()? as usize;
-        if n > self.remaining() {
-            return Err(PersistError::Truncated);
-        }
-        Ok(n)
-    }
-
     /// Reads an option tag byte, then `Some` payload via `f` on 1.
     ///
     /// # Errors
@@ -258,6 +262,96 @@ impl<'a> ByteReader<'a> {
             _ => Err(PersistError::Corrupt { what: "option tag" }),
         }
     }
+
+    /// Reads a [`ByteWriter::put_seq`] sequence, every item via `f`.
+    ///
+    /// A corrupted count must not trigger a huge allocation, so it is
+    /// capped by the bytes actually remaining (each item takes >= 1
+    /// byte).
+    ///
+    /// # Errors
+    /// [`PersistError::Truncated`] when the count exceeds the remaining
+    /// bytes; whatever `f` returns on an item.
+    pub fn seq<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Self) -> Result<T, PersistError>,
+    ) -> Result<Vec<T>, PersistError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(PersistError::Truncated);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(f(self)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Bytes in a frame header: `[len: u32][crc: u32]`.
+pub const FRAME_HEADER: usize = 8;
+
+/// One frame, `[len: u32][crc: u32][seq: u64][kind: u8][body]` with the
+/// CRC over `seq|kind|body`: the layout of a WAL record and of every
+/// shard wire message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// Sequence number.
+    pub seq: u64,
+    /// Kind byte: a WAL op kind, or a shard protocol kind (200 and up).
+    pub kind: u8,
+    /// Everything after the kind byte.
+    pub body: &'a [u8],
+    /// Length of the whole frame, header included.
+    pub len: usize,
+}
+
+/// Builds one frame, `body` writing everything after the kind byte.
+#[must_use]
+pub fn encode_frame(seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter { buf: vec![0; FRAME_HEADER] };
+    w.put_u64(seq);
+    w.put_u8(kind);
+    body(&mut w);
+    let mut frame = w.buf;
+    let len = (frame.len() - FRAME_HEADER) as u32;
+    let crc = crc32(frame.get(FRAME_HEADER..).unwrap_or_default());
+    let header = len.to_le_bytes().into_iter().chain(crc.to_le_bytes());
+    for (slot, b) in frame.iter_mut().zip(header) {
+        *slot = b;
+    }
+    frame
+}
+
+/// The payload length (`seq|kind|body`) a frame header announces;
+/// `None` when `header` is shorter than [`FRAME_HEADER`].
+#[must_use]
+pub fn frame_len(header: &[u8]) -> Option<usize> {
+    ByteReader::new(header).u32().ok().map(|len| len as usize)
+}
+
+/// Checks the frame at the start of `bytes`.
+///
+/// `Ok(None)` when the frame is torn: its header or payload is shorter
+/// than the length prefix claims, or the CRC does not match.
+///
+/// # Errors
+/// [`PersistError::Truncated`] when a CRC-valid payload is too short to
+/// hold the sequence number and kind byte.
+pub fn check_frame(bytes: &[u8]) -> Result<Option<Frame<'_>>, PersistError> {
+    let mut r = ByteReader::new(bytes);
+    let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else {
+        return Ok(None);
+    };
+    let Ok(payload) = r.take(len as usize) else {
+        return Ok(None);
+    };
+    if crc32(payload) != crc {
+        return Ok(None);
+    }
+    let mut p = ByteReader::new(payload);
+    let (seq, kind) = (p.u64()?, p.u8()?);
+    Ok(Some(Frame { seq, kind, body: p.take(p.remaining())?, len: FRAME_HEADER + payload.len() }))
 }
 
 #[cfg(test)]
@@ -284,6 +378,7 @@ mod tests {
         w.put_str("ciao");
         w.put_opt(Some(&9u64), |w, v| w.put_u64(*v));
         w.put_opt::<u64>(None, |w, v| w.put_u64(*v));
+        w.put_seq([3u64, 4], |w, v| w.put_u64(v));
         let bytes = w.into_inner();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -296,7 +391,23 @@ mod tests {
         assert_eq!(r.string().unwrap(), "ciao");
         assert_eq!(r.opt(ByteReader::u64).unwrap(), Some(9));
         assert_eq!(r.opt(ByteReader::u64).unwrap(), None);
+        assert_eq!(r.seq(ByteReader::u64).unwrap(), vec![3, 4]);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn frames_check_back_and_tear_cleanly() {
+        let frame = encode_frame(7, 3, |w| w.put_str("body"));
+        assert_eq!(frame_len(&frame), Some(frame.len() - FRAME_HEADER));
+        let f = check_frame(&frame).unwrap().unwrap();
+        assert_eq!((f.seq, f.kind, f.len), (7, 3, frame.len()));
+        assert_eq!(ByteReader::new(f.body).string().unwrap(), "body");
+        for cut in 0..frame.len() {
+            assert_eq!(check_frame(&frame[..cut]), Ok(None), "cut at {cut}");
+        }
+        let mut flipped = frame.clone();
+        flipped[FRAME_HEADER + 2] ^= 1;
+        assert_eq!(check_frame(&flipped), Ok(None));
     }
 
     #[test]
@@ -305,6 +416,8 @@ mod tests {
         assert_eq!(r.u64(), Err(PersistError::Truncated));
         let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF]);
         assert_eq!(r.string(), Err(PersistError::Truncated));
+        let mut r = ByteReader::new(&[2, 0, 0, 0, 9]);
+        assert_eq!(r.seq(ByteReader::u8), Err(PersistError::Truncated));
         let mut r = ByteReader::new(&[2]);
         assert_eq!(r.bool(), Err(PersistError::Corrupt { what: "bool tag" }));
     }

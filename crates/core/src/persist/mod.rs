@@ -11,6 +11,9 @@
 //! * [`snapshot_engine`] / [`snapshot`] — a versioned binary snapshot of
 //!   the *full* engine state (stores, ledgers, bus queues, transport
 //!   wire state, observability counters) with per-section checksums,
+//! * `codec` and `types` — the one binary codec: byte primitives, the
+//!   `[len][crc][seq|kind|body]` frame the WAL and the shard wire share,
+//!   and one encode/decode pair per persisted type,
 //! * [`DurableEngine`] — a write-ahead wrapper: every mutation is framed,
 //!   appended, fsynced (group-commit configurable) and only then applied,
 //! * [`restore_engine`] — crash recovery: decode a snapshot, truncate the
@@ -26,12 +29,16 @@ pub(crate) mod codec;
 mod durable;
 mod replay;
 pub mod snapshot;
+mod types;
 pub mod wal;
 
-pub use codec::{crc32, ByteReader, ByteWriter};
+pub use codec::{
+    check_frame, crc32, encode_frame, frame_len, ByteReader, ByteWriter, Frame, FRAME_HEADER,
+};
 pub use durable::{restore_engine, DurableEngine, FileWal, MemWal, RecoveryReport, WalStorage};
 pub use replay::{apply_record, ApplyResult};
 pub use snapshot::{decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use types::{get_obs_snapshot, put_obs_snapshot};
 pub use wal::{decode_payload, encode_payload, encode_record, WalOp, WalRecord, WalScan};
 
 use std::fmt;

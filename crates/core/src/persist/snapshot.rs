@@ -14,38 +14,31 @@
 //! ladders, observability counters — is stored bit-exactly.
 
 use super::codec::{crc32, ByteReader, ByteWriter};
-use super::wal::{
-    get_clip_kind, get_feedback_event, get_fix, get_geo_tag, get_profile, put_clip_kind,
-    put_feedback_event, put_fix, put_geo_tag, put_profile,
+use super::types::{
+    get_bearer, get_cached, get_clip_meta, get_coverage, get_dead_letter, get_decision,
+    get_envelope, get_feedback_event, get_fix, get_gazetteer, get_geo_point, get_health,
+    get_injection, get_obs_metrics, get_outstanding, get_player, get_proactivity, get_profile,
+    get_recommender, get_road_network, get_schedule, get_session, get_topic, get_trip, put_bearer,
+    put_cached, put_clip_meta, put_coverage, put_dead_letter, put_decision, put_envelope,
+    put_feedback_event, put_fix, put_gazetteer, put_geo_point, put_health, put_injection,
+    put_obs_metrics, put_outstanding, put_player, put_proactivity, put_profile, put_recommender,
+    put_road_network, put_schedule, put_session, put_topic, put_trip,
 };
 use super::PersistError;
-use crate::bearer::{BearerClass, BearerSelector, CoverageMap, Transmitter};
-use crate::bus::{
-    BusMessage, DeadLetter, DeadLetterReason, Envelope, OverflowPolicy, QueuePolicy, Topic,
-};
-use crate::engine::{
-    CacheQuanta, CachedCandidates, CandidateCacheKey, DecisionRecord, Engine, EngineConfig,
-    TripTracker,
-};
+use crate::bus::{Envelope, OverflowPolicy, QueuePolicy, Topic};
+use crate::engine::{CacheQuanta, CachedCandidates, Engine, EngineConfig};
 use crate::fault::{transport_from_state, ChaosRng, FaultProfile, TransportState, WireStats};
-use crate::health::{HealthState, UserHealth};
-use crate::injection::{InjectionQueue, PendingInjection};
+use crate::injection::InjectionQueue;
 use crate::netcost::UnicastLink;
-use crate::player::{PlaybackMode, Player, QueuedClip};
 use crate::retry::{BackoffPolicy, OutstandingDelivery};
 use pphcr_audio::{AudioClip, Bitrate, ClipId};
-use pphcr_catalog::{CategoryId, ClipMetadata, Gazetteer, Place, ServiceIndex};
-use pphcr_geo::{GeoPoint, NodeId, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
+use pphcr_catalog::ClipMetadata;
+use pphcr_geo::{TimePoint, TimeSpan};
 use pphcr_nlp::NaiveBayes;
-use pphcr_obs::Histogram;
-use pphcr_recommender::scheduler::Selection;
-use pphcr_recommender::{
-    CandidateFilter, ProactivityModel, Recommender, RetrievalStats, ScheduledItem, SchedulerConfig,
-    ScoredClip, ScoringWeights, SlotSchedule, Trigger,
-};
+use pphcr_obs::{Histogram, ObsSnapshot};
 use pphcr_trajectory::TripPredictor;
-use pphcr_userdata::{ListeningSession, SessionEnd, SessionStore, UserId};
-use std::collections::HashMap;
+use pphcr_userdata::{SessionStore, UserId};
+use std::collections::{HashMap, VecDeque};
 
 /// The four magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPHS";
@@ -95,13 +88,12 @@ pub fn snapshot_engine(engine: &Engine, last_wal_seq: u64) -> Result<Vec<u8>, Pe
     out.put_bytes(&SNAPSHOT_MAGIC);
     out.put_u32(SNAPSHOT_VERSION);
     out.put_u64(last_wal_seq);
-    out.put_u32(sections.len() as u32);
-    for (id, payload) in &sections {
-        out.put_u16(*id);
-        out.put_u64(payload.len() as u64);
-        out.put_u32(crc32(payload));
-        out.put_bytes(payload);
-    }
+    out.put_seq(&sections, |w, (id, payload)| {
+        w.put_u16(*id);
+        w.put_u64(payload.len() as u64);
+        w.put_u32(crc32(payload));
+        w.put_bytes(payload);
+    });
     Ok(out.into_inner())
 }
 
@@ -118,9 +110,8 @@ pub fn decode_engine(bytes: &[u8]) -> Result<(Engine, u64), PersistError> {
         return Err(PersistError::UnsupportedVersion { found: version });
     }
     let last_seq = r.u64()?;
-    let count = r.u32()?;
     let mut parts: [Option<&[u8]>; 7] = [None; 7];
-    for _ in 0..count {
+    r.seq(|r| {
         let id = r.u16()?;
         let len = r.u64()? as usize;
         let crc = r.u32()?;
@@ -134,7 +125,8 @@ pub fn decode_engine(bytes: &[u8]) -> Result<(Engine, u64), PersistError> {
         if let Some(slot) = parts.get_mut(pos) {
             *slot = Some(payload);
         }
-    }
+        Ok(())
+    })?;
     let section =
         |pos: usize| -> Result<&[u8], PersistError> {
             parts.get(pos).copied().flatten().ok_or(PersistError::MissingSection {
@@ -152,335 +144,30 @@ pub fn decode_engine(bytes: &[u8]) -> Result<(Engine, u64), PersistError> {
 }
 
 // ---------------------------------------------------------------------
-// Shared small-type codecs
+// Per-user maps
 // ---------------------------------------------------------------------
 
-fn sorted_user_keys<V>(map: &HashMap<UserId, V>) -> Vec<UserId> {
-    // lint: allow(hash-iter) — keys are sorted immediately below
-    let mut keys: Vec<UserId> = map.keys().copied().collect();
-    keys.sort_unstable_by_key(|u| u.0);
-    keys
+/// A per-user map's entries by ascending user id.
+fn sorted_by_user<V>(map: &HashMap<UserId, V>) -> Vec<(UserId, &V)> {
+    // lint: allow(hash-iter) — entries are sorted immediately below
+    let mut entries: Vec<(UserId, &V)> = map.iter().map(|(u, v)| (*u, v)).collect();
+    entries.sort_unstable_by_key(|(u, _)| u.0);
+    entries
 }
 
-fn put_point(w: &mut ByteWriter, p: ProjectedPoint) {
-    w.put_f64(p.x);
-    w.put_f64(p.y);
-}
-
-fn get_point(r: &mut ByteReader<'_>) -> Result<ProjectedPoint, PersistError> {
-    Ok(ProjectedPoint { x: r.f64()?, y: r.f64()? })
-}
-
-fn put_schedule(w: &mut ByteWriter, s: &SlotSchedule) {
-    w.put_u32(s.items.len() as u32);
-    for item in &s.items {
-        w.put_u64(item.clip.0);
-        w.put_u64(item.start_s);
-        w.put_u64(item.duration.0);
-        w.put_f64(item.score);
-        w.put_opt(item.pinned_along_m.as_ref(), |w, v| w.put_f64(*v));
-    }
-    w.put_f64(s.total_score);
-    w.put_u64(s.budget.0);
-    w.put_u64(s.computed_at.0);
-}
-
-fn get_schedule(r: &mut ByteReader<'_>) -> Result<SlotSchedule, PersistError> {
-    let n = r.seq_len()?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(ScheduledItem {
-            clip: ClipId(r.u64()?),
-            start_s: r.u64()?,
-            duration: TimeSpan(r.u64()?),
-            score: r.f64()?,
-            pinned_along_m: r.opt(ByteReader::f64)?,
-        });
-    }
-    Ok(SlotSchedule {
-        items,
-        total_score: r.f64()?,
-        budget: TimeSpan(r.u64()?),
-        computed_at: TimePoint(r.u64()?),
-    })
-}
-
-fn put_scored(w: &mut ByteWriter, c: &ScoredClip) {
-    w.put_u64(c.clip.0);
-    w.put_u64(c.duration.0);
-    w.put_f64(c.score);
-    w.put_f64(c.content_score);
-    w.put_f64(c.context_score);
-    w.put_opt(c.geo_distance_m.as_ref(), |w, v| w.put_f64(*v));
-    w.put_opt(c.along_route_m.as_ref(), |w, v| w.put_f64(*v));
-}
-
-fn get_scored(r: &mut ByteReader<'_>) -> Result<ScoredClip, PersistError> {
-    Ok(ScoredClip {
-        clip: ClipId(r.u64()?),
-        duration: TimeSpan(r.u64()?),
-        score: r.f64()?,
-        content_score: r.f64()?,
-        context_score: r.f64()?,
-        geo_distance_m: r.opt(ByteReader::f64)?,
-        along_route_m: r.opt(ByteReader::f64)?,
-    })
-}
-
-fn put_retrieval_stats(w: &mut ByteWriter, s: &RetrievalStats) {
-    w.put_u64(s.considered);
-    w.put_u64(s.cut_freshness);
-    w.put_u64(s.cut_preference);
-    w.put_u64(s.cut_geo);
-    w.put_u64(s.cut_heard);
-    w.put_u64(s.geo_hits);
-    w.put_u64(s.scored);
-    w.put_u64(s.truncated);
-}
-
-fn get_retrieval_stats(r: &mut ByteReader<'_>) -> Result<RetrievalStats, PersistError> {
-    Ok(RetrievalStats {
-        considered: r.u64()?,
-        cut_freshness: r.u64()?,
-        cut_preference: r.u64()?,
-        cut_geo: r.u64()?,
-        cut_heard: r.u64()?,
-        geo_hits: r.u64()?,
-        scored: r.u64()?,
-        truncated: r.u64()?,
-    })
-}
-
-fn topic_tag(t: Topic) -> u8 {
-    match t {
-        Topic::Tracking => 0,
-        Topic::Feedback => 1,
-        Topic::Recommendation => 2,
-        Topic::Editorial => 3,
-        Topic::Ingest => 4,
-    }
-}
-
-fn topic_from_tag(tag: u8) -> Result<Topic, PersistError> {
-    match tag {
-        0 => Ok(Topic::Tracking),
-        1 => Ok(Topic::Feedback),
-        2 => Ok(Topic::Recommendation),
-        3 => Ok(Topic::Editorial),
-        4 => Ok(Topic::Ingest),
-        _ => Err(PersistError::Corrupt { what: "topic tag" }),
-    }
-}
-
-fn put_envelope(w: &mut ByteWriter, e: &Envelope) {
-    match &e.message {
-        BusMessage::Fix { user, fix } => {
-            w.put_u8(0);
-            w.put_u64(user.0);
-            put_fix(w, fix);
-        }
-        BusMessage::Feedback(event) => {
-            w.put_u8(1);
-            put_feedback_event(w, event);
-        }
-        BusMessage::Delivery { user, schedule } => {
-            w.put_u8(2);
-            w.put_u64(user.0);
-            put_schedule(w, schedule);
-        }
-        BusMessage::Inject { user, clip, at } => {
-            w.put_u8(3);
-            w.put_u64(user.0);
-            w.put_u64(clip.0);
-            w.put_u64(at.0);
-        }
-        BusMessage::Ingested { clip, confidence } => {
-            w.put_u8(4);
-            w.put_u64(clip.0);
-            w.put_f64(*confidence);
-        }
-        BusMessage::Tuned { user, service } => {
-            w.put_u8(5);
-            w.put_u64(user.0);
-            w.put_u32(service.0);
-        }
-    }
-    w.put_u64(e.published_at.0);
-    w.put_u32(e.hops);
-    w.put_u64(e.seq);
-}
-
-fn get_envelope(r: &mut ByteReader<'_>) -> Result<Envelope, PersistError> {
-    let message = match r.u8()? {
-        0 => BusMessage::Fix { user: UserId(r.u64()?), fix: get_fix(r)? },
-        1 => BusMessage::Feedback(get_feedback_event(r)?),
-        2 => BusMessage::Delivery { user: UserId(r.u64()?), schedule: get_schedule(r)? },
-        3 => BusMessage::Inject {
-            user: UserId(r.u64()?),
-            clip: ClipId(r.u64()?),
-            at: TimePoint(r.u64()?),
-        },
-        4 => BusMessage::Ingested { clip: ClipId(r.u64()?), confidence: r.f64()? },
-        5 => BusMessage::Tuned { user: UserId(r.u64()?), service: ServiceIndex(r.u32()?) },
-        _ => return Err(PersistError::Corrupt { what: "bus message tag" }),
-    };
-    Ok(Envelope { message, published_at: TimePoint(r.u64()?), hops: r.u32()?, seq: r.u64()? })
-}
-
-/// Encodes a coverage map. Shared with the WAL codec: the
-/// `SetCoverage` command and the snapshot CONFIG section carry the same
-/// bytes.
-pub(crate) fn put_coverage(w: &mut ByteWriter, coverage: &CoverageMap) {
-    w.put_u32(coverage.transmitters.len() as u32);
-    for t in &coverage.transmitters {
-        put_point(w, t.position);
-        w.put_f64(t.radius_m);
-    }
-}
-
-/// Decodes [`put_coverage`] output.
-pub(crate) fn get_coverage(r: &mut ByteReader<'_>) -> Result<CoverageMap, PersistError> {
-    let n = r.seq_len()?;
-    let mut transmitters = Vec::with_capacity(n);
-    for _ in 0..n {
-        transmitters.push(Transmitter { position: get_point(r)?, radius_m: r.f64()? });
-    }
-    Ok(CoverageMap { transmitters })
-}
-
-/// Encodes a road network. Shared with the WAL codec (`SetRoadNetwork`).
-pub(crate) fn put_road_network(w: &mut ByteWriter, net: &RoadNetwork) {
-    w.put_u32(net.nodes().len() as u32);
-    for node in net.nodes() {
-        put_point(w, node.pos);
-        w.put_u8(match node.kind {
-            NodeKind::Plain => 0,
-            NodeKind::Intersection => 1,
-            NodeKind::Roundabout => 2,
-        });
-    }
-    w.put_u32(net.edges().len() as u32);
-    for edge in net.edges() {
-        w.put_u32(edge.from.0);
-        w.put_u32(edge.to.0);
-        w.put_f64(edge.speed_mps);
-    }
-}
-
-/// Decodes [`put_road_network`] output, validating edge endpoints and
-/// speeds.
-pub(crate) fn get_road_network(r: &mut ByteReader<'_>) -> Result<RoadNetwork, PersistError> {
-    let n_nodes = r.seq_len()?;
-    let mut net = RoadNetwork::new();
-    for _ in 0..n_nodes {
-        let pos = get_point(r)?;
-        let kind = match r.u8()? {
-            0 => NodeKind::Plain,
-            1 => NodeKind::Intersection,
-            2 => NodeKind::Roundabout,
-            _ => return Err(PersistError::Corrupt { what: "road node kind" }),
-        };
-        net.add_node(pos, kind);
-    }
-    let n_edges = r.seq_len()?;
-    for _ in 0..n_edges {
-        let from = r.u32()?;
-        let to = r.u32()?;
-        let speed = r.f64()?;
-        let bounds = n_nodes as u32;
-        if from >= bounds || to >= bounds || !speed.is_finite() || speed <= 0.0 {
-            return Err(PersistError::Corrupt { what: "road edge" });
-        }
-        net.add_edge(NodeId(from), NodeId(to), speed);
-    }
-    Ok(net)
-}
-
-/// Encodes a gazetteer. Shared with the WAL codec (`SetGazetteer`).
-pub(crate) fn put_gazetteer(w: &mut ByteWriter, gaz: &Gazetteer) {
-    w.put_u64(gaz.min_mentions as u64);
-    let places = gaz.places_sorted();
-    w.put_u32(places.len() as u32);
-    for place in places {
-        w.put_str(&place.name);
-        w.put_f64(place.point.lat);
-        w.put_f64(place.point.lon);
-        w.put_f64(place.radius_m);
-    }
-}
-
-/// Decodes [`put_gazetteer`] output.
-pub(crate) fn get_gazetteer(r: &mut ByteReader<'_>) -> Result<Gazetteer, PersistError> {
-    let mut gaz = Gazetteer::new();
-    gaz.min_mentions = r.u64()? as usize;
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        gaz.add(Place {
-            name: r.string()?,
-            point: GeoPoint { lat: r.f64()?, lon: r.f64()? },
-            radius_m: r.f64()?,
-        });
-    }
-    Ok(gaz)
-}
-
-fn put_recommender(w: &mut ByteWriter, rec: &Recommender) {
-    let weights = &rec.weights;
-    w.put_f64(weights.content_weight);
-    w.put_f64(weights.geo_weight);
-    w.put_f64(weights.freshness_weight);
-    w.put_f64(weights.time_weight);
-    w.put_f64(weights.fit_weight);
-    w.put_f64(weights.weather_weight);
-    w.put_u64(weights.freshness_half_life.0);
-    w.put_f64(weights.geo_scale_m);
-    let filter = &rec.filter;
-    w.put_u64(filter.max_age.0);
-    w.put_f64(filter.min_category_pref);
-    w.put_f64(filter.route_corridor_m);
-    w.put_u64(filter.max_candidates as u64);
-    w.put_u64(filter.scan_below as u64);
-    let sched = &rec.scheduler;
-    w.put_u64(sched.reserve.0);
-    w.put_u64(sched.max_items as u64);
-    w.put_u64(sched.pin_tolerance_s);
-    w.put_bool(sched.avoid_distraction);
-    w.put_u8(match sched.selection {
-        Selection::ExactDp => 0,
-        Selection::Greedy => 1,
+/// `(user, value)` entries by ascending user id.
+fn put_user_map<V>(w: &mut ByteWriter, map: &HashMap<UserId, V>, f: impl Fn(&mut ByteWriter, &V)) {
+    w.put_seq(sorted_by_user(map), |w, (user, v)| {
+        w.put_u64(user.0);
+        f(w, v);
     });
 }
 
-fn get_recommender(r: &mut ByteReader<'_>) -> Result<Recommender, PersistError> {
-    let weights = ScoringWeights {
-        content_weight: r.f64()?,
-        geo_weight: r.f64()?,
-        freshness_weight: r.f64()?,
-        time_weight: r.f64()?,
-        fit_weight: r.f64()?,
-        weather_weight: r.f64()?,
-        freshness_half_life: TimeSpan(r.u64()?),
-        geo_scale_m: r.f64()?,
-    };
-    let filter = CandidateFilter {
-        max_age: TimeSpan(r.u64()?),
-        min_category_pref: r.f64()?,
-        route_corridor_m: r.f64()?,
-        max_candidates: r.u64()? as usize,
-        scan_below: r.u64()? as usize,
-    };
-    let scheduler = SchedulerConfig {
-        reserve: TimeSpan(r.u64()?),
-        max_items: r.u64()? as usize,
-        pin_tolerance_s: r.u64()?,
-        avoid_distraction: r.bool()?,
-        selection: match r.u8()? {
-            0 => Selection::ExactDp,
-            1 => Selection::Greedy,
-            _ => return Err(PersistError::Corrupt { what: "selection tag" }),
-        },
-    };
-    Ok(Recommender { weights, filter, scheduler })
+fn get_user_map<V>(
+    r: &mut ByteReader<'_>,
+    f: impl Fn(&mut ByteReader<'_>) -> Result<V, PersistError>,
+) -> Result<HashMap<UserId, V>, PersistError> {
+    Ok(r.seq(|r| Ok((UserId(r.u64()?), f(r)?)))?.into_iter().collect())
 }
 
 // ---------------------------------------------------------------------
@@ -490,8 +177,7 @@ fn get_recommender(r: &mut ByteReader<'_>) -> Result<Recommender, PersistError> 
 fn encode_config(engine: &Engine) -> Vec<u8> {
     let config = engine.config();
     let mut w = ByteWriter::new();
-    w.put_f64(config.origin.lat);
-    w.put_f64(config.origin.lon);
+    put_geo_point(&mut w, &config.origin);
     put_recommender(&mut w, &config.recommender);
     w.put_f64(config.predictor.hour_weight);
     w.put_f64(config.predictor.geometry_scale_m);
@@ -523,7 +209,7 @@ fn encode_config(engine: &Engine) -> Vec<u8> {
 
 fn decode_config(bytes: &[u8]) -> Result<Engine, PersistError> {
     let mut r = ByteReader::new(bytes);
-    let origin = GeoPoint { lat: r.f64()?, lon: r.f64()? };
+    let origin = get_geo_point(&mut r)?;
     let recommender = get_recommender(&mut r)?;
     let predictor = TripPredictor {
         hour_weight: r.f64()?,
@@ -592,21 +278,7 @@ fn encode_catalog(engine: &Engine) -> Vec<u8> {
     w.put_f64(engine.repo.max_tag_radius_m());
     let mut clips: Vec<&ClipMetadata> = engine.repo.iter().collect();
     clips.sort_unstable_by_key(|c| c.id.0);
-    w.put_u32(clips.len() as u32);
-    for clip in clips {
-        w.put_u64(clip.id.0);
-        w.put_str(&clip.title);
-        put_clip_kind(&mut w, clip.kind);
-        w.put_u16(clip.category.0);
-        w.put_f64(clip.category_confidence);
-        w.put_u64(clip.duration.0);
-        w.put_u64(clip.published.0);
-        w.put_opt(clip.geo.as_ref(), put_geo_tag);
-        w.put_u32(clip.transcript.len() as u32);
-        for token in &clip.transcript {
-            w.put_u32(*token);
-        }
-    }
+    w.put_seq(clips, put_clip_meta);
     w.into_inner()
 }
 
@@ -615,34 +287,13 @@ fn decode_catalog(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError>
     engine.next_clip_id = r.u64()?;
     let epoch = r.u64()?;
     let max_tag_radius_m = r.f64()?;
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let id = ClipId(r.u64()?);
-        let title = r.string()?;
-        let kind = get_clip_kind(&mut r)?;
-        let category = CategoryId(r.u16()?);
-        let category_confidence = r.f64()?;
-        let duration = TimeSpan(r.u64()?);
-        let published = TimePoint(r.u64()?);
-        let geo = r.opt(get_geo_tag)?;
-        let n_tokens = r.seq_len()?;
-        let mut transcript = Vec::with_capacity(n_tokens);
-        for _ in 0..n_tokens {
-            transcript.push(r.u32()?);
-        }
-        engine.repo.ingest(ClipMetadata {
-            id,
-            title,
-            kind,
-            category,
-            category_confidence,
-            duration,
-            published,
-            geo,
-            transcript,
-        });
+    r.seq(|r| {
+        let clip = get_clip_meta(r)?;
+        let (id, duration) = (clip.id, clip.duration);
+        engine.repo.ingest(clip);
         engine.clip_audio.insert(AudioClip { id, duration, bitrate: Bitrate::LIVE_STREAM });
-    }
+        Ok(())
+    })?;
     engine.repo.restore_index_meta(epoch, max_tag_radius_m);
     Ok(())
 }
@@ -653,61 +304,30 @@ fn decode_catalog(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError>
 
 fn encode_nlp(engine: &Engine) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(engine.vocab.len() as u32);
-    for id in 0..engine.vocab.len() as u32 {
+    w.put_seq(0..engine.vocab.len() as u32, |w, id| {
         w.put_str(engine.vocab.token(id).unwrap_or(""));
-    }
+    });
     w.put_u32(engine.classifier.n_categories());
     w.put_f64(engine.classifier.alpha());
     let (doc_counts, category_tokens, token_counts) = engine.classifier.export_raw_counts();
-    w.put_u32(doc_counts.len() as u32);
-    for v in doc_counts {
-        w.put_u64(*v);
-    }
-    w.put_u32(category_tokens.len() as u32);
-    for v in category_tokens {
-        w.put_u64(*v);
-    }
-    w.put_u32(token_counts.len() as u32);
-    for row in token_counts {
-        w.put_u32(row.len() as u32);
-        for v in row {
-            w.put_u64(*v);
-        }
-    }
+    w.put_seq(doc_counts, |w, v| w.put_u64(*v));
+    w.put_seq(category_tokens, |w, v| w.put_u64(*v));
+    w.put_seq(token_counts, |w, row| w.put_seq(row, |w, v| w.put_u64(*v)));
     w.put_u64(engine.classifier_docs);
     w.into_inner()
 }
 
 fn decode_nlp(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     let mut r = ByteReader::new(bytes);
-    let n_tokens = r.seq_len()?;
-    for _ in 0..n_tokens {
-        let token = r.string()?;
-        engine.vocab.intern(&token);
-    }
+    r.seq(|r| {
+        engine.vocab.intern(&r.string()?);
+        Ok(())
+    })?;
     let n_categories = r.u32()?;
     let alpha = r.f64()?;
-    let n = r.seq_len()?;
-    let mut doc_counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        doc_counts.push(r.u64()?);
-    }
-    let n = r.seq_len()?;
-    let mut category_tokens = Vec::with_capacity(n);
-    for _ in 0..n {
-        category_tokens.push(r.u64()?);
-    }
-    let n = r.seq_len()?;
-    let mut token_counts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let m = r.seq_len()?;
-        let mut row = Vec::with_capacity(m);
-        for _ in 0..m {
-            row.push(r.u64()?);
-        }
-        token_counts.push(row);
-    }
+    let doc_counts = r.seq(ByteReader::u64)?;
+    let category_tokens = r.seq(ByteReader::u64)?;
+    let token_counts = r.seq(|r| r.seq(ByteReader::u64))?;
     engine.classifier =
         NaiveBayes::from_raw_counts(n_categories, alpha, doc_counts, category_tokens, token_counts)
             .ok_or(PersistError::Corrupt { what: "classifier counts" })?;
@@ -724,160 +344,50 @@ fn encode_users(engine: &Engine) -> Vec<u8> {
 
     let mut profiles: Vec<_> = engine.profiles.iter().collect();
     profiles.sort_unstable_by_key(|p| p.id.0);
-    w.put_u32(profiles.len() as u32);
-    for p in profiles {
-        put_profile(&mut w, p);
-    }
+    w.put_seq(profiles, put_profile);
 
-    let feedback_users = engine.feedback.known_users();
-    w.put_u32(feedback_users.len() as u32);
-    for user in feedback_users {
+    w.put_seq(engine.feedback.known_users(), |w, user| {
         w.put_u64(user.0);
-        let events = engine.feedback.events(user);
-        w.put_u32(events.len() as u32);
-        for e in events {
-            put_feedback_event(&mut w, e);
-        }
-    }
+        w.put_seq(engine.feedback.events(user), put_feedback_event);
+    });
 
-    let tracking_users = engine.tracking.known_users();
-    w.put_u32(tracking_users.len() as u32);
-    for user in tracking_users {
+    w.put_seq(engine.tracking.known_users(), |w, user| {
         w.put_u64(user.0);
-        let fixes = engine.tracking.trace(user).map_or(&[][..], |t| t.fixes());
-        w.put_u32(fixes.len() as u32);
-        for fix in fixes {
-            put_fix(&mut w, fix);
-        }
-    }
+        w.put_seq(engine.tracking.trace(user).map_or(&[][..], |t| t.fixes()), put_fix);
+    });
     w.put_u64(engine.tracking.dropped_invalid());
 
-    let open = engine.sessions.export_open();
-    w.put_u32(open.len() as u32);
-    for s in open {
-        put_session(&mut w, s);
-    }
-    let closed = engine.sessions.export_closed();
-    w.put_u32(closed.len() as u32);
-    for s in closed {
-        put_session(&mut w, s);
-    }
+    w.put_seq(engine.sessions.export_open(), put_session);
+    w.put_seq(engine.sessions.export_closed(), put_session);
 
-    let player_users = sorted_user_keys(&engine.players);
-    w.put_u32(player_users.len() as u32);
-    for user in player_users {
-        if let Some(p) = engine.players.get(&user) {
-            put_player(&mut w, p);
-        }
-    }
-
-    let proactivity_users = sorted_user_keys(&engine.proactivity);
-    w.put_u32(proactivity_users.len() as u32);
-    for user in proactivity_users {
-        if let Some(m) = engine.proactivity.get(&user) {
-            w.put_u64(user.0);
-            w.put_u64(m.min_driving.0);
-            w.put_f64(m.min_confidence);
-            w.put_u64(m.min_delta_t.0);
-            w.put_u64(m.cooldown.0);
-            w.put_opt(m.driving_since().as_ref(), |w, t| w.put_u64(t.0));
-            w.put_opt(m.last_delivery().as_ref(), |w, t| w.put_u64(t.0));
-        }
-    }
-
-    let trip_users = sorted_user_keys(&engine.trips);
-    w.put_u32(trip_users.len() as u32);
-    for user in trip_users {
-        if let Some(t) = engine.trips.get(&user) {
-            w.put_u64(user.0);
-            w.put_opt(t.driving_since.as_ref(), |w, v| w.put_u64(v.0));
-            w.put_opt(t.origin_stay.as_ref(), |w, v| w.put_u32(*v));
-            w.put_u32(t.path.len() as u32);
-            for p in &t.path {
-                put_point(&mut w, *p);
-            }
-        }
-    }
+    w.put_seq(sorted_by_user(&engine.players), |w, (_, p)| put_player(w, p));
+    put_user_map(&mut w, &engine.proactivity, put_proactivity);
+    put_user_map(&mut w, &engine.trips, put_trip);
 
     let heard_users: Vec<UserId> =
         engine.hot.users_sorted().into_iter().filter(|&u| engine.hot.heard_len(u) > 0).collect();
-    w.put_u32(heard_users.len() as u32);
-    for user in heard_users {
+    w.put_seq(heard_users, |w, user| {
         w.put_u64(user.0);
         let mut clips: Vec<u64> =
             engine.hot.heard_ref(user).map(|s| s.iter().map(|c| c.0).collect()).unwrap_or_default();
         clips.sort_unstable();
-        w.put_u32(clips.len() as u32);
-        for c in clips {
-            w.put_u64(c);
-        }
-    }
+        w.put_seq(clips, |w, c| w.put_u64(c));
+    });
 
-    let health_users = sorted_user_keys(&engine.health);
-    w.put_u32(health_users.len() as u32);
-    for user in health_users {
-        if let Some(h) = engine.health.get(&user) {
-            w.put_u64(user.0);
-            w.put_u8(match h.state {
-                HealthState::Healthy => 0,
-                HealthState::Degraded => 1,
-                HealthState::BroadcastOnly => 2,
-            });
-            w.put_u32(h.fail_streak);
-            w.put_u32(h.ok_streak);
-            w.put_u64(h.since.0);
-            w.put_u64(h.fetch_failures);
-            w.put_u64(h.replays);
-            w.put_u64(h.stale_model_reuses);
-            w.put_u64(h.dup_deliveries);
-            w.put_u64(h.transitions);
-        }
-    }
+    put_user_map(&mut w, &engine.health, put_health);
+    put_user_map(&mut w, &engine.last_acked, put_schedule);
+    put_user_map(&mut w, &engine.bearers, put_bearer);
 
-    let acked_users = sorted_user_keys(&engine.last_acked);
-    w.put_u32(acked_users.len() as u32);
-    for user in acked_users {
-        if let Some(s) = engine.last_acked.get(&user) {
-            w.put_u64(user.0);
-            put_schedule(&mut w, s);
-        }
-    }
-
-    let bearer_users = sorted_user_keys(&engine.bearers);
-    w.put_u32(bearer_users.len() as u32);
-    for user in bearer_users {
-        if let Some(b) = engine.bearers.get(&user) {
-            w.put_u64(user.0);
-            w.put_f64(b.hysteresis_m);
-            w.put_u8(match b.current {
-                BearerClass::Broadcast => 0,
-                BearerClass::Ip => 1,
-            });
-            w.put_u32(b.switches);
-            put_coverage(&mut w, &b.coverage);
-        }
-    }
-
-    let cache_users: Vec<UserId> =
-        engine.hot.users_sorted().into_iter().filter(|&u| engine.hot.cache(u).is_some()).collect();
-    w.put_u32(cache_users.len() as u32);
-    for user in cache_users {
-        if let Some(c) = engine.hot.cache(user) {
-            w.put_u64(user.0);
-            w.put_u64(c.key.epoch);
-            w.put_u64(c.key.feedback_events as u64);
-            w.put_u64(c.key.heard_len as u64);
-            w.put_u64(c.key.freshness_rev);
-            w.put_u64(c.key.decay_rev);
-            w.put_u64(c.key.context_rev);
-            w.put_u64(c.warmed_at);
-            w.put_u32(c.ranked.len() as u32);
-            for s in &c.ranked {
-                put_scored(&mut w, s);
-            }
-            put_retrieval_stats(&mut w, &c.stats);
-        }
-    }
+    let caches: Vec<(UserId, &CachedCandidates)> = engine
+        .hot
+        .users_sorted()
+        .into_iter()
+        .filter_map(|u| engine.hot.cache(u).map(|c| (u, c)))
+        .collect();
+    w.put_seq(caches, |w, (user, c)| {
+        w.put_u64(user.0);
+        put_cached(w, c);
+    });
 
     // The engine tick sequence: counter classification (same-tick warm
     // serve vs cross-tick hit) must survive a restore bit-exactly.
@@ -886,264 +396,51 @@ fn encode_users(engine: &Engine) -> Vec<u8> {
     w.into_inner()
 }
 
-fn put_session(w: &mut ByteWriter, s: &ListeningSession) {
-    w.put_u64(s.user.0);
-    w.put_u32(s.service.0);
-    w.put_u64(s.started.0);
-    w.put_u64(s.ended.0);
-    w.put_u32(s.clips_played.len() as u32);
-    for c in &s.clips_played {
-        w.put_u64(c.0);
-    }
-    w.put_u32(s.skips);
-    w.put_u32(s.likes);
-    match s.end {
-        SessionEnd::Stopped => w.put_u8(0),
-        SessionEnd::Surfed { to } => {
-            w.put_u8(1);
-            w.put_u32(to.0);
-        }
-        SessionEnd::Open => w.put_u8(2),
-    }
-}
-
-fn get_session(r: &mut ByteReader<'_>) -> Result<ListeningSession, PersistError> {
-    let user = UserId(r.u64()?);
-    let service = ServiceIndex(r.u32()?);
-    let started = TimePoint(r.u64()?);
-    let ended = TimePoint(r.u64()?);
-    let n = r.seq_len()?;
-    let mut clips_played = Vec::with_capacity(n);
-    for _ in 0..n {
-        clips_played.push(ClipId(r.u64()?));
-    }
-    let skips = r.u32()?;
-    let likes = r.u32()?;
-    let end = match r.u8()? {
-        0 => SessionEnd::Stopped,
-        1 => SessionEnd::Surfed { to: ServiceIndex(r.u32()?) },
-        2 => SessionEnd::Open,
-        _ => return Err(PersistError::Corrupt { what: "session end tag" }),
-    };
-    Ok(ListeningSession { user, service, started, ended, clips_played, skips, likes, end })
-}
-
-fn put_player(w: &mut ByteWriter, p: &Player) {
-    w.put_u64(p.user.0);
-    w.put_u32(p.service.0);
-    match p.mode {
-        PlaybackMode::Live => w.put_u8(0),
-        PlaybackMode::Clip { clip, started } => {
-            w.put_u8(1);
-            put_queued(w, &clip);
-            w.put_u64(started.0);
-        }
-        PlaybackMode::Shifted => w.put_u8(2),
-        PlaybackMode::Paused => w.put_u8(3),
-    }
-    w.put_u32(p.queue.len() as u32);
-    for q in &p.queue {
-        put_queued(w, q);
-    }
-    w.put_u64(p.displacement.0);
-    w.put_u64(p.feedback_period.0);
-    w.put_u64(p.last_feedback.0);
-    w.put_u32(p.skips);
-    w.put_u32(p.surfs);
-}
-
-fn put_queued(w: &mut ByteWriter, q: &QueuedClip) {
-    w.put_u64(q.clip.0);
-    w.put_u64(q.duration.0);
-    w.put_u16(q.category.0);
-}
-
-fn get_queued(r: &mut ByteReader<'_>) -> Result<QueuedClip, PersistError> {
-    Ok(QueuedClip {
-        clip: ClipId(r.u64()?),
-        duration: TimeSpan(r.u64()?),
-        category: CategoryId(r.u16()?),
-    })
-}
-
-fn get_player(r: &mut ByteReader<'_>) -> Result<Player, PersistError> {
-    let user = UserId(r.u64()?);
-    let service = ServiceIndex(r.u32()?);
-    let mode = match r.u8()? {
-        0 => PlaybackMode::Live,
-        1 => {
-            let clip = get_queued(r)?;
-            PlaybackMode::Clip { clip, started: TimePoint(r.u64()?) }
-        }
-        2 => PlaybackMode::Shifted,
-        3 => PlaybackMode::Paused,
-        _ => return Err(PersistError::Corrupt { what: "playback mode tag" }),
-    };
-    let n = r.seq_len()?;
-    let mut queue = std::collections::VecDeque::with_capacity(n);
-    for _ in 0..n {
-        queue.push_back(get_queued(r)?);
-    }
-    Ok(Player {
-        user,
-        service,
-        mode,
-        queue,
-        displacement: TimeSpan(r.u64()?),
-        feedback_period: TimeSpan(r.u64()?),
-        last_feedback: TimePoint(r.u64()?),
-        skips: r.u32()?,
-        surfs: r.u32()?,
-    })
-}
-
 fn decode_users(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     let mut r = ByteReader::new(bytes);
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let profile = get_profile(&mut r)?;
+    for profile in r.seq(get_profile)? {
         engine.profiles.upsert(profile);
     }
-
-    let n = r.seq_len()?;
-    for _ in 0..n {
+    r.seq(|r| {
         let _user = UserId(r.u64()?);
-        let m = r.seq_len()?;
-        for _ in 0..m {
-            let event = get_feedback_event(&mut r)?;
-            engine.feedback.record(event);
-        }
-    }
-
-    let n = r.seq_len()?;
-    for _ in 0..n {
+        r.seq(|r| {
+            engine.feedback.record(get_feedback_event(r)?);
+            Ok(())
+        })
+    })?;
+    r.seq(|r| {
         let user = UserId(r.u64()?);
-        let m = r.seq_len()?;
-        for _ in 0..m {
-            let fix = get_fix(&mut r)?;
-            engine.tracking.record(user, fix);
-        }
-    }
+        r.seq(|r| {
+            engine.tracking.record(user, get_fix(r)?);
+            Ok(())
+        })
+    })?;
     engine.tracking.restore_dropped_invalid(r.u64()?);
 
-    let n = r.seq_len()?;
-    let mut open = Vec::with_capacity(n);
-    for _ in 0..n {
-        open.push(get_session(&mut r)?);
-    }
-    let n = r.seq_len()?;
-    let mut closed = Vec::with_capacity(n);
-    for _ in 0..n {
-        closed.push(get_session(&mut r)?);
-    }
-    engine.sessions = SessionStore::restore(open, closed);
+    let open = r.seq(get_session)?;
+    engine.sessions = SessionStore::restore(open, r.seq(get_session)?);
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let player = get_player(&mut r)?;
+    for player in r.seq(get_player)? {
         engine.players.insert(player.user, player);
     }
+    engine.proactivity = get_user_map(&mut r, get_proactivity)?;
+    engine.trips = get_user_map(&mut r, get_trip)?;
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
+    r.seq(|r| {
         let user = UserId(r.u64()?);
-        let mut model = ProactivityModel::default();
-        model.min_driving = TimeSpan(r.u64()?);
-        model.min_confidence = r.f64()?;
-        model.min_delta_t = TimeSpan(r.u64()?);
-        model.cooldown = TimeSpan(r.u64()?);
-        let driving_since = r.opt(|r| Ok(TimePoint(r.u64()?)))?;
-        let last_delivery = r.opt(|r| Ok(TimePoint(r.u64()?)))?;
-        model.restore_state(driving_since, last_delivery);
-        engine.proactivity.insert(user, model);
-    }
-
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let driving_since = r.opt(|r| Ok(TimePoint(r.u64()?)))?;
-        let origin_stay = r.opt(ByteReader::u32)?;
-        let m = r.seq_len()?;
-        let mut path = Vec::with_capacity(m);
-        for _ in 0..m {
-            path.push(get_point(&mut r)?);
-        }
-        engine.trips.insert(user, TripTracker { driving_since, origin_stay, path });
-    }
-
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let m = r.seq_len()?;
-        for _ in 0..m {
+        r.seq(|r| {
             engine.hot.heard_insert(user, ClipId(r.u64()?));
-        }
-    }
+            Ok(())
+        })
+    })?;
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let state = match r.u8()? {
-            0 => HealthState::Healthy,
-            1 => HealthState::Degraded,
-            2 => HealthState::BroadcastOnly,
-            _ => return Err(PersistError::Corrupt { what: "health state tag" }),
-        };
-        let health = UserHealth {
-            state,
-            fail_streak: r.u32()?,
-            ok_streak: r.u32()?,
-            since: TimePoint(r.u64()?),
-            fetch_failures: r.u64()?,
-            replays: r.u64()?,
-            stale_model_reuses: r.u64()?,
-            dup_deliveries: r.u64()?,
-            transitions: r.u64()?,
-        };
-        engine.health.insert(user, health);
-    }
+    engine.health = get_user_map(&mut r, get_health)?;
+    engine.last_acked = get_user_map(&mut r, get_schedule)?;
+    engine.bearers = get_user_map(&mut r, get_bearer)?;
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let schedule = get_schedule(&mut r)?;
-        engine.last_acked.insert(user, schedule);
-    }
-
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let hysteresis_m = r.f64()?;
-        let current = match r.u8()? {
-            0 => BearerClass::Broadcast,
-            1 => BearerClass::Ip,
-            _ => return Err(PersistError::Corrupt { what: "bearer class tag" }),
-        };
-        let switches = r.u32()?;
-        let coverage = get_coverage(&mut r)?;
-        engine.bearers.insert(user, BearerSelector { coverage, hysteresis_m, current, switches });
-    }
-
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let key = CandidateCacheKey {
-            epoch: r.u64()?,
-            feedback_events: r.u64()? as usize,
-            heard_len: r.u64()? as usize,
-            freshness_rev: r.u64()?,
-            decay_rev: r.u64()?,
-            context_rev: r.u64()?,
-        };
-        let warmed_at = r.u64()?;
-        let m = r.seq_len()?;
-        let mut ranked = Vec::with_capacity(m);
-        for _ in 0..m {
-            ranked.push(get_scored(&mut r)?);
-        }
-        let stats = get_retrieval_stats(&mut r)?;
-        engine.hot.insert_cache(user, CachedCandidates { key, ranked, stats, warmed_at });
+    for (user, cached) in r.seq(|r| Ok((UserId(r.u64()?), get_cached(r)?)))? {
+        engine.hot.insert_cache(user, cached);
     }
 
     engine.tick_seq = r.u64()?;
@@ -1158,41 +455,16 @@ fn decode_users(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
 // Section 5: BUS — transport wire state, queues, ledgers, RNGs
 // ---------------------------------------------------------------------
 
-fn put_topic_envelopes(w: &mut ByteWriter, pairs: &[(Topic, Vec<Envelope>)]) {
-    w.put_u32(pairs.len() as u32);
-    for (topic, envelopes) in pairs {
-        w.put_u8(topic_tag(*topic));
-        w.put_u32(envelopes.len() as u32);
-        for e in envelopes {
-            put_envelope(w, e);
-        }
-    }
-}
-
-fn get_topic_envelopes(
-    r: &mut ByteReader<'_>,
-) -> Result<Vec<(Topic, Vec<Envelope>)>, PersistError> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let topic = topic_from_tag(r.u8()?)?;
-        let m = r.seq_len()?;
-        let mut envelopes = Vec::with_capacity(m);
-        for _ in 0..m {
-            envelopes.push(get_envelope(r)?);
-        }
-        out.push((topic, envelopes));
-    }
-    Ok(out)
-}
-
 fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
     let mut w = ByteWriter::new();
 
     match transport {
         TransportState::Perfect { queues } => {
             w.put_u8(0);
-            put_topic_envelopes(&mut w, queues);
+            w.put_seq(queues, |w, (topic, envelopes)| {
+                put_topic(w, *topic);
+                w.put_seq(envelopes, put_envelope);
+            });
         }
         TransportState::Faulty { profile, rng_state, in_flight, stats } => {
             w.put_u8(1);
@@ -1205,21 +477,18 @@ fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
                 .iter()
                 .filter_map(|t| profile.bandwidth_caps.get(t).map(|c| (*t, *c)))
                 .collect();
-            w.put_u32(caps.len() as u32);
-            for (topic, cap) in caps {
-                w.put_u8(topic_tag(topic));
+            w.put_seq(caps, |w, (topic, cap)| {
+                put_topic(w, topic);
                 w.put_u64(cap as u64);
-            }
+            });
             w.put_u64(*rng_state);
-            w.put_u32(in_flight.len() as u32);
-            for (topic, flights) in in_flight {
-                w.put_u8(topic_tag(*topic));
-                w.put_u32(flights.len() as u32);
-                for (envelope, due) in flights {
-                    put_envelope(&mut w, envelope);
+            w.put_seq(in_flight, |w, (topic, flights)| {
+                put_topic(w, *topic);
+                w.put_seq(flights, |w, (envelope, due)| {
+                    put_envelope(w, envelope);
                     w.put_u64(due.0);
-                }
-            }
+                });
+            });
             w.put_u64(stats.dropped);
             w.put_u64(stats.duplicated);
             w.put_u64(stats.reordered);
@@ -1227,39 +496,29 @@ fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
         }
     }
 
-    let queues: Vec<(Topic, Vec<Envelope>)> = crate::fault::TOPIC_ORDER
+    let queues: Vec<(Topic, &VecDeque<Envelope>)> = crate::fault::TOPIC_ORDER
         .iter()
-        .filter_map(|t| {
-            engine.bus.queues.get(t).map(|q| (*t, q.iter().cloned().collect::<Vec<_>>()))
-        })
+        .filter_map(|t| engine.bus.queues.get(t).map(|q| (*t, q)))
         .collect();
-    put_topic_envelopes(&mut w, &queues);
+    w.put_seq(queues, |w, (topic, envelopes)| {
+        put_topic(w, topic);
+        w.put_seq(envelopes, put_envelope);
+    });
 
     let policies: Vec<(Topic, QueuePolicy)> = crate::fault::TOPIC_ORDER
         .iter()
         .filter_map(|t| engine.bus.policies.get(t).map(|p| (*t, *p)))
         .collect();
-    w.put_u32(policies.len() as u32);
-    for (topic, policy) in policies {
-        w.put_u8(topic_tag(topic));
+    w.put_seq(policies, |w, (topic, policy)| {
+        put_topic(w, topic);
         w.put_u64(policy.capacity as u64);
         w.put_u8(match policy.overflow {
             OverflowPolicy::DropOldest => 0,
             OverflowPolicy::Reject => 1,
         });
-    }
+    });
 
-    w.put_u32(engine.bus.dead_letters.len() as u32);
-    for dl in &engine.bus.dead_letters {
-        w.put_u8(topic_tag(dl.topic));
-        put_envelope(&mut w, &dl.envelope);
-        w.put_u8(match dl.reason {
-            DeadLetterReason::Overflow => 0,
-            DeadLetterReason::Rejected => 1,
-            DeadLetterReason::RetryBudgetExhausted => 2,
-        });
-        w.put_u64(dl.at.0);
-    }
+    w.put_seq(&engine.bus.dead_letters, put_dead_letter);
 
     w.put_u64(engine.bus.published);
     w.put_u64(engine.bus.delivered);
@@ -1271,20 +530,13 @@ fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
     let mut outstanding: Vec<(u64, &OutstandingDelivery)> =
         engine.delivery.outstanding.iter().map(|(s, o)| (*s, o)).collect();
     outstanding.sort_unstable_by_key(|(s, _)| *s);
-    w.put_u32(outstanding.len() as u32);
-    for (seq, o) in outstanding {
+    w.put_seq(outstanding, |w, (seq, o)| {
         w.put_u64(seq);
-        w.put_u64(o.user.0);
-        put_envelope(&mut w, &o.envelope);
-        w.put_u32(o.attempts);
-        w.put_u64(o.next_retry_at.0);
-    }
+        put_outstanding(w, o);
+    });
     let mut seen: Vec<u64> = engine.delivery.seen.iter().copied().collect();
     seen.sort_unstable();
-    w.put_u32(seen.len() as u32);
-    for s in seen {
-        w.put_u64(s);
-    }
+    w.put_seq(seen, |w, s| w.put_u64(s));
     w.put_u64(engine.delivery.retries);
     w.put_u64(engine.delivery.exhausted);
     w.put_u64(engine.delivery.duplicates);
@@ -1294,20 +546,9 @@ fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
     w.put_u64(engine.unicast.mean_latency.0);
     w.put_u64(engine.unicast.rng.state());
 
-    let injection_users = sorted_user_keys(&engine.injections.queues);
-    w.put_u32(injection_users.len() as u32);
-    for user in injection_users {
-        if let Some(pending) = engine.injections.queues.get(&user) {
-            w.put_u64(user.0);
-            w.put_u32(pending.len() as u32);
-            for p in pending {
-                w.put_u64(p.user.0);
-                w.put_u64(p.clip.0);
-                w.put_u64(p.submitted_at.0);
-                w.put_str(&p.note);
-            }
-        }
-    }
+    put_user_map(&mut w, &engine.injections.queues, |w, pending| {
+        w.put_seq(pending, put_injection);
+    });
     w.put_u64(engine.injections.total_submitted);
     w.put_u64(engine.injections.total_delivered);
 
@@ -1316,36 +557,26 @@ fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
     w.into_inner()
 }
 
+fn get_topic_queues(r: &mut ByteReader<'_>) -> Result<Vec<(Topic, Vec<Envelope>)>, PersistError> {
+    r.seq(|r| Ok((get_topic(r)?, r.seq(get_envelope)?)))
+}
+
 fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     let mut r = ByteReader::new(bytes);
 
     let transport = match r.u8()? {
-        0 => TransportState::Perfect { queues: get_topic_envelopes(&mut r)? },
+        0 => TransportState::Perfect { queues: get_topic_queues(&mut r)? },
         1 => {
             let drop_rate = r.f64()?;
             let duplicate_rate = r.f64()?;
             let reorder_rate = r.f64()?;
             let delay_rate = r.f64()?;
             let max_delay = TimeSpan(r.u64()?);
-            let n = r.seq_len()?;
-            let mut bandwidth_caps = HashMap::new();
-            for _ in 0..n {
-                let topic = topic_from_tag(r.u8()?)?;
-                bandwidth_caps.insert(topic, r.u64()? as usize);
-            }
+            let bandwidth_caps = r.seq(|r| Ok((get_topic(r)?, r.u64()? as usize)))?;
             let rng_state = r.u64()?;
-            let n = r.seq_len()?;
-            let mut in_flight = Vec::with_capacity(n);
-            for _ in 0..n {
-                let topic = topic_from_tag(r.u8()?)?;
-                let m = r.seq_len()?;
-                let mut flights = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let envelope = get_envelope(&mut r)?;
-                    flights.push((envelope, TimePoint(r.u64()?)));
-                }
-                in_flight.push((topic, flights));
-            }
+            let in_flight = r.seq(|r| {
+                Ok((get_topic(r)?, r.seq(|r| Ok((get_envelope(r)?, TimePoint(r.u64()?))))?))
+            })?;
             let stats = WireStats {
                 dropped: r.u64()?,
                 duplicated: r.u64()?,
@@ -1359,7 +590,7 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
                     reorder_rate,
                     delay_rate,
                     max_delay,
-                    bandwidth_caps,
+                    bandwidth_caps: bandwidth_caps.into_iter().collect(),
                 },
                 rng_state,
                 in_flight,
@@ -1370,36 +601,23 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     };
     engine.bus.transport = transport_from_state(transport);
 
-    for (topic, envelopes) in get_topic_envelopes(&mut r)? {
+    for (topic, envelopes) in get_topic_queues(&mut r)? {
         engine.bus.queues.insert(topic, envelopes.into());
     }
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let topic = topic_from_tag(r.u8()?)?;
+    let policies = r.seq(|r| {
+        let topic = get_topic(r)?;
         let capacity = r.u64()? as usize;
         let overflow = match r.u8()? {
             0 => OverflowPolicy::DropOldest,
             1 => OverflowPolicy::Reject,
             _ => return Err(PersistError::Corrupt { what: "overflow policy tag" }),
         };
-        engine.bus.policies.insert(topic, QueuePolicy { capacity, overflow });
-    }
+        Ok((topic, QueuePolicy { capacity, overflow }))
+    })?;
+    engine.bus.policies.extend(policies);
 
-    let n = r.seq_len()?;
-    let mut dead_letters = Vec::with_capacity(n);
-    for _ in 0..n {
-        let topic = topic_from_tag(r.u8()?)?;
-        let envelope = get_envelope(&mut r)?;
-        let reason = match r.u8()? {
-            0 => DeadLetterReason::Overflow,
-            1 => DeadLetterReason::Rejected,
-            2 => DeadLetterReason::RetryBudgetExhausted,
-            _ => return Err(PersistError::Corrupt { what: "dead letter reason tag" }),
-        };
-        dead_letters.push(DeadLetter { topic, envelope, reason, at: TimePoint(r.u64()?) });
-    }
-    engine.bus.dead_letters = dead_letters;
+    engine.bus.dead_letters = r.seq(get_dead_letter)?;
 
     engine.bus.published = r.u64()?;
     engine.bus.delivered = r.u64()?;
@@ -1408,22 +626,9 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     engine.bus.next_seq = r.u64()?;
     engine.bus.clock = TimePoint(r.u64()?);
 
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let seq = r.u64()?;
-        let user = UserId(r.u64()?);
-        let envelope = get_envelope(&mut r)?;
-        let attempts = r.u32()?;
-        let next_retry_at = TimePoint(r.u64()?);
-        engine
-            .delivery
-            .outstanding
-            .insert(seq, OutstandingDelivery { user, envelope, attempts, next_retry_at });
-    }
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        engine.delivery.seen.insert(r.u64()?);
-    }
+    let outstanding = r.seq(|r| Ok((r.u64()?, get_outstanding(r)?)))?;
+    engine.delivery.outstanding.extend(outstanding);
+    engine.delivery.seen.extend(r.seq(ByteReader::u64)?);
     engine.delivery.retries = r.u64()?;
     engine.delivery.exhausted = r.u64()?;
     engine.delivery.duplicates = r.u64()?;
@@ -1435,22 +640,7 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
         rng: ChaosRng::from_state(r.u64()?),
     };
 
-    let n = r.seq_len()?;
-    let mut queues = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let m = r.seq_len()?;
-        let mut pending = Vec::with_capacity(m);
-        for _ in 0..m {
-            pending.push(PendingInjection {
-                user: UserId(r.u64()?),
-                clip: ClipId(r.u64()?),
-                submitted_at: TimePoint(r.u64()?),
-                note: r.string()?,
-            });
-        }
-        queues.insert(user, pending);
-    }
+    let queues = get_user_map(&mut r, |r| r.seq(get_injection))?;
     engine.injections =
         InjectionQueue { queues, total_submitted: r.u64()?, total_delivered: r.u64()? };
 
@@ -1466,7 +656,7 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
 /// Maps a persisted metric name back to the `&'static str` key the
 /// registry requires. The allowlist covers every metric the engine
 /// records; anything else in a snapshot is corruption or skew.
-fn static_metric_name(name: &str) -> Option<&'static str> {
+fn static_metric_name(name: &str) -> Result<&'static str, PersistError> {
     const NAMES: &[&str] = &[
         "bus.dead_letters",
         "bus.delivered",
@@ -1509,70 +699,29 @@ fn static_metric_name(name: &str) -> Option<&'static str> {
         "tick.users",
         "trip.predicted",
     ];
-    NAMES.iter().find(|n| **n == name).copied()
+    NAMES.iter().find(|n| **n == name).copied().ok_or(PersistError::UnknownMetric)
 }
 
 fn encode_obs(engine: &Engine) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bool(engine.obs.is_enabled());
-    let counters: Vec<(&str, u64)> = engine.obs.counters().collect();
-    w.put_u32(counters.len() as u32);
-    for (name, value) in counters {
-        w.put_str(name);
-        w.put_u64(value);
-    }
-    let gauges: Vec<(&str, i64)> = engine.obs.gauges().collect();
-    w.put_u32(gauges.len() as u32);
-    for (name, value) in gauges {
-        w.put_str(name);
-        w.put_i64(value);
-    }
-    let histograms: Vec<(&str, &Histogram)> = engine.obs.histograms().collect();
-    w.put_u32(histograms.len() as u32);
-    for (name, h) in histograms {
-        w.put_str(name);
-        w.put_u64(h.count());
-        w.put_u64(h.sum());
-        let nonzero: Vec<(usize, u64)> = h.nonzero_buckets().collect();
-        w.put_u32(nonzero.len() as u32);
-        for (idx, count) in nonzero {
-            w.put_u32(idx as u32);
-            w.put_u64(count);
-        }
-    }
+    put_obs_metrics(&mut w, &ObsSnapshot::capture(&engine.obs, &engine.obs_trace));
     w.into_inner()
 }
 
 fn decode_obs(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     let mut r = ByteReader::new(bytes);
     let _enabled = r.bool()?;
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let name = r.string()?;
-        let value = r.u64()?;
-        let key = static_metric_name(&name).ok_or(PersistError::UnknownMetric)?;
-        engine.obs.restore_counter(key, value);
+    let snap = get_obs_metrics(&mut r)?;
+    for (name, value) in &snap.counters {
+        engine.obs.restore_counter(static_metric_name(name)?, *value);
     }
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let name = r.string()?;
-        let value = r.i64()?;
-        let key = static_metric_name(&name).ok_or(PersistError::UnknownMetric)?;
-        engine.obs.restore_gauge(key, value);
+    for (name, value) in &snap.gauges {
+        engine.obs.restore_gauge(static_metric_name(name)?, *value);
     }
-    let n = r.seq_len()?;
-    for _ in 0..n {
-        let name = r.string()?;
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let m = r.seq_len()?;
-        let mut nonzero = Vec::with_capacity(m);
-        for _ in 0..m {
-            let idx = r.u32()? as usize;
-            nonzero.push((idx, r.u64()?));
-        }
-        let key = static_metric_name(&name).ok_or(PersistError::UnknownMetric)?;
-        let histogram = Histogram::from_parts(count, sum, nonzero)
+    for (name, h) in snap.histograms {
+        let key = static_metric_name(&name)?;
+        let histogram = Histogram::from_parts(h.count, h.sum, h.buckets)
             .ok_or(PersistError::Corrupt { what: "histogram buckets" })?;
         engine.obs.restore_histogram(key, histogram);
     }
@@ -1585,36 +734,11 @@ fn decode_obs(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
 
 fn encode_decisions(engine: &Engine) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(engine.decisions.len() as u32);
-    for d in &engine.decisions {
-        w.put_u64(d.user.0);
-        w.put_u64(d.at.0);
-        w.put_u8(match d.trigger {
-            Trigger::TripStarted => 0,
-            Trigger::ScheduleUnderrun => 1,
-        });
-        put_schedule(&mut w, &d.schedule);
-        w.put_f64(d.confidence);
-    }
+    w.put_seq(&engine.decisions, put_decision);
     w.into_inner()
 }
 
 fn decode_decisions(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.seq_len()?;
-    let mut decisions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let user = UserId(r.u64()?);
-        let at = TimePoint(r.u64()?);
-        let trigger = match r.u8()? {
-            0 => Trigger::TripStarted,
-            1 => Trigger::ScheduleUnderrun,
-            _ => return Err(PersistError::Corrupt { what: "trigger tag" }),
-        };
-        let schedule = get_schedule(&mut r)?;
-        let confidence = r.f64()?;
-        decisions.push(DecisionRecord { user, at, trigger, schedule, confidence });
-    }
-    engine.decisions = decisions;
+    engine.decisions = ByteReader::new(bytes).seq(get_decision)?;
     Ok(())
 }

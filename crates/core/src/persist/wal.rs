@@ -1,25 +1,27 @@
 //! The event-sourced write-ahead log: framing, the operation set, and
 //! the torn-tail-tolerant scanner.
 //!
-//! Each record is framed as `[len: u32][crc: u32][payload]` where
+//! Each record is one codec frame, `[len: u32][crc: u32][payload]` where
 //! `payload = [seq: u64][kind: u8][body]` and the CRC covers the whole
-//! payload. A crash can leave a *torn tail* — a partially written final
+//! payload — the frame the shard wire uses too, built and checked by
+//! the same two functions. A crash can leave a *torn tail* — a partially written final
 //! frame — which [`scan`] detects (short frame or CRC mismatch) and
 //! truncates, reporting how many bytes were dropped. Anything that
 //! passes its CRC but fails to decode is *corruption*, not tearing, and
 //! surfaces as a typed [`PersistError`].
 
-use super::codec::{crc32, ByteReader, ByteWriter};
-use super::snapshot::{
-    get_coverage, get_gazetteer, get_road_network, put_coverage, put_gazetteer, put_road_network,
+use super::codec::{check_frame, encode_frame, ByteReader, ByteWriter};
+use super::types::{
+    get_clip_kind, get_coverage, get_feedback_event, get_fix, get_gazetteer, get_geo_tag,
+    get_profile, get_road_network, put_clip_kind, put_coverage, put_feedback_event, put_fix,
+    put_gazetteer, put_geo_tag, put_profile, put_road_network,
 };
 use super::PersistError;
 use crate::command::EngineCommand;
 use pphcr_audio::ClipId;
-use pphcr_catalog::{CategoryId, ClipKind, GeoTag, ServiceIndex};
-use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
-use pphcr_trajectory::GpsFix;
-use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
+use pphcr_catalog::{CategoryId, ServiceIndex};
+use pphcr_geo::{TimePoint, TimeSpan};
+use pphcr_userdata::UserId;
 
 /// One logged engine input — an alias for the unified
 /// [`EngineCommand`]. The WAL, the live `DurableEngine` write-ahead
@@ -51,232 +53,82 @@ const KIND_SET_COVERAGE: u8 = 10;
 const KIND_SET_ROAD_NETWORK: u8 = 11;
 const KIND_SET_GAZETTEER: u8 = 12;
 
-fn put_geo_point(w: &mut ByteWriter, p: GeoPoint) {
-    w.put_f64(p.lat);
-    w.put_f64(p.lon);
-}
-
-fn get_geo_point(r: &mut ByteReader<'_>) -> Result<GeoPoint, PersistError> {
-    Ok(GeoPoint { lat: r.f64()?, lon: r.f64()? })
-}
-
-pub(crate) fn put_geo_tag(w: &mut ByteWriter, tag: &GeoTag) {
-    put_geo_point(w, tag.point);
-    w.put_f64(tag.radius_m);
-}
-
-pub(crate) fn get_geo_tag(r: &mut ByteReader<'_>) -> Result<GeoTag, PersistError> {
-    Ok(GeoTag { point: get_geo_point(r)?, radius_m: r.f64()? })
-}
-
-pub(crate) fn put_fix(w: &mut ByteWriter, fix: &GpsFix) {
-    put_geo_point(w, fix.point);
-    w.put_u64(fix.time.0);
-    w.put_f64(fix.speed_mps);
-}
-
-pub(crate) fn get_fix(r: &mut ByteReader<'_>) -> Result<GpsFix, PersistError> {
-    Ok(GpsFix { point: get_geo_point(r)?, time: TimePoint(r.u64()?), speed_mps: r.f64()? })
-}
-
-pub(crate) fn put_clip_kind(w: &mut ByteWriter, kind: ClipKind) {
-    w.put_u8(match kind {
-        ClipKind::Podcast => 0,
-        ClipKind::NewsBulletin => 1,
-        ClipKind::MusicTrack => 2,
-        ClipKind::Advertisement => 3,
-    });
-}
-
-pub(crate) fn get_clip_kind(r: &mut ByteReader<'_>) -> Result<ClipKind, PersistError> {
-    match r.u8()? {
-        0 => Ok(ClipKind::Podcast),
-        1 => Ok(ClipKind::NewsBulletin),
-        2 => Ok(ClipKind::MusicTrack),
-        3 => Ok(ClipKind::Advertisement),
-        _ => Err(PersistError::Corrupt { what: "clip kind tag" }),
+fn op_kind(op: &WalOp) -> u8 {
+    match op {
+        WalOp::RegisterUser { .. } => KIND_REGISTER_USER,
+        WalOp::ChangeService { .. } => KIND_CHANGE_SERVICE,
+        WalOp::TrainClassifier { .. } => KIND_TRAIN_CLASSIFIER,
+        WalOp::IngestClip { .. } => KIND_INGEST_CLIP,
+        WalOp::RecordFix { .. } => KIND_RECORD_FIX,
+        WalOp::RecordFeedback { .. } => KIND_RECORD_FEEDBACK,
+        WalOp::Inject { .. } => KIND_INJECT,
+        WalOp::Skip { .. } => KIND_SKIP,
+        WalOp::Tick { .. } => KIND_TICK,
+        WalOp::AdvancePlayer { .. } => KIND_ADVANCE_PLAYER,
+        WalOp::SetCoverage { .. } => KIND_SET_COVERAGE,
+        WalOp::SetRoadNetwork { .. } => KIND_SET_ROAD_NETWORK,
+        WalOp::SetGazetteer { .. } => KIND_SET_GAZETTEER,
     }
 }
 
-pub(crate) fn put_feedback_event(w: &mut ByteWriter, e: &FeedbackEvent) {
-    w.put_u64(e.user.0);
-    w.put_opt(e.clip.as_ref(), |w, c| w.put_u64(c.0));
-    w.put_u16(e.category.0);
-    match e.kind {
-        FeedbackKind::Like => w.put_u8(0),
-        FeedbackKind::Dislike => w.put_u8(1),
-        FeedbackKind::Skip => w.put_u8(2),
-        FeedbackKind::ListenedThrough => w.put_u8(3),
-        FeedbackKind::PartialListen(frac) => {
-            w.put_u8(4);
-            w.put_f64(frac);
-        }
-    }
-    w.put_u64(e.time.0);
-}
-
-pub(crate) fn get_feedback_event(r: &mut ByteReader<'_>) -> Result<FeedbackEvent, PersistError> {
-    let user = UserId(r.u64()?);
-    let clip = r.opt(|r| Ok(ClipId(r.u64()?)))?;
-    let category = CategoryId(r.u16()?);
-    let kind = match r.u8()? {
-        0 => FeedbackKind::Like,
-        1 => FeedbackKind::Dislike,
-        2 => FeedbackKind::Skip,
-        3 => FeedbackKind::ListenedThrough,
-        4 => FeedbackKind::PartialListen(r.f64()?),
-        _ => return Err(PersistError::Corrupt { what: "feedback kind tag" }),
-    };
-    Ok(FeedbackEvent { user, clip, category, kind, time: TimePoint(r.u64()?) })
-}
-
-fn put_age_band(w: &mut ByteWriter, band: AgeBand) {
-    w.put_u8(match band {
-        AgeBand::Young => 0,
-        AgeBand::Adult => 1,
-        AgeBand::Middle => 2,
-        AgeBand::Senior => 3,
-    });
-}
-
-fn get_age_band(r: &mut ByteReader<'_>) -> Result<AgeBand, PersistError> {
-    match r.u8()? {
-        0 => Ok(AgeBand::Young),
-        1 => Ok(AgeBand::Adult),
-        2 => Ok(AgeBand::Middle),
-        3 => Ok(AgeBand::Senior),
-        _ => Err(PersistError::Corrupt { what: "age band tag" }),
-    }
-}
-
-pub(crate) fn put_profile(w: &mut ByteWriter, p: &UserProfile) {
-    w.put_u64(p.id.0);
-    w.put_str(&p.name);
-    put_age_band(w, p.age_band);
-    w.put_u32(p.favourite_service.0);
-}
-
-pub(crate) fn get_profile(r: &mut ByteReader<'_>) -> Result<UserProfile, PersistError> {
-    Ok(UserProfile {
-        id: UserId(r.u64()?),
-        name: r.string()?,
-        age_band: get_age_band(r)?,
-        favourite_service: ServiceIndex(r.u32()?),
-    })
-}
-
-fn put_tokens(w: &mut ByteWriter, tokens: &[String]) {
-    w.put_u32(tokens.len() as u32);
-    for t in tokens {
-        w.put_str(t);
-    }
-}
-
-fn get_tokens(r: &mut ByteReader<'_>) -> Result<Vec<String>, PersistError> {
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.string()?);
-    }
-    Ok(out)
-}
-
-/// Encodes the *payload* of a record: `[seq][kind][body]`.
-///
-/// Public because the shard protocol frames the same payloads onto its
-/// pipes; WAL files should go through [`encode_record`].
-#[must_use]
-pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(record.seq);
-    match &record.op {
+/// Writes an op's body: everything after its kind byte.
+fn put_op(w: &mut ByteWriter, op: &WalOp) {
+    match op {
         WalOp::RegisterUser { profile, now } => {
-            w.put_u8(KIND_REGISTER_USER);
-            put_profile(&mut w, profile);
+            put_profile(w, profile);
             w.put_u64(now.0);
         }
         WalOp::ChangeService { user, service, now } => {
-            w.put_u8(KIND_CHANGE_SERVICE);
             w.put_u64(user.0);
             w.put_u32(service.0);
             w.put_u64(now.0);
         }
         WalOp::TrainClassifier { category, tokens } => {
-            w.put_u8(KIND_TRAIN_CLASSIFIER);
             w.put_u16(category.0);
-            put_tokens(&mut w, tokens);
+            w.put_seq(tokens, |w, t| w.put_str(t));
         }
         WalOp::IngestClip { title, kind, duration, published, geo, tokens, editorial } => {
-            w.put_u8(KIND_INGEST_CLIP);
             w.put_str(title);
-            put_clip_kind(&mut w, *kind);
+            put_clip_kind(w, *kind);
             w.put_u64(duration.0);
             w.put_u64(published.0);
             w.put_opt(geo.as_ref(), put_geo_tag);
-            put_tokens(&mut w, tokens);
+            w.put_seq(tokens, |w, t| w.put_str(t));
             w.put_opt(editorial.as_ref(), |w, c| w.put_u16(c.0));
         }
         WalOp::RecordFix { user, fix } => {
-            w.put_u8(KIND_RECORD_FIX);
             w.put_u64(user.0);
-            put_fix(&mut w, fix);
+            put_fix(w, fix);
         }
-        WalOp::RecordFeedback { event } => {
-            w.put_u8(KIND_RECORD_FEEDBACK);
-            put_feedback_event(&mut w, event);
-        }
+        WalOp::RecordFeedback { event } => put_feedback_event(w, event),
         WalOp::Inject { user, clip, at, note } => {
-            w.put_u8(KIND_INJECT);
             w.put_u64(user.0);
             w.put_u64(clip.0);
             w.put_u64(at.0);
             w.put_str(note);
         }
-        WalOp::Skip { user, now } => {
-            w.put_u8(KIND_SKIP);
+        WalOp::Skip { user, now } | WalOp::AdvancePlayer { user, now } => {
             w.put_u64(user.0);
             w.put_u64(now.0);
         }
         WalOp::Tick { users, now, batch, workers } => {
-            w.put_u8(KIND_TICK);
-            w.put_u32(users.len() as u32);
-            for u in users {
-                w.put_u64(u.0);
-            }
+            w.put_seq(users, |w, u| w.put_u64(u.0));
             w.put_u64(now.0);
             w.put_bool(*batch);
             w.put_opt(workers.as_ref(), |w, v| w.put_u64(*v));
         }
-        WalOp::AdvancePlayer { user, now } => {
-            w.put_u8(KIND_ADVANCE_PLAYER);
-            w.put_u64(user.0);
-            w.put_u64(now.0);
-        }
-        WalOp::SetCoverage { coverage } => {
-            w.put_u8(KIND_SET_COVERAGE);
-            put_coverage(&mut w, coverage);
-        }
-        WalOp::SetRoadNetwork { network } => {
-            w.put_u8(KIND_SET_ROAD_NETWORK);
-            put_road_network(&mut w, network);
-        }
-        WalOp::SetGazetteer { gazetteer } => {
-            w.put_u8(KIND_SET_GAZETTEER);
-            put_gazetteer(&mut w, gazetteer);
-        }
+        WalOp::SetCoverage { coverage } => put_coverage(w, coverage),
+        WalOp::SetRoadNetwork { network } => put_road_network(w, network),
+        WalOp::SetGazetteer { gazetteer } => put_gazetteer(w, gazetteer),
     }
-    w.into_inner()
 }
 
-/// Decodes one payload (`[seq][kind][body]`) back into a record.
-///
-/// The caller has already verified the CRC, so any failure here is
-/// corruption, not a torn write. Public for the shard protocol, which
-/// shares the WAL payload codec.
-pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
-    let mut r = ByteReader::new(payload);
-    let seq = r.u64()?;
-    let op = match r.u8()? {
+/// Decodes an op of `kind` from its whole body. The caller has already
+/// verified the CRC, so any failure here is corruption, not a torn
+/// write.
+fn decode_op(kind: u8, body: &[u8]) -> Result<WalOp, PersistError> {
+    let mut r = ByteReader::new(body);
+    let op = match kind {
         KIND_REGISTER_USER => {
             let profile = get_profile(&mut r)?;
             WalOp::RegisterUser { profile, now: TimePoint(r.u64()?) }
@@ -288,7 +140,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
         },
         KIND_TRAIN_CLASSIFIER => {
             let category = CategoryId(r.u16()?);
-            WalOp::TrainClassifier { category, tokens: get_tokens(&mut r)? }
+            WalOp::TrainClassifier { category, tokens: r.seq(ByteReader::string)? }
         }
         KIND_INGEST_CLIP => WalOp::IngestClip {
             title: r.string()?,
@@ -296,7 +148,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
             duration: TimeSpan(r.u64()?),
             published: TimePoint(r.u64()?),
             geo: r.opt(get_geo_tag)?,
-            tokens: get_tokens(&mut r)?,
+            tokens: r.seq(ByteReader::string)?,
             editorial: r.opt(|r| Ok(CategoryId(r.u16()?)))?,
         },
         KIND_RECORD_FIX => WalOp::RecordFix { user: UserId(r.u64()?), fix: get_fix(&mut r)? },
@@ -308,19 +160,12 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
             note: r.string()?,
         },
         KIND_SKIP => WalOp::Skip { user: UserId(r.u64()?), now: TimePoint(r.u64()?) },
-        KIND_TICK => {
-            let n = r.seq_len()?;
-            let mut users = Vec::with_capacity(n);
-            for _ in 0..n {
-                users.push(UserId(r.u64()?));
-            }
-            WalOp::Tick {
-                users,
-                now: TimePoint(r.u64()?),
-                batch: r.bool()?,
-                workers: r.opt(ByteReader::u64)?,
-            }
-        }
+        KIND_TICK => WalOp::Tick {
+            users: r.seq(|r| Ok(UserId(r.u64()?)))?,
+            now: TimePoint(r.u64()?),
+            batch: r.bool()?,
+            workers: r.opt(ByteReader::u64)?,
+        },
         KIND_ADVANCE_PLAYER => {
             WalOp::AdvancePlayer { user: UserId(r.u64()?), now: TimePoint(r.u64()?) }
         }
@@ -332,18 +177,37 @@ pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
     if !r.is_empty() {
         return Err(PersistError::Corrupt { what: "trailing bytes after WAL op" });
     }
-    Ok(WalRecord { seq, op })
+    Ok(op)
+}
+
+/// Encodes the *payload* of a record: `[seq][kind][body]`, a frame
+/// without its header.
+///
+/// Public because the shard protocol carries commands as payloads
+/// inside its own frames; WAL files should go through
+/// [`encode_record`].
+#[must_use]
+pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u64(record.seq);
+    w.put_u8(op_kind(&record.op));
+    put_op(&mut w, &record.op);
+    w.into_inner()
+}
+
+/// Decodes one payload (`[seq][kind][body]`) back into a record.
+///
+/// Public for the shard protocol, which shares the WAL payload codec.
+pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
+    let mut r = ByteReader::new(payload);
+    let (seq, kind) = (r.u64()?, r.u8()?);
+    Ok(WalRecord { seq, op: decode_op(kind, r.take(r.remaining())?)? })
 }
 
 /// Frames a record for appending: `[len][crc][payload]`.
 #[must_use]
 pub fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    encode_frame(record.seq, op_kind(&record.op), |w| put_op(w, &record.op))
 }
 
 /// Result of scanning a WAL byte stream.
@@ -368,18 +232,8 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, PersistError> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     let mut expected_seq: Option<u64> = None;
-    // A missing header ends the scan: not even a full frame header left.
-    while let Some(header) = bytes.get(offset..offset + 8) {
-        let mut hr = ByteReader::new(header);
-        let len = hr.u32().unwrap_or(0) as usize;
-        let crc = hr.u32().unwrap_or(0);
-        let Some(payload) = bytes.get(offset + 8..offset + 8 + len) else {
-            break; // torn: payload shorter than the length prefix
-        };
-        if crc32(payload) != crc {
-            break; // torn: bit-flips or a partially written payload
-        }
-        let record = decode_payload(payload)?;
+    while let Some(frame) = check_frame(bytes.get(offset..).unwrap_or_default())? {
+        let record = WalRecord { seq: frame.seq, op: decode_op(frame.kind, frame.body)? };
         if let Some(expected) = expected_seq {
             if record.seq != expected {
                 return Err(PersistError::SequenceGap { expected, found: record.seq });
@@ -387,14 +241,18 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, PersistError> {
         }
         expected_seq = Some(record.seq + 1);
         records.push(record);
-        offset += 8 + len;
+        offset += frame.len;
     }
     Ok(WalScan { records, valid_len: offset, torn_bytes: bytes.len() - offset })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::codec::crc32;
     use super::*;
+    use pphcr_catalog::{ClipKind, GeoTag};
+    use pphcr_geo::GeoPoint;
+    use pphcr_userdata::{AgeBand, UserProfile};
 
     fn sample_records() -> Vec<WalRecord> {
         vec![

@@ -39,9 +39,11 @@ fn profile(id: u64) -> UserProfile {
 
 /// A small but section-complete engine: users, classifier counts,
 /// geo-tagged corpus, GPS history, feedback, an in-flight injection
-/// and a few ticks of bus traffic.
+/// and a few ticks of bus traffic. The worker count is pinned because
+/// its default follows the host's core count and the snapshot records
+/// it.
 fn mini_engine() -> Engine {
-    let mut e = Engine::new(EngineConfig::default());
+    let mut e = Engine::new(EngineConfig { worker_threads: 1, ..EngineConfig::default() });
     let t0 = TimePoint::at(0, 9, 0, 0);
     for u in 1..=2u64 {
         e.register_user(profile(u), t0);

@@ -81,6 +81,8 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core::persist::replay::apply_record", "WAL replay"),
     ("core::persist::snapshot::snapshot_engine", "snapshot serialization"),
     ("core::persist::durable::restore_engine", "crash recovery"),
+    ("core::persist::codec::check_frame", "WAL and shard frame decode"),
+    ("core::persist::types::get_obs_snapshot", "observability snapshot decode"),
     ("core::bus::Bus::publish", "bus delivery"),
     ("core::bus::Bus::publish_checked", "bus delivery"),
     ("core::bus::Bus::forward", "bus delivery"),

@@ -30,6 +30,10 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// Every verdict.
+    pub const ALL: [Verdict; 3] =
+        [Verdict::Scheduled, Verdict::NoCandidates, Verdict::EmptySchedule];
+
     /// Stable lower-kebab encoding used in the JSON snapshot.
     #[must_use]
     pub fn as_str(self) -> &'static str {

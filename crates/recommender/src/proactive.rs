@@ -26,6 +26,20 @@ pub enum Trigger {
     ScheduleUnderrun,
 }
 
+impl Trigger {
+    /// Every trigger.
+    pub const ALL: [Trigger; 2] = [Trigger::TripStarted, Trigger::ScheduleUnderrun];
+
+    /// Stable lower-kebab name used in the decision trace.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Trigger::TripStarted => "trip-started",
+            Trigger::ScheduleUnderrun => "schedule-underrun",
+        }
+    }
+}
+
 /// Phase-1 configuration and state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProactivityModel {

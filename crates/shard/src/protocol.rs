@@ -1,22 +1,24 @@
 //! The router ⇄ agent wire protocol.
 //!
-//! Frames reuse the WAL's format exactly: `[len: u32 LE][crc: u32 LE]`
+//! Frames are WAL frames, built and checked by the same
+//! [`pphcr_core::persist`] functions: `[len: u32 LE][crc: u32 LE]`
 //! followed by `payload = [seq: u64][kind: u8][body]`, CRC32 over the
 //! whole payload. WAL record kinds stop below 200; protocol control
 //! kinds start at 200, so a protocol frame can never be mistaken for a
-//! logged operation. Commands travel *as WAL payload bytes* — encoded
-//! and decoded by [`pphcr_core::persist`]'s single codec — which is
-//! what guarantees a forwarded command means exactly what the same
-//! bytes mean in a durability log.
+//! logged operation. Commands travel *as WAL payload bytes* and the
+//! observability snapshot in the engine snapshot's own encoding, both
+//! through the persist codec — which is what guarantees a forwarded
+//! command means exactly what the same bytes mean in a durability log.
 //!
 //! Every decode path returns a typed [`ProtoError`]; hostile bytes
 //! never panic an agent.
 
 use pphcr_core::persist::{
-    crc32, decode_payload, encode_payload, ByteReader, ByteWriter, PersistError,
+    check_frame, decode_payload, encode_frame, encode_payload, frame_len, get_obs_snapshot,
+    put_obs_snapshot, ByteReader, ByteWriter, PersistError, FRAME_HEADER,
 };
 use pphcr_core::{EngineCommand, WalRecord};
-use pphcr_obs::{DecisionTraceEntry, HistogramSnapshot, ObsSnapshot, Verdict};
+use pphcr_obs::ObsSnapshot;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -87,7 +89,8 @@ impl From<PersistError> for ProtoError {
     }
 }
 
-/// Writes one `[len][crc][seq|kind|body]` frame and flushes.
+/// Writes one `[len][crc][seq|kind|body]` frame in a single write and
+/// flushes.
 ///
 /// # Errors
 /// [`ProtoError::Io`] when the pipe fails.
@@ -97,14 +100,7 @@ pub fn write_frame(
     kind: u8,
     body: &[u8],
 ) -> Result<(), ProtoError> {
-    let mut payload = ByteWriter::new();
-    payload.put_u64(seq);
-    payload.put_u8(kind);
-    payload.put_bytes(body);
-    let payload = payload.into_inner();
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(&crc32(&payload).to_le_bytes())?;
-    out.write_all(&payload)?;
+    out.write_all(&encode_frame(seq, kind, |w| w.put_bytes(body)))?;
     out.flush()?;
     Ok(())
 }
@@ -115,28 +111,19 @@ pub fn write_frame(
 /// [`ProtoError::Io`] on a torn read, [`ProtoError::BadFrame`] on a
 /// CRC mismatch or an over-long length prefix.
 pub fn read_frame(input: &mut impl Read) -> Result<Option<(u64, u8, Vec<u8>)>, ProtoError> {
-    let mut header = [0u8; 8];
-    match input.read_exact(&mut header) {
+    let mut frame = vec![0u8; FRAME_HEADER];
+    match input.read_exact(&mut frame) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(ProtoError::Io(e)),
     }
-    let mut hr = ByteReader::new(&header);
-    let len = hr.u32().map_err(|_| ProtoError::BadFrame)? as usize;
-    let crc = hr.u32().map_err(|_| ProtoError::BadFrame)?;
-    if len < 9 || len > MAX_FRAME {
-        return Err(ProtoError::BadFrame);
+    let len = frame_len(&frame).filter(|len| (9..=MAX_FRAME).contains(len));
+    frame.resize(FRAME_HEADER + len.ok_or(ProtoError::BadFrame)?, 0);
+    input.read_exact(frame.get_mut(FRAME_HEADER..).unwrap_or_default())?;
+    match check_frame(&frame) {
+        Ok(Some(f)) => Ok(Some((f.seq, f.kind, f.body.to_vec()))),
+        _ => Err(ProtoError::BadFrame),
     }
-    let mut payload = vec![0u8; len];
-    input.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(ProtoError::BadFrame);
-    }
-    let mut r = ByteReader::new(&payload);
-    let seq = r.u64().map_err(|_| ProtoError::BadFrame)?;
-    let kind = r.u8().map_err(|_| ProtoError::BadFrame)?;
-    let body = r.take(r.remaining()).map_err(|_| ProtoError::BadFrame)?.to_vec();
-    Ok(Some((seq, kind, body)))
 }
 
 /// One event as it crosses the wire: the owning user (the router's
@@ -222,11 +209,10 @@ impl Response {
             Response::Applied { error, events } => {
                 let mut w = ByteWriter::new();
                 w.put_opt(error.as_ref(), |w, e| w.put_str(e));
-                w.put_u32(events.len() as u32);
-                for e in events {
+                w.put_seq(events, |w, e| {
                     w.put_u64(e.user);
                     w.put_str(&e.line);
-                }
+                });
                 (KIND_APPLIED, w.into_inner())
             }
             Response::Obs(snap) => {
@@ -254,11 +240,7 @@ impl Response {
             KIND_APPLIED => {
                 let mut r = ByteReader::new(body);
                 let error = r.opt(ByteReader::string)?;
-                let n = r.seq_len()?;
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push(WireEvent { user: r.u64()?, line: r.string()? });
-                }
+                let events = r.seq(|r| Ok(WireEvent { user: r.u64()?, line: r.string()? }))?;
                 Ok(Response::Applied { error, events })
             }
             KIND_OBS => {
@@ -273,126 +255,6 @@ impl Response {
             }
             other => Err(ProtoError::UnknownKind(other)),
         }
-    }
-}
-
-/// Binary encoding of a full [`ObsSnapshot`] — exact integers only, so
-/// the router's merge works on the same numbers the shard held.
-fn put_obs_snapshot(w: &mut ByteWriter, snap: &ObsSnapshot) {
-    w.put_u32(snap.counters.len() as u32);
-    for (name, v) in &snap.counters {
-        w.put_str(name);
-        w.put_u64(*v);
-    }
-    w.put_u32(snap.gauges.len() as u32);
-    for (name, v) in &snap.gauges {
-        w.put_str(name);
-        w.put_i64(*v);
-    }
-    w.put_u32(snap.histograms.len() as u32);
-    for (name, h) in &snap.histograms {
-        w.put_str(name);
-        w.put_u64(h.count);
-        w.put_u64(h.sum);
-        w.put_u32(h.buckets.len() as u32);
-        for (idx, c) in &h.buckets {
-            w.put_u32(*idx as u32);
-            w.put_u64(*c);
-        }
-    }
-    w.put_u64(snap.trace_capacity);
-    w.put_u64(snap.trace_dropped);
-    w.put_u32(snap.trace.len() as u32);
-    for e in &snap.trace {
-        put_trace_entry(w, e);
-    }
-}
-
-fn get_obs_snapshot(r: &mut ByteReader<'_>) -> Result<ObsSnapshot, PersistError> {
-    let n = r.seq_len()?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        counters.push((r.string()?, r.u64()?));
-    }
-    let n = r.seq_len()?;
-    let mut gauges = Vec::with_capacity(n);
-    for _ in 0..n {
-        gauges.push((r.string()?, r.i64()?));
-    }
-    let n = r.seq_len()?;
-    let mut histograms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = r.string()?;
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let b = r.seq_len()?;
-        let mut buckets = Vec::with_capacity(b);
-        for _ in 0..b {
-            buckets.push((r.u32()? as usize, r.u64()?));
-        }
-        histograms.push((name, HistogramSnapshot { count, sum, buckets }));
-    }
-    let trace_capacity = r.u64()?;
-    let trace_dropped = r.u64()?;
-    let n = r.seq_len()?;
-    let mut trace = Vec::with_capacity(n);
-    for _ in 0..n {
-        trace.push(get_trace_entry(r)?);
-    }
-    Ok(ObsSnapshot { counters, gauges, histograms, trace_capacity, trace_dropped, trace })
-}
-
-fn put_trace_entry(w: &mut ByteWriter, e: &DecisionTraceEntry) {
-    w.put_u64(e.user);
-    w.put_u64(e.at_s);
-    w.put_str(e.trigger);
-    w.put_u64(e.considered);
-    w.put_u64(e.cut_freshness);
-    w.put_u64(e.cut_preference);
-    w.put_u64(e.cut_geo);
-    w.put_u64(e.cut_heard);
-    w.put_u64(e.scored);
-    w.put_u64(e.scheduled);
-    w.put_opt(e.top_clip.as_ref(), |w, c| w.put_u64(*c));
-    w.put_i64(e.top_content_micro);
-    w.put_i64(e.top_context_micro);
-    w.put_i64(e.top_total_micro);
-    w.put_str(e.verdict.as_str());
-}
-
-fn get_trace_entry(r: &mut ByteReader<'_>) -> Result<DecisionTraceEntry, PersistError> {
-    Ok(DecisionTraceEntry {
-        user: r.u64()?,
-        at_s: r.u64()?,
-        trigger: intern_trigger(&r.string()?)?,
-        considered: r.u64()?,
-        cut_freshness: r.u64()?,
-        cut_preference: r.u64()?,
-        cut_geo: r.u64()?,
-        cut_heard: r.u64()?,
-        scored: r.u64()?,
-        scheduled: r.u64()?,
-        top_clip: r.opt(ByteReader::u64)?,
-        top_content_micro: r.i64()?,
-        top_context_micro: r.i64()?,
-        top_total_micro: r.i64()?,
-        verdict: match r.string()?.as_str() {
-            "scheduled" => Verdict::Scheduled,
-            "no-candidates" => Verdict::NoCandidates,
-            "empty-schedule" => Verdict::EmptySchedule,
-            _ => return Err(PersistError::Corrupt { what: "trace verdict" }),
-        },
-    })
-}
-
-/// Trace triggers are `&'static str` in [`DecisionTraceEntry`]; the
-/// wire carries them by value, so decoding maps back onto the closed
-/// set of trigger names the engine emits.
-fn intern_trigger(s: &str) -> Result<&'static str, PersistError> {
-    match s {
-        "trip-started" => Ok("trip-started"),
-        "schedule-underrun" => Ok("schedule-underrun"),
-        _ => Err(PersistError::Corrupt { what: "trace trigger" }),
     }
 }
 
@@ -435,6 +297,25 @@ mod tests {
         assert!(matches!(read_frame(&mut cursor), Err(ProtoError::Io(_))));
     }
 
+    /// There is one frame format: a WAL record reads back as a shard
+    /// frame, and the shard writes the very same bytes for it.
+    #[test]
+    fn wal_records_read_back_as_shard_frames() {
+        use pphcr_core::persist::encode_record;
+        let record = WalRecord {
+            seq: 42,
+            op: EngineCommand::Skip { user: UserId(3), now: TimePoint::at(0, 9, 30, 0) },
+        };
+        let frame = encode_record(&record);
+        let (seq, kind, body) =
+            read_frame(&mut std::io::Cursor::new(&frame)).unwrap().expect("one frame");
+        let payload = encode_payload(&record);
+        assert_eq!((seq, kind, &body[..]), (42, payload[8], &payload[9..]));
+        let mut rewritten = Vec::new();
+        write_frame(&mut rewritten, seq, kind, &body).unwrap();
+        assert_eq!(rewritten, frame);
+    }
+
     #[test]
     fn commands_round_trip_as_wal_payloads() {
         let req = Request::Apply(EngineCommand::Skip {
@@ -465,7 +346,7 @@ mod tests {
 
     #[test]
     fn obs_snapshots_round_trip_exactly() {
-        use pphcr_obs::{DecisionTrace, Registry};
+        use pphcr_obs::{DecisionTrace, DecisionTraceEntry, Registry, Verdict};
         let mut reg = Registry::new();
         reg.add("engine.ticks", 12);
         reg.gauge("health.healthy", 3);
@@ -502,6 +383,29 @@ mod tests {
 
     #[test]
     fn unknown_trigger_is_a_decode_error() {
-        assert!(intern_trigger("made-up").is_err());
+        use pphcr_obs::{DecisionTrace, DecisionTraceEntry, Registry, Verdict};
+        let mut trace = DecisionTrace::with_capacity(4);
+        trace.push(DecisionTraceEntry {
+            user: 1,
+            at_s: 0,
+            trigger: "made-up",
+            considered: 0,
+            cut_freshness: 0,
+            cut_preference: 0,
+            cut_geo: 0,
+            cut_heard: 0,
+            scored: 0,
+            scheduled: 0,
+            top_clip: None,
+            top_content_micro: 0,
+            top_context_micro: 0,
+            top_total_micro: 0,
+            verdict: Verdict::NoCandidates,
+        });
+        let (kind, body) = Response::Obs(ObsSnapshot::capture(&Registry::new(), &trace)).encode();
+        assert!(matches!(
+            Response::decode(kind, &body),
+            Err(ProtoError::Decode(PersistError::Corrupt { what: "trace trigger" }))
+        ));
     }
 }
