@@ -404,26 +404,6 @@ impl<'a> TickRequest<'a> {
     }
 }
 
-/// What one [`Engine::run_tick`] call did: the event stream plus the
-/// observability counters it moved.
-#[derive(Debug, Clone)]
-pub struct TickReport {
-    /// Events in delivery order — the same stream the historical
-    /// wrappers returned.
-    pub events: Vec<EngineEvent>,
-    /// Counters incremented during this tick as `(name, delta)` pairs
-    /// in name order. Empty when observability is disabled.
-    pub obs_deltas: Vec<(&'static str, u64)>,
-}
-
-impl TickReport {
-    /// The delta recorded for one counter this tick (0 if unchanged).
-    #[must_use]
-    pub fn delta(&self, name: &str) -> u64 {
-        self.obs_deltas.iter().find(|(n, _)| *n == name).map_or(0, |&(_, d)| d)
-    }
-}
-
 /// Number of logical user shards; shard → worker assignment is
 /// `shard % worker_count`, so any worker count divides the same stable
 /// shard space and per-user placement never depends on batch order.
@@ -871,7 +851,7 @@ impl Engine {
                     batch: *batch,
                     workers: workers.map(|w| w as usize),
                 };
-                Ok(self.run_tick(&request)?.events)
+                self.run_tick(&request)
             }
             EngineCommand::AdvancePlayer { user, now } => {
                 self.advance_player(*user, *now)?;
@@ -1231,7 +1211,7 @@ impl Engine {
     /// [`EngineError::UnknownUser`] if the listener was never
     /// registered (same contract as the batch path).
     pub fn tick(&mut self, user: UserId, now: TimePoint) -> Result<Vec<EngineEvent>, EngineError> {
-        Ok(self.run_tick(&TickRequest::single(&user, now))?.events)
+        self.run_tick(&TickRequest::single(&user, now))
     }
 
     /// The single-user step body: advance the player, learn from its
@@ -1361,7 +1341,7 @@ impl Engine {
         users: &[UserId],
         now: TimePoint,
     ) -> Result<Vec<EngineEvent>, EngineError> {
-        Ok(self.run_tick(&TickRequest::batch(users, now))?.events)
+        self.run_tick(&TickRequest::batch(users, now))
     }
 
     /// [`Self::tick_batch`] with an explicit worker count (`1` runs the
@@ -1379,11 +1359,12 @@ impl Engine {
         now: TimePoint,
         workers: usize,
     ) -> Result<Vec<EngineEvent>, EngineError> {
-        Ok(self.run_tick(&TickRequest::batch(users, now).with_workers(workers))?.events)
+        self.run_tick(&TickRequest::batch(users, now).with_workers(workers))
     }
 
     /// The consolidated engine step: every historical tick entry point
-    /// is a thin wrapper over this.
+    /// is a thin wrapper over this. Returns the events in delivery
+    /// order.
     ///
     /// For batch requests the telemetry is drained once for the whole
     /// batch — exactly what the first sequential step would do, so
@@ -1405,12 +1386,11 @@ impl Engine {
     /// advance, pump, or tick-sequence bump — a rejected request leaves
     /// the engine untouched, so batch and single-user callers see one
     /// typed contract instead of the old silent skip.
-    pub fn run_tick(&mut self, request: &TickRequest<'_>) -> Result<TickReport, EngineError> {
+    pub fn run_tick(&mut self, request: &TickRequest<'_>) -> Result<Vec<EngineEvent>, EngineError> {
         if let Some(&user) = request.users.iter().find(|u| !self.players.contains_key(u)) {
             return Err(EngineError::UnknownUser(user));
         }
         self.tick_seq += 1;
-        let before = self.obs.is_enabled().then(|| self.obs.clone());
         let span = Span::enter("engine.tick");
         let mut warmed: Vec<Option<Warmed>> = Vec::new();
         if request.batch {
@@ -1428,8 +1408,7 @@ impl Engine {
         span.finish(&mut self.obs);
         self.obs.inc("engine.ticks");
         self.obs.add("engine.tick_users", request.users.len() as u64);
-        let obs_deltas = before.map_or_else(Vec::new, |b| self.obs.counter_deltas(&b));
-        Ok(TickReport { events, obs_deltas })
+        Ok(events)
     }
 
     /// The cache key for `user`'s ranked candidates at `now` under
@@ -2191,7 +2170,7 @@ mod tests {
             for step in 1..=4u64 {
                 let now = t.advance(TimeSpan::seconds(step * 30));
                 let request = TickRequest::batch(&ids, now).with_workers(workers);
-                let events = e.run_tick(&request).expect("registered users").events;
+                let events = e.run_tick(&request).expect("registered users");
                 out.extend(events.into_iter().map(|ev| format!("{ev:?}")));
             }
             out

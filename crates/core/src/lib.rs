@@ -41,7 +41,7 @@ pub use bus::{
 pub use dashboard::{Dashboard, ObservabilityView};
 pub use engine::{
     user_shard, CacheQuanta, Engine, EngineBuilder, EngineConfig, EngineError, EngineEvent,
-    TickReport, TickRequest,
+    TickRequest,
 };
 pub use fault::{
     transport_from_state, ChaosRng, FaultProfile, FaultyTransport, PerfectTransport, Transport,

@@ -111,9 +111,9 @@ fn run_day8(e: &mut Engine, n_users: u64, workers: usize) -> Vec<EngineEvent> {
             let frac = i as f64 / 39.0;
             e.record_fix(u, GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5));
         }
-        let report =
-            e.run_tick(&TickRequest::batch(&users, now).with_workers(workers)).expect("registered");
-        out.extend(report.events);
+        out.extend(
+            e.run_tick(&TickRequest::batch(&users, now).with_workers(workers)).expect("registered"),
+        );
     }
     out
 }

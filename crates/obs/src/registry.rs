@@ -291,19 +291,6 @@ impl Registry {
         self.timings.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Counter changes relative to `before` (a clone taken earlier),
-    /// in name order. Names absent from `before` count from zero.
-    #[must_use]
-    pub fn counter_deltas(&self, before: &Registry) -> Vec<(&'static str, u64)> {
-        self.counters
-            .iter()
-            .filter_map(|(name, now)| {
-                let then = before.counters.get(name).copied().unwrap_or(0);
-                (*now > then).then_some((*name, *now - then))
-            })
-            .collect()
-    }
-
     /// Overwrites one counter with a persisted value (set, not add).
     pub fn restore_counter(&mut self, name: &'static str, value: u64) {
         if self.enabled {
@@ -498,16 +485,5 @@ mod tests {
         assert_eq!(ab.counter("x"), 5);
         assert_eq!(ab.counter("y"), 1);
         assert_eq!(ab.histogram("h").map(Histogram::count), Some(2));
-    }
-
-    #[test]
-    fn counter_deltas_report_only_changes() {
-        let mut r = Registry::new();
-        r.add("keep", 4);
-        let before = r.clone();
-        r.add("keep", 2);
-        r.inc("fresh");
-        assert_eq!(r.counter_deltas(&before), vec![("fresh", 1), ("keep", 2)]);
-        assert_eq!(r.counter_deltas(&r.clone()), vec![]);
     }
 }

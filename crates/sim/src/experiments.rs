@@ -1190,9 +1190,7 @@ pub fn e12_resilience(users: u64, injections_per_user: u64, seed: u64) -> Vec<E1
                     }
                 }
             }
-            let events = engine
-                .run_tick(&TickRequest::batch(&user_ids, now))
-                .map_or_else(|_| Vec::new(), |r| r.events);
+            let events = engine.run_tick(&TickRequest::batch(&user_ids, now)).unwrap_or_default();
             delivered += events
                 .iter()
                 .filter(|e| matches!(e, EngineEvent::InjectionDelivered { .. }))
@@ -1507,7 +1505,7 @@ fn e13_commute_window(engine: &mut Engine, users: u64, workers: usize) -> (f64, 
             );
         }
         let request = TickRequest::batch(&ids, now).with_workers(workers);
-        events += engine.run_tick(&request).map_or(0, |r| r.events.len()) as u64;
+        events += engine.run_tick(&request).map_or(0, |events| events.len()) as u64;
     }
     (t.elapsed_s(), events)
 }
@@ -1833,7 +1831,7 @@ fn e13_scale_window(engine: &mut Engine, users: u64, workers: usize, ticks: u64)
             }
         }
         let request = TickRequest::batch(&ids, now).with_workers(workers);
-        events += engine.run_tick(&request).map_or(0, |r| r.events.len()) as u64;
+        events += engine.run_tick(&request).map_or(0, |events| events.len()) as u64;
     }
     (t.elapsed_s(), events)
 }
