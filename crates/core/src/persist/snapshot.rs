@@ -11,17 +11,18 @@
 //! of their inputs, so the decoder re-records events and re-ingests
 //! clips through the same code paths the live engine used. What cannot
 //! be re-derived — RNG states, bus wire state, retry ledgers, health
-//! ladders, observability counters — is stored bit-exactly.
+//! ladders, observability counters and the decision-trace ring — is
+//! stored bit-exactly.
 
 use super::codec::{crc32, ByteReader, ByteWriter};
 use super::types::{
     get_bearer, get_cached, get_clip_meta, get_coverage, get_dead_letter, get_decision,
     get_envelope, get_feedback_event, get_fix, get_gazetteer, get_geo_point, get_health,
-    get_injection, get_obs_metrics, get_outstanding, get_player, get_proactivity, get_profile,
+    get_injection, get_obs_snapshot, get_outstanding, get_player, get_proactivity, get_profile,
     get_recommender, get_road_network, get_schedule, get_session, get_topic, get_trip, put_bearer,
     put_cached, put_clip_meta, put_coverage, put_dead_letter, put_decision, put_envelope,
     put_feedback_event, put_fix, put_gazetteer, put_geo_point, put_health, put_injection,
-    put_obs_metrics, put_outstanding, put_player, put_proactivity, put_profile, put_recommender,
+    put_obs_snapshot, put_outstanding, put_player, put_proactivity, put_profile, put_recommender,
     put_road_network, put_schedule, put_session, put_topic, put_trip,
 };
 use super::PersistError;
@@ -35,7 +36,7 @@ use pphcr_audio::{AudioClip, Bitrate, ClipId};
 use pphcr_catalog::ClipMetadata;
 use pphcr_geo::{TimePoint, TimeSpan};
 use pphcr_nlp::NaiveBayes;
-use pphcr_obs::{Histogram, ObsSnapshot};
+use pphcr_obs::{DecisionTrace, Histogram, ObsSnapshot};
 use pphcr_trajectory::TripPredictor;
 use pphcr_userdata::{SessionStore, UserId};
 use std::collections::{HashMap, VecDeque};
@@ -43,7 +44,7 @@ use std::collections::{HashMap, VecDeque};
 /// The four magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPHS";
 /// The current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const SECTION_CONFIG: u16 = 1;
 const SECTION_CATALOG: u16 = 2;
@@ -650,7 +651,7 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
 }
 
 // ---------------------------------------------------------------------
-// Section 6: OBS — registry counters, gauges, histograms
+// Section 6: OBS — registry counters, gauges, histograms, trace ring
 // ---------------------------------------------------------------------
 
 /// Maps a persisted metric name back to the `&'static str` key the
@@ -705,14 +706,14 @@ fn static_metric_name(name: &str) -> Result<&'static str, PersistError> {
 fn encode_obs(engine: &Engine) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bool(engine.obs.is_enabled());
-    put_obs_metrics(&mut w, &ObsSnapshot::capture(&engine.obs, &engine.obs_trace));
+    put_obs_snapshot(&mut w, &ObsSnapshot::capture(&engine.obs, &engine.obs_trace));
     w.into_inner()
 }
 
 fn decode_obs(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     let mut r = ByteReader::new(bytes);
     let _enabled = r.bool()?;
-    let snap = get_obs_metrics(&mut r)?;
+    let snap = get_obs_snapshot(&mut r)?;
     for (name, value) in &snap.counters {
         engine.obs.restore_counter(static_metric_name(name)?, *value);
     }
@@ -725,6 +726,9 @@ fn decode_obs(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
             .ok_or(PersistError::Corrupt { what: "histogram buckets" })?;
         engine.obs.restore_histogram(key, histogram);
     }
+    engine.obs_trace =
+        DecisionTrace::from_parts(snap.trace_capacity as usize, snap.trace_dropped, snap.trace)
+            .ok_or(PersistError::Corrupt { what: "decision trace" })?;
     Ok(())
 }
 

@@ -773,27 +773,6 @@ pub(crate) fn get_injection(r: &mut ByteReader<'_>) -> Result<PendingInjection, 
 /// An [`ObsSnapshot`] in exact integers, so a restored registry or the
 /// shard router's merge works on the very numbers the engine held.
 pub fn put_obs_snapshot(w: &mut ByteWriter, snap: &ObsSnapshot) {
-    put_obs_metrics(w, snap);
-    w.put_u64(snap.trace_capacity);
-    w.put_u64(snap.trace_dropped);
-    w.put_seq(&snap.trace, put_trace_entry);
-}
-
-/// Decodes [`put_obs_snapshot`] output.
-///
-/// # Errors
-/// [`PersistError`] on truncated input, an unknown trace trigger or
-/// verdict name.
-pub fn get_obs_snapshot(r: &mut ByteReader<'_>) -> Result<ObsSnapshot, PersistError> {
-    let mut snap = get_obs_metrics(r)?;
-    snap.trace_capacity = r.u64()?;
-    snap.trace_dropped = r.u64()?;
-    snap.trace = r.seq(get_trace_entry)?;
-    Ok(snap)
-}
-
-/// Counters, gauges and histograms of an [`ObsSnapshot`].
-pub(crate) fn put_obs_metrics(w: &mut ByteWriter, snap: &ObsSnapshot) {
     w.put_seq(&snap.counters, |w, (name, v)| {
         w.put_str(name);
         w.put_u64(*v);
@@ -811,11 +790,17 @@ pub(crate) fn put_obs_metrics(w: &mut ByteWriter, snap: &ObsSnapshot) {
             w.put_u64(*c);
         });
     });
+    w.put_u64(snap.trace_capacity);
+    w.put_u64(snap.trace_dropped);
+    w.put_seq(&snap.trace, put_trace_entry);
 }
 
-/// Decodes [`put_obs_metrics`] output into a snapshot with an empty
-/// trace.
-pub(crate) fn get_obs_metrics(r: &mut ByteReader<'_>) -> Result<ObsSnapshot, PersistError> {
+/// Decodes [`put_obs_snapshot`] output.
+///
+/// # Errors
+/// [`PersistError`] on truncated input, an unknown trace trigger or
+/// verdict name.
+pub fn get_obs_snapshot(r: &mut ByteReader<'_>) -> Result<ObsSnapshot, PersistError> {
     Ok(ObsSnapshot {
         counters: r.seq(|r| Ok((r.string()?, r.u64()?)))?,
         gauges: r.seq(|r| Ok((r.string()?, r.i64()?)))?,
@@ -825,9 +810,9 @@ pub(crate) fn get_obs_metrics(r: &mut ByteReader<'_>) -> Result<ObsSnapshot, Per
             let buckets = r.seq(|r| Ok((r.u32()? as usize, r.u64()?)))?;
             Ok((name, HistogramSnapshot { count, sum, buckets }))
         })?,
-        trace_capacity: 0,
-        trace_dropped: 0,
-        trace: Vec::new(),
+        trace_capacity: r.u64()?,
+        trace_dropped: r.u64()?,
+        trace: r.seq(get_trace_entry)?,
     })
 }
 

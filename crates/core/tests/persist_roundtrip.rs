@@ -295,12 +295,56 @@ fn bit_flip_in_last_record_never_panics_and_keeps_prefix() {
 
 // --------------------------------------------- obs identity on restore
 
+/// Seven days of home→work→home history for a fresh commuter, then
+/// day-8 commute ticks until the proactive path has traced a decision.
+fn fill_trace_ring(e: &mut Engine, user: UserId) {
+    e.register_user(profile(user.0), TimePoint::at(0, 0, 0, 0));
+    let home = TORINO.destination(90.0, 4_500.0);
+    let bearing = 125.0;
+    let work = home.destination(bearing, 9_000.0);
+    let drive =
+        |from: GeoPoint, heading: f64, i: u64| from.destination(heading, i as f64 * 9_000.0 / 39.0);
+    for day in 0..7u64 {
+        let d0 = TimePoint::at(day, 0, 0, 0);
+        let at = |minutes: u64| d0.advance(TimeSpan::minutes(minutes));
+        let at_s = |hours: u64, i: u64| {
+            d0.advance(TimeSpan::hours(hours)).advance(TimeSpan::seconds(i * 30))
+        };
+        for i in 0..90u64 {
+            e.record_fix(user, GpsFix::new(home, at(i * 5), 0.1));
+        }
+        for i in 0..40u64 {
+            e.record_fix(user, GpsFix::new(drive(home, bearing, i), at_s(8, i), 7.5));
+        }
+        for i in 0..57u64 {
+            e.record_fix(user, GpsFix::new(work, at(510 + i * 10), 0.2));
+        }
+        for i in 0..40u64 {
+            e.record_fix(user, GpsFix::new(drive(work, bearing + 180.0, i), at_s(18, i), 7.5));
+        }
+        for i in 0..66u64 {
+            e.record_fix(user, GpsFix::new(home, at(1105 + i * 5), 0.1));
+        }
+    }
+    let d8 = TimePoint::at(7, 8, 0, 0);
+    for i in 0..12u64 {
+        let now = d8.advance(TimeSpan::seconds(i * 30));
+        e.record_fix(user, GpsFix::new(drive(home, bearing, i), now, 7.5));
+        e.tick(user, now).expect("registered");
+    }
+}
+
 /// Counters, gauges, histograms and the decision trace all survive a
 /// mid-run snapshot byte-identically, and the restored engine keeps
 /// observing: driving both engines onward keeps them identical.
 #[test]
 fn obs_state_survives_restore_and_ring_rearms() {
     let mut original = mini_engine();
+    fill_trace_ring(&mut original, UserId(3));
+    assert!(
+        !original.obs_trace().is_empty(),
+        "the ring must hold decisions for this to mean anything"
+    );
     let bytes = snapshot_engine(&original, 7).expect("snapshot mid-run");
     let (mut restored, report) = restore_engine(&bytes, &[]).expect("restore with empty WAL");
     assert_eq!(report.snapshot_seq, 7);
@@ -316,10 +360,10 @@ fn obs_state_survives_restore_and_ring_rearms() {
     assert_eq!(original.obs_trace().capacity(), restored.obs_trace().capacity());
 
     // The ring and counters must keep moving identically post-restore.
-    let t1 = TimePoint::at(0, 9, 30, 0);
+    let t1 = TimePoint::at(7, 8, 6, 0);
     for step in 0..10u64 {
         let now = t1.advance(TimeSpan::seconds(step * 30));
-        for u in 1..=2u64 {
+        for u in 1..=3u64 {
             let a = original.tick(UserId(u), now).expect("registered");
             let b = restored.tick(UserId(u), now).expect("registered");
             assert_eq!(a, b, "post-restore events diverged at step {step}");

@@ -106,6 +106,23 @@ impl DecisionTrace {
         DecisionTrace { capacity, entries: VecDeque::with_capacity(capacity), dropped: 0 }
     }
 
+    /// Rebuilds a trace from persisted parts: its bound, the eviction
+    /// count and the retained entries, oldest first. `None` when the
+    /// bound is zero or the entries exceed it — corrupt persisted state
+    /// must surface as a decode error, not as a different ring.
+    #[must_use]
+    pub fn from_parts(
+        capacity: usize,
+        dropped: u64,
+        entries: Vec<DecisionTraceEntry>,
+    ) -> Option<Self> {
+        (capacity > 0 && entries.len() <= capacity).then(|| DecisionTrace {
+            capacity,
+            entries: entries.into(),
+            dropped,
+        })
+    }
+
     /// The fixed bound on retained entries.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -186,6 +203,18 @@ mod tests {
         assert_eq!(t.dropped(), 96);
         let users: Vec<u64> = t.entries().map(|e| e.user).collect();
         assert_eq!(users, vec![96, 97, 98, 99]);
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_ring_or_refuses() {
+        let mut t = DecisionTrace::with_capacity(2);
+        for u in 0..5 {
+            t.push(entry(u));
+        }
+        let rebuilt = DecisionTrace::from_parts(2, t.dropped(), t.entries().cloned().collect());
+        assert_eq!(rebuilt, Some(t));
+        assert_eq!(DecisionTrace::from_parts(1, 0, vec![entry(1), entry(2)]), None);
+        assert_eq!(DecisionTrace::from_parts(0, 0, Vec::new()), None);
     }
 
     #[test]

@@ -70,9 +70,13 @@ fn mid_stream_rebalance_stays_byte_identical() {
     let ops = commands(3);
     let baseline = run_single(&ops);
     // Hand shard 0's state to a fresh process halfway through — right
-    // in the middle of the tick phase, with deliveries in the ledger.
-    let sharded = run_sharded(3, 2, Some(ops.len() / 2));
-    assert_identical(&baseline, &sharded, "2 shards + rebalance");
+    // in the middle of the tick phase, with deliveries in the ledger —
+    // and again at op 4250, once the decision-trace ring holds entries.
+    for at in [ops.len() / 2, 4250] {
+        assert!(at < ops.len(), "rebalance point {at} past the workload");
+        let sharded = run_sharded(3, 2, Some(at));
+        assert_identical(&baseline, &sharded, &format!("2 shards + rebalance at op {at}"));
+    }
 }
 
 #[test]
