@@ -1,5 +1,5 @@
-//! Little-endian byte codec, CRC32 and the frame used by the WAL,
-//! snapshots and the shard wire.
+//! Little-endian byte codec and CRC32 used by the WAL and snapshots, and
+//! the frame the WAL and the shard wire share.
 //!
 //! Hand-rolled on purpose: the wire format must stay stable across
 //! toolchain upgrades and must decode hostile bytes without panicking,
@@ -324,7 +324,7 @@ pub fn encode_frame(seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> V
 }
 
 /// The payload length (`seq|kind|body`) a frame header announces;
-/// `None` when `header` is shorter than [`FRAME_HEADER`].
+/// `None` when `header` is too short to hold the length prefix.
 #[must_use]
 pub fn frame_len(header: &[u8]) -> Option<usize> {
     ByteReader::new(header).u32().ok().map(|len| len as usize)

@@ -1,11 +1,11 @@
 //! One encode/decode pair per persisted type.
 //!
-//! Every binary layout of a value type is decided here, once: the WAL
-//! payload codec ([`super::wal`]), the snapshot sections
-//! ([`super::snapshot`]) and the shard wire protocol all call these
-//! pairs, so a type is the same bytes wherever it is written. Each
-//! `put_*` sits directly above its `get_*`; no `get_*` panics on
-//! hostile bytes.
+//! Every binary layout of a value type is decided here, once. The WAL
+//! op codec ([`super::wal`]) and the snapshot sections
+//! ([`super::snapshot`]) call these pairs, and the shard wire carries
+//! WAL payloads and the [`ObsSnapshot`] pair, so a type is the same
+//! bytes wherever it is written. Each `put_*` sits directly above its
+//! `get_*`; no `get_*` panics on hostile bytes.
 
 use super::codec::{ByteReader, ByteWriter};
 use super::PersistError;

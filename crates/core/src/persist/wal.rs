@@ -248,7 +248,6 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, PersistError> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::codec::crc32;
     use super::*;
     use pphcr_catalog::{ClipKind, GeoTag};
     use pphcr_geo::GeoPoint;
@@ -395,17 +394,8 @@ mod tests {
 
     #[test]
     fn crc_valid_garbage_is_corrupt_not_torn() {
-        // Hand-frame a payload with an unknown kind tag but a valid CRC.
-        let payload: Vec<u8> = {
-            let mut w = ByteWriter::new();
-            w.put_u64(1);
-            w.put_u8(0xEE);
-            w.into_inner()
-        };
-        let mut log = Vec::new();
-        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        log.extend_from_slice(&crc32(&payload).to_le_bytes());
-        log.extend_from_slice(&payload);
+        // A frame with an unknown kind tag but a valid CRC.
+        let log = encode_frame(1, 0xEE, |_| {});
         assert_eq!(scan(&log), Err(PersistError::Corrupt { what: "WAL op kind tag" }));
     }
 
