@@ -43,12 +43,12 @@ pub(crate) fn get_geo_point(r: &mut ByteReader<'_>) -> Result<GeoPoint, PersistE
     Ok(GeoPoint { lat: r.f64()?, lon: r.f64()? })
 }
 
-pub(crate) fn put_point(w: &mut ByteWriter, p: &ProjectedPoint) {
+fn put_point(w: &mut ByteWriter, p: &ProjectedPoint) {
     w.put_f64(p.x);
     w.put_f64(p.y);
 }
 
-pub(crate) fn get_point(r: &mut ByteReader<'_>) -> Result<ProjectedPoint, PersistError> {
+fn get_point(r: &mut ByteReader<'_>) -> Result<ProjectedPoint, PersistError> {
     Ok(ProjectedPoint { x: r.f64()?, y: r.f64()? })
 }
 
