@@ -248,6 +248,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, PersistError> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::codec::crc32;
     use super::*;
     use pphcr_catalog::{ClipKind, GeoTag};
     use pphcr_geo::GeoPoint;
@@ -394,9 +395,38 @@ mod tests {
 
     #[test]
     fn crc_valid_garbage_is_corrupt_not_torn() {
-        // A frame with an unknown kind tag but a valid CRC.
-        let log = encode_frame(1, 0xEE, |_| {});
+        // Hand-frame a payload with an unknown kind tag but a valid CRC.
+        let payload: Vec<u8> = {
+            let mut w = ByteWriter::new();
+            w.put_u64(1);
+            w.put_u8(0xEE);
+            w.into_inner()
+        };
+        let mut log = Vec::new();
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&crc32(&payload).to_le_bytes());
+        log.extend_from_slice(&payload);
         assert_eq!(scan(&log), Err(PersistError::Corrupt { what: "WAL op kind tag" }));
+        // The frame builder lays out exactly these bytes.
+        assert_eq!(encode_frame(1, 0xEE, |_| {}), log);
+    }
+
+    #[test]
+    fn record_frame_bytes_are_pinned() {
+        // `[len][crc]` then `[seq][kind = 7, Skip][user][now]`, all
+        // little-endian: every existing WAL file has this layout.
+        let frame = encode_record(&WalRecord {
+            seq: 1,
+            op: WalOp::Skip { user: UserId(3), now: TimePoint(60) },
+        });
+        #[rustfmt::skip]
+        let expected: [u8; 33] = [
+            25, 0, 0, 0, 10, 16, 124, 151,
+            1, 0, 0, 0, 0, 0, 0, 0, 7,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            60, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(frame, expected);
     }
 
     #[test]
