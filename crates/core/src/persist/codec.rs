@@ -1,11 +1,13 @@
 //! Little-endian byte codec and CRC32 used by the WAL and snapshots, and
-//! the frame the WAL and the shard wire share.
+//! the frame the WAL and the shard wire share: built, split, checked
+//! and read from a stream only here.
 //!
 //! Hand-rolled on purpose: the wire format must stay stable across
 //! toolchain upgrades and must decode hostile bytes without panicking,
 //! so every read returns a `Result` and nothing indexes a slice.
 
 use super::PersistError;
+use std::io::{self, Read};
 
 /// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = crc_table();
@@ -289,7 +291,10 @@ impl<'a> ByteReader<'a> {
 }
 
 /// Bytes in a frame header: `[len: u32][crc: u32]`.
-pub const FRAME_HEADER: usize = 8;
+const FRAME_HEADER: usize = 8;
+
+/// Bytes in the shortest frame payload: `[seq: u64][kind: u8]`.
+const MIN_PAYLOAD: usize = 9;
 
 /// One frame, `[len: u32][crc: u32][seq: u64][kind: u8][body]` with the
 /// CRC over `seq|kind|body`: the layout of a WAL record and of every
@@ -306,14 +311,19 @@ pub struct Frame<'a> {
     pub len: usize,
 }
 
-/// Builds one frame, `body` writing everything after the kind byte.
-#[must_use]
-pub fn encode_frame(seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
-    let mut w = ByteWriter { buf: vec![0; FRAME_HEADER] };
+/// Writes `[seq][kind][body]` after `header` zero bytes.
+fn payload_after(header: usize, seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut w = ByteWriter { buf: vec![0; header] };
     w.put_u64(seq);
     w.put_u8(kind);
     body(&mut w);
-    let mut frame = w.buf;
+    w.buf
+}
+
+/// Builds one frame, `body` writing everything after the kind byte.
+#[must_use]
+pub fn encode_frame(seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut frame = payload_after(FRAME_HEADER, seq, kind, body);
     let len = (frame.len() - FRAME_HEADER) as u32;
     let crc = crc32(frame.get(FRAME_HEADER..).unwrap_or_default());
     let header = len.to_le_bytes().into_iter().chain(crc.to_le_bytes());
@@ -323,11 +333,22 @@ pub fn encode_frame(seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> V
     frame
 }
 
-/// The payload length (`seq|kind|body`) a frame header announces;
-/// `None` when `header` is too short to hold the length prefix.
+/// A frame's payload without its header, `[seq: u64][kind: u8][body]`:
+/// how the shard wire carries a WAL record inside its own frame.
 #[must_use]
-pub fn frame_len(header: &[u8]) -> Option<usize> {
-    ByteReader::new(header).u32().ok().map(|len| len as usize)
+pub fn encode_frame_payload(seq: u64, kind: u8, body: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    payload_after(0, seq, kind, body)
+}
+
+/// Splits a frame payload into its sequence number, kind byte and body.
+///
+/// # Errors
+/// [`PersistError::Truncated`] when the payload is too short to hold
+/// the sequence number and kind byte.
+pub fn split_frame_payload(payload: &[u8]) -> Result<(u64, u8, &[u8]), PersistError> {
+    let mut r = ByteReader::new(payload);
+    let (seq, kind) = (r.u64()?, r.u8()?);
+    Ok((seq, kind, r.take(r.remaining())?))
 }
 
 /// Checks the frame at the start of `bytes`.
@@ -349,9 +370,42 @@ pub fn check_frame(bytes: &[u8]) -> Result<Option<Frame<'_>>, PersistError> {
     if crc32(payload) != crc {
         return Ok(None);
     }
-    let mut p = ByteReader::new(payload);
-    let (seq, kind) = (p.u64()?, p.u8()?);
-    Ok(Some(Frame { seq, kind, body: p.take(p.remaining())?, len: FRAME_HEADER + payload.len() }))
+    let (seq, kind, body) = split_frame_payload(payload)?;
+    Ok(Some(Frame { seq, kind, body, len: FRAME_HEADER + payload.len() }))
+}
+
+/// Reads the next frame from a byte stream and checks it, returning
+/// its sequence number, kind byte and body. The length prefix is
+/// bounded by `max_payload` before anything is allocated for it.
+///
+/// `Ok(None)` when the stream ends before a whole header.
+///
+/// # Errors
+/// The stream's own error; [`io::ErrorKind::UnexpectedEof`] when it
+/// ends inside a payload; [`io::ErrorKind::InvalidData`] when the
+/// length prefix is too short for `seq|kind` or over `max_payload`, or
+/// when the CRC does not match.
+pub fn read_frame(
+    input: &mut impl Read,
+    max_payload: usize,
+) -> io::Result<Option<(u64, u8, Vec<u8>)>> {
+    let mut frame = vec![0u8; FRAME_HEADER];
+    match input.read_exact(&mut frame) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let invalid = || io::Error::from(io::ErrorKind::InvalidData);
+    let len = ByteReader::new(&frame).u32().map_err(|_| invalid())? as usize;
+    if !(MIN_PAYLOAD..=max_payload).contains(&len) {
+        return Err(invalid());
+    }
+    frame.resize(FRAME_HEADER + len, 0);
+    input.read_exact(frame.get_mut(FRAME_HEADER..).unwrap_or_default())?;
+    match check_frame(&frame) {
+        Ok(Some(f)) => Ok(Some((f.seq, f.kind, f.body.to_vec()))),
+        _ => Err(invalid()),
+    }
 }
 
 #[cfg(test)]
@@ -398,7 +452,9 @@ mod tests {
     #[test]
     fn frames_check_back_and_tear_cleanly() {
         let frame = encode_frame(7, 3, |w| w.put_str("body"));
-        assert_eq!(frame_len(&frame), Some(frame.len() - FRAME_HEADER));
+        let payload = encode_frame_payload(7, 3, |w| w.put_str("body"));
+        assert_eq!(frame.get(FRAME_HEADER..), Some(&payload[..]));
+        assert_eq!(split_frame_payload(&payload).unwrap(), (7, 3, &payload[MIN_PAYLOAD..]));
         let f = check_frame(&frame).unwrap().unwrap();
         assert_eq!((f.seq, f.kind, f.len), (7, 3, frame.len()));
         assert_eq!(ByteReader::new(f.body).string().unwrap(), "body");
@@ -408,6 +464,31 @@ mod tests {
         let mut flipped = frame.clone();
         flipped[FRAME_HEADER + 2] ^= 1;
         assert_eq!(check_frame(&flipped), Ok(None));
+    }
+
+    #[test]
+    fn streamed_frames_are_bounded_and_checked() {
+        let frame = encode_frame(7, 3, |w| w.put_str("body"));
+        let mut stream = frame.repeat(2);
+        stream.extend_from_slice(&frame[..5]);
+        let mut input = io::Cursor::new(stream);
+        for _ in 0..2 {
+            let (seq, kind, body) = read_frame(&mut input, 64).unwrap().unwrap();
+            assert_eq!(
+                (seq, kind, ByteReader::new(&body).string().unwrap()),
+                (7, 3, "body".into())
+            );
+        }
+        assert!(read_frame(&mut input, 64).unwrap().is_none(), "a torn header is end of stream");
+        let kind_of = |bytes: &[u8], max| read_frame(&mut &bytes[..], max).unwrap_err().kind();
+        assert_eq!(kind_of(&frame, 8), io::ErrorKind::InvalidData, "over the bound");
+        let mut short = frame.clone();
+        short[0] = 8;
+        assert_eq!(kind_of(&short, 64), io::ErrorKind::InvalidData, "no room for seq|kind");
+        let mut flipped = frame.clone();
+        flipped[FRAME_HEADER] ^= 1;
+        assert_eq!(kind_of(&flipped, 64), io::ErrorKind::InvalidData, "CRC mismatch");
+        assert_eq!(kind_of(&frame[..12], 64), io::ErrorKind::UnexpectedEof, "torn payload");
     }
 
     #[test]

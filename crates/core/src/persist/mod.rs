@@ -33,7 +33,8 @@ mod types;
 pub mod wal;
 
 pub use codec::{
-    check_frame, crc32, encode_frame, frame_len, ByteReader, ByteWriter, Frame, FRAME_HEADER,
+    check_frame, crc32, encode_frame, encode_frame_payload, read_frame, split_frame_payload,
+    ByteReader, ByteWriter, Frame,
 };
 pub use durable::{restore_engine, DurableEngine, FileWal, MemWal, RecoveryReport, WalStorage};
 pub use replay::{apply_record, ApplyResult};

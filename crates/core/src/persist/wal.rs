@@ -10,7 +10,9 @@
 //! passes its CRC but fails to decode is *corruption*, not tearing, and
 //! surfaces as a typed [`PersistError`].
 
-use super::codec::{check_frame, encode_frame, ByteReader, ByteWriter};
+use super::codec::{
+    check_frame, encode_frame, encode_frame_payload, split_frame_payload, ByteReader, ByteWriter,
+};
 use super::types::{
     get_clip_kind, get_coverage, get_feedback_event, get_fix, get_gazetteer, get_geo_tag,
     get_profile, get_road_network, put_clip_kind, put_coverage, put_feedback_event, put_fix,
@@ -188,20 +190,15 @@ fn decode_op(kind: u8, body: &[u8]) -> Result<WalOp, PersistError> {
 /// [`encode_record`].
 #[must_use]
 pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u64(record.seq);
-    w.put_u8(op_kind(&record.op));
-    put_op(&mut w, &record.op);
-    w.into_inner()
+    encode_frame_payload(record.seq, op_kind(&record.op), |w| put_op(w, &record.op))
 }
 
 /// Decodes one payload (`[seq][kind][body]`) back into a record.
 ///
 /// Public for the shard protocol, which shares the WAL payload codec.
 pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, PersistError> {
-    let mut r = ByteReader::new(payload);
-    let (seq, kind) = (r.u64()?, r.u8()?);
-    Ok(WalRecord { seq, op: decode_op(kind, r.take(r.remaining())?)? })
+    let (seq, kind, body) = split_frame_payload(payload)?;
+    Ok(WalRecord { seq, op: decode_op(kind, body)? })
 }
 
 /// Frames a record for appending: `[len][crc][payload]`.

@@ -82,6 +82,7 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core::persist::snapshot::snapshot_engine", "snapshot serialization"),
     ("core::persist::durable::restore_engine", "crash recovery"),
     ("core::persist::codec::check_frame", "WAL and shard frame decode"),
+    ("core::persist::codec::read_frame", "shard frame stream decode"),
     ("core::persist::types::get_obs_snapshot", "observability snapshot decode"),
     ("core::bus::Bus::publish", "bus delivery"),
     ("core::bus::Bus::publish_checked", "bus delivery"),

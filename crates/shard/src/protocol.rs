@@ -14,8 +14,8 @@
 //! never panic an agent.
 
 use pphcr_core::persist::{
-    check_frame, decode_payload, encode_frame, encode_payload, frame_len, get_obs_snapshot,
-    put_obs_snapshot, ByteReader, ByteWriter, PersistError, FRAME_HEADER,
+    self, decode_payload, encode_frame, encode_payload, get_obs_snapshot, put_obs_snapshot,
+    ByteReader, ByteWriter, PersistError,
 };
 use pphcr_core::{EngineCommand, WalRecord};
 use pphcr_obs::ObsSnapshot;
@@ -109,21 +109,13 @@ pub fn write_frame(
 ///
 /// # Errors
 /// [`ProtoError::Io`] on a torn read, [`ProtoError::BadFrame`] on a
-/// CRC mismatch or an over-long length prefix.
+/// CRC mismatch or a length prefix too short for `seq|kind` or over
+/// `MAX_FRAME`.
 pub fn read_frame(input: &mut impl Read) -> Result<Option<(u64, u8, Vec<u8>)>, ProtoError> {
-    let mut frame = vec![0u8; FRAME_HEADER];
-    match input.read_exact(&mut frame) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(ProtoError::Io(e)),
-    }
-    let len = frame_len(&frame).filter(|len| (9..=MAX_FRAME).contains(len));
-    frame.resize(FRAME_HEADER + len.ok_or(ProtoError::BadFrame)?, 0);
-    input.read_exact(frame.get_mut(FRAME_HEADER..).unwrap_or_default())?;
-    match check_frame(&frame) {
-        Ok(Some(f)) => Ok(Some((f.seq, f.kind, f.body.to_vec()))),
-        _ => Err(ProtoError::BadFrame),
-    }
+    persist::read_frame(input, MAX_FRAME).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => ProtoError::BadFrame,
+        _ => ProtoError::Io(e),
+    })
 }
 
 /// One event as it crosses the wire: the owning user (the router's
