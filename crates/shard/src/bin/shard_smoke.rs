@@ -82,12 +82,21 @@ fn run(opts: &Options) -> Result<i32, ShardError> {
     };
     let mut router = Router::new(spawn_all(opts.shards)?)?;
 
-    let rebalance_at = opts.rebalance_at.unwrap_or(ops.len() / 2).min(ops.len());
+    let rebalance_at = opts.rebalance_at.unwrap_or(ops.len() / 2);
+    if rebalance_at >= ops.len() {
+        eprintln!(
+            "shard-smoke: --rebalance-at {rebalance_at} is past the last of {} ops",
+            ops.len()
+        );
+        return Ok(2);
+    }
     let mut lines = Vec::new();
+    let mut handoff_trace = 0;
     for (i, cmd) in ops.iter().enumerate() {
         if i == rebalance_at {
             // Mid-stream snapshot handoff: shard 0 donates its state
             // to a fresh process and is retired.
+            handoff_trace = router.merged_obs()?.trace.len();
             router.rebalance(0, ProcessShard::spawn(&agent)?)?;
         }
         lines.extend(router.apply(cmd)?);
@@ -98,12 +107,13 @@ fn run(opts: &Options) -> Result<i32, ShardError> {
     let obs_ok = merged == baseline.obs_json;
     let verdict = if lines_ok && obs_ok { "identical" } else { "DIVERGED" };
     println!(
-        "shard-smoke: shards={} seed={} ops={} lines={} rebalance_at={} verdict={verdict}",
+        "shard-smoke: shards={} seed={} ops={} lines={} rebalance_at={} handoff_trace={} verdict={verdict}",
         opts.shards,
         opts.seed,
         ops.len(),
         lines.len(),
         rebalance_at,
+        handoff_trace,
     );
     if !lines_ok {
         report_line_diff(&baseline.lines, &lines);
@@ -114,12 +124,13 @@ fn run(opts: &Options) -> Result<i32, ShardError> {
 
     if let Some(out) = &opts.out {
         let artifact = format!(
-            "verdict={verdict}\nshards={}\nseed={}\nops={}\nlines={}\nrebalance_at={}\n--- merged obs ---\n{merged}",
+            "verdict={verdict}\nshards={}\nseed={}\nops={}\nlines={}\nrebalance_at={}\nhandoff_trace={}\n--- merged obs ---\n{merged}",
             opts.shards,
             opts.seed,
             ops.len(),
             lines.len(),
             rebalance_at,
+            handoff_trace,
         );
         // lint: allow(fsync-free-write) — CI artifact, not durable state.
         if let Err(e) = std::fs::write(out, artifact) {

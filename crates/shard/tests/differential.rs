@@ -19,12 +19,16 @@ fn spawn_router(n: usize) -> Router<ProcessShard> {
 
 /// Runs the scripted workload through `n` shard processes, optionally
 /// rebalancing shard 0 onto a fresh process before op `rebalance_at`.
-fn run_sharded(seed: u64, n: usize, rebalance_at: Option<usize>) -> SingleRun {
+/// Also returns how many decision-trace entries the shards held when
+/// the handoff happened (0 without one).
+fn run_sharded(seed: u64, n: usize, rebalance_at: Option<usize>) -> (SingleRun, usize) {
     let ops = commands(seed);
     let mut router = spawn_router(n);
     let mut lines = Vec::new();
+    let mut traced_at_handoff = 0;
     for (i, cmd) in ops.iter().enumerate() {
         if rebalance_at == Some(i) {
+            traced_at_handoff = router.merged_obs().expect("merge obs").trace.len();
             router
                 .rebalance(0, ProcessShard::spawn(agent()).expect("spawn replacement"))
                 .expect("rebalance");
@@ -32,7 +36,7 @@ fn run_sharded(seed: u64, n: usize, rebalance_at: Option<usize>) -> SingleRun {
         lines.extend(router.apply(cmd).expect("apply"));
     }
     let obs_json = router.merged_obs().expect("merge obs").to_json();
-    SingleRun { lines, obs_json }
+    (SingleRun { lines, obs_json }, traced_at_handoff)
 }
 
 fn assert_identical(baseline: &SingleRun, sharded: &SingleRun, label: &str) {
@@ -54,14 +58,14 @@ fn two_shards_are_byte_identical_to_one_process() {
         baseline.lines.iter().any(|l| l.contains("rejected=")),
         "workload must exercise the rejection path"
     );
-    let sharded = run_sharded(1, 2, None);
+    let (sharded, _) = run_sharded(1, 2, None);
     assert_identical(&baseline, &sharded, "2 shards");
 }
 
 #[test]
 fn four_shards_are_byte_identical_to_one_process() {
     let baseline = run_single(&commands(1));
-    let sharded = run_sharded(1, 4, None);
+    let (sharded, _) = run_sharded(1, 4, None);
     assert_identical(&baseline, &sharded, "4 shards");
 }
 
@@ -72,9 +76,10 @@ fn mid_stream_rebalance_stays_byte_identical() {
     // Hand shard 0's state to a fresh process halfway through — right
     // in the middle of the tick phase, with deliveries in the ledger —
     // and again at op 4250, once the decision-trace ring holds entries.
-    for at in [ops.len() / 2, 4250] {
+    for (at, min_traced) in [(ops.len() / 2, 0), (4250, 1)] {
         assert!(at < ops.len(), "rebalance point {at} past the workload");
-        let sharded = run_sharded(3, 2, Some(at));
+        let (sharded, traced) = run_sharded(3, 2, Some(at));
+        assert!(traced >= min_traced, "rebalance at op {at} handed over {traced} trace entries");
         assert_identical(&baseline, &sharded, &format!("2 shards + rebalance at op {at}"));
     }
 }
