@@ -467,31 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_frames_are_bounded_and_checked() {
-        let frame = encode_frame(7, 3, |w| w.put_str("body"));
-        let mut stream = frame.repeat(2);
-        stream.extend_from_slice(&frame[..5]);
-        let mut input = io::Cursor::new(stream);
-        for _ in 0..2 {
-            let (seq, kind, body) = read_frame(&mut input, 64).unwrap().unwrap();
-            assert_eq!(
-                (seq, kind, ByteReader::new(&body).string().unwrap()),
-                (7, 3, "body".into())
-            );
-        }
-        assert!(read_frame(&mut input, 64).unwrap().is_none(), "a torn header is end of stream");
-        let kind_of = |bytes: &[u8], max| read_frame(&mut &bytes[..], max).unwrap_err().kind();
-        assert_eq!(kind_of(&frame, 8), io::ErrorKind::InvalidData, "over the bound");
-        let mut short = frame.clone();
-        short[0] = 8;
-        assert_eq!(kind_of(&short, 64), io::ErrorKind::InvalidData, "no room for seq|kind");
-        let mut flipped = frame.clone();
-        flipped[FRAME_HEADER] ^= 1;
-        assert_eq!(kind_of(&flipped, 64), io::ErrorKind::InvalidData, "CRC mismatch");
-        assert_eq!(kind_of(&frame[..12], 64), io::ErrorKind::UnexpectedEof, "torn payload");
-    }
-
-    #[test]
     fn truncated_reads_error() {
         let mut r = ByteReader::new(&[1, 2]);
         assert_eq!(r.u64(), Err(PersistError::Truncated));

@@ -287,6 +287,12 @@ mod tests {
         torn.truncate(12); // header + 4 of the 23 payload bytes
         let mut cursor = std::io::Cursor::new(torn);
         assert!(matches!(read_frame(&mut cursor), Err(ProtoError::Io(_))));
+        // A length prefix too short for seq|kind, or over MAX_FRAME, is
+        // rejected before anything is allocated for it.
+        for len in [8, MAX_FRAME as u32 + 1] {
+            let mut cursor = std::io::Cursor::new([len.to_le_bytes(), [0; 4]].concat());
+            assert!(matches!(read_frame(&mut cursor), Err(ProtoError::BadFrame)), "len {len}");
+        }
     }
 
     /// There is one frame format: a WAL record reads back as a shard
