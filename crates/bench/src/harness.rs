@@ -493,6 +493,7 @@ mod tests {
         let agents = [sample_summary(0), sample_summary(1)];
         let merged = merge_agents(&agents);
         let doc = summary_json(&agents, &merged);
+        assert_eq!(doc, SUMMARY_JSON);
         let parsed = pphcr_core::json::parse(&doc).expect("summary.json must parse");
         assert_eq!(parsed.get("agents").and_then(|v| v.as_u64()), Some(2));
         let scenarios = parsed.get("scenarios").and_then(|v| v.as_arr()).expect("scenarios");
@@ -505,4 +506,63 @@ mod tests {
         }
         assert_eq!(parsed.get("suites").and_then(|v| v.as_arr()).map(<[_]>::len), Some(2));
     }
+
+    /// `summary_json` of two `sample_summary` agents, byte for byte.
+    const SUMMARY_JSON: &str = r#"{
+  "bench": "pphcr-bench",
+  "agents": 2,
+  "agent_seeds": [
+    42,
+    43
+  ],
+  "suites": [
+    {
+      "suite": "A",
+      "ops": 6,
+      "elapsed_s": 0.25,
+      "ops_per_s": 24,
+      "p50_us": 1023,
+      "p95_us": 2047,
+      "p99_us": 2047
+    },
+    {
+      "suite": "B",
+      "ops": 4,
+      "elapsed_s": 0.5,
+      "ops_per_s": 8,
+      "p50_us": 0,
+      "p95_us": 7,
+      "p99_us": 7
+    }
+  ],
+  "scenarios": [
+    {
+      "suite": "A",
+      "name": "baseline_tick",
+      "agents": 2,
+      "ops": 6,
+      "elapsed_s": 0.25,
+      "ops_per_s": 24,
+      "p50_us": 1023,
+      "p95_us": 2047,
+      "p99_us": 2047,
+      "hist_count": 6,
+      "hist_sum_us": 3868
+    },
+    {
+      "suite": "B",
+      "name": "poisson_calm",
+      "agents": 2,
+      "ops": 4,
+      "elapsed_s": 0.5,
+      "ops_per_s": 8,
+      "p50_us": 0,
+      "p95_us": 7,
+      "p99_us": 7,
+      "hist_count": 4,
+      "hist_sum_us": 14
+    }
+  ]
+}
+"#;
 }

@@ -244,7 +244,7 @@ mod tests {
         let e = populated_engine();
         let snap = PlatformSnapshot::capture(&e, TimePoint::at(0, 9, 0, 0));
         let json = snap.to_json();
-        assert!(json.contains("\"clips\": 3"));
+        assert_eq!(json, PLATFORM_JSON);
         let back = PlatformSnapshot::from_json(&json).unwrap();
         assert_eq!(back, snap);
         assert!(PlatformSnapshot::from_json("{not json").is_err());
@@ -262,4 +262,37 @@ mod tests {
         let after = PlatformSnapshot::capture(&e, t.advance(TimeSpan::seconds(30)));
         assert!(after.bus_published > before.bus_published);
     }
+
+    /// `to_json` of the `json_round_trip` snapshot, byte for byte.
+    const PLATFORM_JSON: &str = r#"{
+  "at": 32400,
+  "users": 1,
+  "clips": 3,
+  "programmes": 0,
+  "services": 10,
+  "fixes": 0,
+  "fixes_dropped": 0,
+  "classifier_docs": 0,
+  "bus_published": 4,
+  "bus_delivered": 0,
+  "pending_recommendations": 0,
+  "injections": [
+    0,
+    0
+  ],
+  "sessions_closed": 0,
+  "decisions": 0,
+  "dead_letters": 0,
+  "bus_overflowed": 0,
+  "bus_rejected": 0,
+  "wire_dropped": 0,
+  "wire_duplicated": 0,
+  "delivery_retries": 0,
+  "duplicates_filtered": 0,
+  "health": [
+    1,
+    0,
+    0
+  ]
+}"#;
 }

@@ -318,16 +318,91 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_structured() {
-        let snap = sample();
-        let a = snap.to_json();
-        let b = snap.to_json();
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\n"));
-        assert!(a.ends_with("}\n"));
-        assert!(a.contains("\"bus.published\": 3"));
-        assert!(a.contains("\"b3\": 1"));
-        assert!(a.contains("\"verdict\": \"scheduled\""));
+        // Cases the golden files lack: a null top clip, a negative
+        // gauge and a name that needs escaping.
+        let mut snap = sample();
+        snap.set_gauge("clock.skew_s", -3);
+        snap.set_gauge("odd \"name\"\\", 1);
+        let mut unscheduled = snap.trace[0].clone();
+        unscheduled.user = 2;
+        unscheduled.trigger = "skip";
+        unscheduled.scored = 0;
+        unscheduled.scheduled = 0;
+        unscheduled.top_clip = None;
+        unscheduled.top_content_micro = 0;
+        unscheduled.top_context_micro = -40_000;
+        unscheduled.top_total_micro = -40_000;
+        unscheduled.verdict = Verdict::NoCandidates;
+        snap.trace.push(unscheduled);
+        let json = snap.to_json();
+        assert_eq!(json, snap.to_json());
+        assert_eq!(json, OBS_JSON);
     }
+
+    /// `to_json` of the `json_is_stable_and_structured` snapshot, byte
+    /// for byte.
+    const OBS_JSON: &str = r#"{
+  "counters": {
+    "bus.published": 3,
+    "tick.users": 1
+  },
+  "gauges": {
+    "clock.skew_s": -3,
+    "health.healthy": 2,
+    "odd \"name\"\\": 1
+  },
+  "histograms": {
+    "retry.backoff_wait_s": {
+      "count": 2,
+      "sum": 13,
+      "buckets": {
+        "b3": 1,
+        "b4": 1
+      }
+    }
+  },
+  "trace": {
+    "capacity": 8,
+    "dropped": 0,
+    "entries": [
+      {
+        "user": 1,
+        "at_s": 25200,
+        "trigger": "drive-predicted",
+        "considered": 10,
+        "cut_freshness": 2,
+        "cut_preference": 3,
+        "cut_geo": 4,
+        "cut_heard": 1,
+        "scored": 4,
+        "scheduled": 3,
+        "top_clip": 7,
+        "top_content_micro": 550000,
+        "top_context_micro": 210000,
+        "top_total_micro": 760000,
+        "verdict": "scheduled"
+      },
+      {
+        "user": 2,
+        "at_s": 25200,
+        "trigger": "skip",
+        "considered": 10,
+        "cut_freshness": 2,
+        "cut_preference": 3,
+        "cut_geo": 4,
+        "cut_heard": 1,
+        "scored": 0,
+        "scheduled": 0,
+        "top_clip": null,
+        "top_content_micro": 0,
+        "top_context_micro": -40000,
+        "top_total_micro": -40000,
+        "verdict": "no-candidates"
+      }
+    ]
+  }
+}
+"#;
 
     #[test]
     fn empty_sections_render_as_empty_objects() {
