@@ -35,7 +35,7 @@
 //!   sub-noise wall times cannot fake a percentage, default 0.02.
 //! * `E13_OBS_OUT` — snapshot artifact path, default `OBS_SNAPSHOT.json`.
 
-use pphcr_core::json::JsonWriter;
+use pphcr_obs::json::JsonWriter;
 use pphcr_sim::experiments::{e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling};
 use std::process::ExitCode;
 

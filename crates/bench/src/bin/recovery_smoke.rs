@@ -12,9 +12,9 @@
 //! * `E14_SEEDS` — comma-separated chaos seeds, default `1,2,3`.
 //! * `E14_OUT` — output path, default `RECOVERY_SMOKE.json`.
 
-use pphcr_core::json::JsonWriter;
 use pphcr_core::persist::wal::scan;
 use pphcr_core::{DurableEngine, FileWal};
+use pphcr_obs::json::JsonWriter;
 use pphcr_sim::crash::{
     full_replay_identical, genesis_engine, kill_point_sweep, run_uninterrupted, scripted_ops,
 };

@@ -15,11 +15,12 @@
 //! bucket, i.e. under 2x of the true quantile).
 //!
 //! The agent line grammar is fixed and machine-generated, so decoding
-//! is strict: known keys in a known order, digits-only integers (an
-//! `f64` detour would corrupt saturated `u64` sums), and the embedded
-//! histogram handed verbatim to [`Histogram::from_wire_json`].
+//! through [`pphcr_obs::json`] is strict: known keys in a known order,
+//! digits-only integers (an `f64` detour would corrupt saturated `u64`
+//! sums), and the embedded histogram decoded by
+//! [`Histogram::from_wire_value`].
 
-use pphcr_core::json::JsonWriter;
+use pphcr_obs::json::{self, escape, JsonWriter};
 use pphcr_obs::Histogram;
 use std::fmt::Write as _;
 
@@ -52,23 +53,20 @@ pub struct AgentSummary {
 
 impl AgentSummary {
     /// Encodes the summary as the single stdout line the orchestrator
-    /// reads. Scenario labels are restricted to ASCII without `"` or
-    /// `\` (ours are identifiers), so no escaping is ever needed and
-    /// the line stays greppable.
+    /// reads. Labels go through [`escape`], so any string round-trips.
     #[must_use]
     pub fn to_line_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\"agent\":{},\"seed\":{},\"scenarios\":[", self.agent, self.seed);
         for (i, s) in self.scenarios.iter().enumerate() {
-            debug_assert!(label_ok(&s.suite) && label_ok(&s.name), "labels must be plain ASCII");
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(
                 out,
-                "{{\"suite\":\"{}\",\"name\":\"{}\",\"ops\":{},\"elapsed_s\":{:.6},\"hist\":{}}}",
-                s.suite,
-                s.name,
+                "{{\"suite\":{},\"name\":{},\"ops\":{},\"elapsed_s\":{:.6},\"hist\":{}}}",
+                escape(&s.suite),
+                escape(&s.name),
                 s.ops,
                 s.elapsed_s,
                 s.hist.to_wire_json()
@@ -85,133 +83,28 @@ impl AgentSummary {
     /// histogram, or trailing garbage.
     #[must_use]
     pub fn from_line_json(input: &str) -> Option<AgentSummary> {
-        let mut p = Cursor { bytes: input.trim().as_bytes(), pos: 0 };
-        p.expect(b"{\"agent\":")?;
-        let agent = p.integer()?;
-        p.expect(b",\"seed\":")?;
-        let seed = p.integer()?;
-        p.expect(b",\"scenarios\":[")?;
-        let mut scenarios = Vec::new();
-        if p.peek() == Some(b']') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.expect(b"{\"suite\":\"")?;
-                let suite = p.label()?;
-                p.expect(b"\",\"name\":\"")?;
-                let name = p.label()?;
-                p.expect(b"\",\"ops\":")?;
-                let ops = p.integer()?;
-                p.expect(b",\"elapsed_s\":")?;
-                let elapsed_s = p.float()?;
-                p.expect(b",\"hist\":")?;
-                let hist = Histogram::from_wire_json(p.balanced_object()?)?;
-                p.expect(b"}")?;
-                if !(elapsed_s.is_finite() && elapsed_s >= 0.0) || ops != hist.count() {
-                    return None;
-                }
-                scenarios.push(AgentScenario { suite, name, ops, elapsed_s, hist });
-                match p.peek() {
-                    Some(b',') => p.pos += 1,
-                    Some(b']') => {
-                        p.pos += 1;
-                        break;
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        p.expect(b"}")?;
-        if p.pos != p.bytes.len() {
-            return None;
-        }
-        Some(AgentSummary { agent, seed, scenarios })
-    }
-}
-
-fn label_ok(s: &str) -> bool {
-    !s.is_empty() && s.bytes().all(|b| b.is_ascii_graphic() && b != b'"' && b != b'\\')
-}
-
-/// Strict cursor over the fixed agent-line grammar.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, literal: &[u8]) -> Option<()> {
-        if self.bytes[self.pos..].starts_with(literal) {
-            self.pos += literal.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    /// Digits-only `u64`; rejects overflow instead of rounding.
-    fn integer(&mut self) -> Option<u64> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok()
-    }
-
-    /// A non-negative decimal float (digits, optional fraction).
-    fn float(&mut self) -> Option<f64> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok()
-    }
-
-    /// An unescaped ASCII label, up to the closing quote (excluded).
-    fn label(&mut self) -> Option<String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b != b'"' && b.is_ascii_graphic() && b != b'\\') {
-            self.pos += 1;
-        }
-        if self.pos == start || self.peek() != Some(b'"') {
-            return None;
-        }
-        Some(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
-    }
-
-    /// The balanced `{...}` slice starting here, advanced past. Safe
-    /// because histogram wire JSON contains no strings, so every brace
-    /// is structural.
-    fn balanced_object(&mut self) -> Option<&'a str> {
-        if self.peek() != Some(b'{') {
-            return None;
-        }
-        let start = self.pos;
-        let mut depth = 0usize;
-        while let Some(b) = self.peek() {
-            self.pos += 1;
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return std::str::from_utf8(&self.bytes[start..self.pos]).ok();
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
+        let line = json::parse(input).ok()?;
+        let [agent, seed, scenarios] = line.fields(["agent", "seed", "scenarios"])?;
+        let scenarios = scenarios
+            .as_arr()?
+            .iter()
+            .map(|s| {
+                let [suite, name, ops, elapsed_s, hist] =
+                    s.fields(["suite", "name", "ops", "elapsed_s", "hist"])?;
+                let scenario = AgentScenario {
+                    suite: suite.as_str()?.to_string(),
+                    name: name.as_str()?.to_string(),
+                    ops: ops.as_u64()?,
+                    elapsed_s: elapsed_s.as_f64()?,
+                    hist: Histogram::from_wire_value(hist)?,
+                };
+                let valid = scenario.elapsed_s.is_finite()
+                    && scenario.elapsed_s >= 0.0
+                    && scenario.ops == scenario.hist.count();
+                valid.then_some(scenario)
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(AgentSummary { agent: agent.as_u64()?, seed: seed.as_u64()?, scenarios })
     }
 }
 
@@ -444,6 +337,11 @@ mod tests {
         let summary = sample_summary(3);
         let back = AgentSummary::from_line_json(&summary.to_line_json()).expect("round trip");
         assert_eq!(back, summary);
+        // Labels are escaped, so quotes and backslashes survive.
+        let mut quoted = sample_summary(4);
+        quoted.scenarios[0].name = "say \"hi\" \\ bye".into();
+        let back = AgentSummary::from_line_json(&quoted.to_line_json()).expect("escaped label");
+        assert_eq!(back, quoted);
         // Empty scenario lists are legal (an agent that ran nothing).
         let empty = AgentSummary { agent: 1, seed: 9, scenarios: Vec::new() };
         assert_eq!(AgentSummary::from_line_json(&empty.to_line_json()), Some(empty));
@@ -494,7 +392,7 @@ mod tests {
         let merged = merge_agents(&agents);
         let doc = summary_json(&agents, &merged);
         assert_eq!(doc, SUMMARY_JSON);
-        let parsed = pphcr_core::json::parse(&doc).expect("summary.json must parse");
+        let parsed = json::parse(&doc).expect("summary.json must parse");
         assert_eq!(parsed.get("agents").and_then(|v| v.as_u64()), Some(2));
         let scenarios = parsed.get("scenarios").and_then(|v| v.as_arr()).expect("scenarios");
         assert_eq!(scenarios.len(), 2);

@@ -76,7 +76,7 @@ fn orchestrator_merges_two_agents_into_summary_json() {
 
     let doc = std::fs::read_to_string(&out).expect("summary.json written");
     std::fs::remove_file(&out).ok();
-    let parsed = pphcr_core::json::parse(&doc).expect("summary.json parses");
+    let parsed = pphcr_obs::json::parse(&doc).expect("summary.json parses");
     assert_eq!(parsed.get("agents").and_then(|v| v.as_u64()), Some(2));
     let scenarios = parsed.get("scenarios").and_then(|v| v.as_arr()).expect("scenarios array");
     assert_eq!(scenarios.len(), 5);

@@ -24,7 +24,6 @@ pub mod fault;
 pub mod health;
 pub(crate) mod hotstate;
 pub mod injection;
-pub mod json;
 pub mod netcost;
 pub mod persist;
 pub mod player;

@@ -3,15 +3,15 @@
 //!
 //! The original deployment exposed its health through the control
 //! website; here a [`PlatformSnapshot`] carries the same numbers as a
-//! serializable value (JSON via the in-tree [`crate::json`] codec), so
-//! an operator — or a test — can diff two snapshots and see what a
-//! scenario did to the platform.
+//! serializable value (JSON via [`pphcr_obs::json`]), so an operator —
+//! or a test — can diff two snapshots and see what a scenario did to
+//! the platform.
 
 use crate::bus::Topic;
 use crate::engine::Engine;
 use crate::health::HealthCounts;
-use crate::json::{self, JsonError, JsonValue, JsonWriter};
 use pphcr_geo::TimePoint;
+use pphcr_obs::json::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 /// Aggregate platform statistics at one instant.
@@ -129,62 +129,6 @@ impl PlatformSnapshot {
         w.end_object();
         w.finish()
     }
-
-    /// Parses a snapshot back from JSON.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on malformed input or a missing field.
-    pub fn from_json(s: &str) -> Result<Self, JsonError> {
-        let v = json::parse(s)?;
-        let missing = |field: &str| JsonError {
-            message: format!("missing or mistyped field '{field}'"),
-            offset: 0,
-        };
-        let u =
-            |field: &str| v.get(field).and_then(JsonValue::as_u64).ok_or_else(|| missing(field));
-        let pair = v
-            .get("injections")
-            .and_then(JsonValue::as_arr)
-            .filter(|items| items.len() == 2)
-            .and_then(|items| Some((items[0].as_u64()?, items[1].as_u64()?)))
-            .ok_or_else(|| missing("injections"))?;
-        let health = v
-            .get("health")
-            .and_then(JsonValue::as_arr)
-            .filter(|items| items.len() == 3)
-            .and_then(|items| {
-                Some(HealthCounts {
-                    healthy: items[0].as_u64()?,
-                    degraded: items[1].as_u64()?,
-                    broadcast_only: items[2].as_u64()?,
-                })
-            })
-            .ok_or_else(|| missing("health"))?;
-        Ok(PlatformSnapshot {
-            at: TimePoint(u("at")?),
-            users: u("users")? as usize,
-            clips: u("clips")? as usize,
-            programmes: u("programmes")? as usize,
-            services: u("services")? as usize,
-            fixes: u("fixes")? as usize,
-            fixes_dropped: u("fixes_dropped")?,
-            classifier_docs: u("classifier_docs")?,
-            bus_published: u("bus_published")?,
-            bus_delivered: u("bus_delivered")?,
-            pending_recommendations: u("pending_recommendations")? as usize,
-            injections: pair,
-            sessions_closed: u("sessions_closed")? as usize,
-            decisions: u("decisions")? as usize,
-            dead_letters: u("dead_letters")? as usize,
-            bus_overflowed: u("bus_overflowed")?,
-            bus_rejected: u("bus_rejected")?,
-            wire_dropped: u("wire_dropped")?,
-            wire_duplicated: u("wire_duplicated")?,
-            delivery_retries: u("delivery_retries")?,
-            duplicates_filtered: u("duplicates_filtered")?,
-            health,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -245,9 +189,6 @@ mod tests {
         let snap = PlatformSnapshot::capture(&e, TimePoint::at(0, 9, 0, 0));
         let json = snap.to_json();
         assert_eq!(json, PLATFORM_JSON);
-        let back = PlatformSnapshot::from_json(&json).unwrap();
-        assert_eq!(back, snap);
-        assert!(PlatformSnapshot::from_json("{not json").is_err());
     }
 
     #[test]

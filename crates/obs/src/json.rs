@@ -1,13 +1,23 @@
-//! Minimal hand-rolled JSON support for snapshot export.
+//! The one JSON module: every JSON document the platform writes or
+//! reads goes through here.
 //!
 //! The build environment is fully offline, so `serde_json` is not
-//! available; this module provides the tiny subset the platform needs:
-//! a recursive-descent parser into a [`JsonValue`] tree and a pretty
-//! writer matching `serde_json`'s `to_string_pretty` layout (two-space
-//! indent, `"key": value`).
+//! available; this module provides the subset the platform needs:
+//!
+//! * [`JsonWriter`] — an incremental pretty-printer matching
+//!   `serde_json`'s `to_string_pretty` layout (two-space indent,
+//!   `"key": value`), behind [`ObsSnapshot::to_json`](crate::ObsSnapshot::to_json)
+//!   and every pretty artifact;
+//! * [`escape`] — one quoted JSON string, for the single-line encoders
+//!   whose bytes goldens pin;
+//! * [`parse`] — a recursive-descent reader into a [`JsonValue`] tree.
+//!   Object keys stay in document order and numbers stay as their
+//!   literal text, so a decoder can demand an exact key sequence
+//!   ([`JsonValue::fields`]) and read a `u64` without an `f64` detour
+//!   that would round a saturated histogram sum
+//!   ([`JsonValue::as_u64`]).
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,42 +26,67 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`).
-    Num(f64),
+    /// A number, as its literal text.
+    Num(String),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<JsonValue>),
-    /// An object; key order is not preserved.
-    Obj(BTreeMap<String, JsonValue>),
+    /// An object's members, in document order.
+    Obj(Vec<(String, JsonValue)>),
 }
 
 impl JsonValue {
-    /// Returns the value at `key` if this is an object containing it.
+    /// Returns the value of the first member named `key` if this is an
+    /// object.
+    #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(map) => map.get(key),
+            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Returns the member values if this is an object whose keys are
+    /// exactly `keys`, in that order: a missing, extra, repeated or
+    /// reordered key yields `None`.
+    #[must_use]
+    pub fn fields<const N: usize>(&self, keys: [&str; N]) -> Option<[&JsonValue; N]> {
+        let JsonValue::Obj(members) = self else { return None };
+        if members.len() != N {
+            return None;
+        }
+        let mut values = [&JsonValue::Null; N];
+        for ((slot, want), (key, value)) in values.iter_mut().zip(keys).zip(members) {
+            if key != want {
+                return None;
+            }
+            *slot = value;
+        }
+        Some(values)
     }
 
     /// Returns the number if this is a numeric value.
+    #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            JsonValue::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
 
-    /// Returns the number as `u64` if it is a non-negative integer.
+    /// Returns the number if it is written as decimal digits only and
+    /// fits a `u64`: no sign, fraction or exponent, and no rounding.
+    #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            JsonValue::Num(text) if text.bytes().all(|b| b.is_ascii_digit()) => text.parse().ok(),
             _ => None,
         }
     }
 
     /// Returns the string if this is a string value.
+    #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
@@ -60,6 +95,7 @@ impl JsonValue {
     }
 
     /// Returns the elements if this is an array.
+    #[must_use]
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(items) => Some(items),
@@ -85,7 +121,7 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a JSON document.
+/// Parses a JSON document, tolerating whitespace between tokens.
 ///
 /// # Errors
 /// Returns a [`JsonError`] describing the first malformed construct.
@@ -114,6 +150,10 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
+    fn rest(&self) -> &[u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -125,7 +165,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", byte as char)))
+            Err(self.err(&format!("expected '{}'", char::from(byte))))
         }
     }
 
@@ -143,7 +183,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.rest().starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -151,6 +191,7 @@ impl Parser<'_> {
         }
     }
 
+    /// Keeps the number's text; it must still read as an `f64`.
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -160,9 +201,13 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("malformed number"))?;
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| self.err("malformed number"))
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .filter(|t| t.parse::<f64>().is_ok())
+            .ok_or_else(|| self.err("malformed number"))?;
+        Ok(JsonValue::Num(text.to_string()))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -189,13 +234,12 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("bad unicode escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad unicode escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad unicode escape"))?;
+                            let code = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .and_then(|b| std::str::from_utf8(b).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.err("bad unicode escape"))?;
                             self.pos += 4;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
@@ -204,11 +248,11 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let Some(ch) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
+                    let ch = std::str::from_utf8(self.rest())
+                        .map_err(|_| self.err("invalid utf-8"))?
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.err("unterminated string"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -241,11 +285,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
         self.expect_byte(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(map));
+            return Ok(JsonValue::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -253,14 +297,13 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect_byte(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
+            members.push((key, self.value()?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(map));
+                    return Ok(JsonValue::Obj(members));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -269,12 +312,13 @@ impl Parser<'_> {
 }
 
 /// Incremental pretty-printer producing serde_json-style output
-/// (two-space indent, `"key": value`).
+/// (two-space indent, `"key": value`). Keys and string values are
+/// escaped.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
-    depth: usize,
-    need_comma: Vec<bool>,
+    /// One entry per open object or array: whether it holds an item yet.
+    open: Vec<bool>,
 }
 
 impl JsonWriter {
@@ -285,112 +329,123 @@ impl JsonWriter {
     }
 
     fn pad(&mut self) {
-        for _ in 0..self.depth {
+        for _ in 0..self.open.len() {
             self.out.push_str("  ");
         }
     }
 
     fn before_item(&mut self) {
-        if let Some(need) = self.need_comma.last_mut() {
-            if *need {
+        if let Some(has_items) = self.open.last_mut() {
+            if *has_items {
                 self.out.push(',');
             }
-            *need = true;
+            *has_items = true;
             self.out.push('\n');
             self.pad();
         }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.before_item();
+        push_escaped(&mut self.out, key);
+        self.out.push_str(": ");
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.open.push(false);
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        if self.open.pop().unwrap_or(false) {
+            self.out.push('\n');
+            self.pad();
+        }
+        self.out.push(bracket);
+        self
     }
 
     /// Opens the top-level (or a nested) object.
     pub fn begin_object(&mut self) -> &mut Self {
         self.before_item();
-        self.out.push('{');
-        self.depth += 1;
-        self.need_comma.push(false);
-        self
+        self.open('{')
     }
 
     /// Opens a named nested object.
     pub fn begin_named_object(&mut self, key: &str) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&format!("\"{key}\": {{"));
-        self.depth += 1;
-        self.need_comma.push(false);
-        self
+        self.key(key);
+        self.open('{')
     }
 
     /// Closes the current object.
     pub fn end_object(&mut self) -> &mut Self {
-        let had_items = self.need_comma.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had_items {
-            self.out.push('\n');
-            self.pad();
-        }
-        self.out.push('}');
-        self
+        self.close('}')
     }
 
     /// Opens a named array.
     pub fn begin_named_array(&mut self, key: &str) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&format!("\"{key}\": ["));
-        self.depth += 1;
-        self.need_comma.push(false);
-        self
+        self.key(key);
+        self.open('[')
     }
 
     /// Closes the current array.
     pub fn end_array(&mut self) -> &mut Self {
-        let had_items = self.need_comma.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had_items {
-            self.out.push('\n');
-            self.pad();
-        }
-        self.out.push(']');
-        self
+        self.close(']')
     }
 
     /// Writes a `"key": <unsigned>` field.
     pub fn field_u64(&mut self, key: &str, value: u64) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&format!("\"{key}\": {value}"));
+        self.key(key);
+        // Writing to a String cannot fail.
+        let _ = write!(self.out, "{value}");
         self
+    }
+
+    /// Writes a `"key": <signed>` field.
+    pub fn field_i64(&mut self, key: &str, value: i64) -> &mut Self {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Writes a `"key": <unsigned>` field, or `"key": null` for `None`.
+    pub fn field_opt_u64(&mut self, key: &str, value: Option<u64>) -> &mut Self {
+        match value {
+            Some(v) => self.field_u64(key, v),
+            None => {
+                self.key(key);
+                self.out.push_str("null");
+                self
+            }
+        }
     }
 
     /// Writes a `"key": <float>` field.
     pub fn field_f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&format!("\"{key}\": {value}"));
+        self.key(key);
+        let _ = write!(self.out, "{value}");
         self
     }
 
-    /// Writes a `"key": "value"` field with escaping.
+    /// Writes a `"key": "value"` field.
     pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&format!("\"{key}\": {}", escape(value)));
+        self.key(key);
+        push_escaped(&mut self.out, value);
         self
     }
 
     /// Writes a `"key": true|false` field.
     pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&format!("\"{key}\": {value}"));
+        self.key(key);
+        let _ = write!(self.out, "{value}");
         self
     }
 
     /// Writes a bare unsigned array element.
     pub fn item_u64(&mut self, value: u64) -> &mut Self {
         self.before_item();
-        self.out.push_str(&value.to_string());
-        self
-    }
-
-    /// Writes a bare string array element.
-    pub fn item_str(&mut self, value: &str) -> &mut Self {
-        self.before_item();
-        self.out.push_str(&escape(value));
+        let _ = write!(self.out, "{value}");
         self
     }
 
@@ -401,22 +456,34 @@ impl JsonWriter {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Returns `s` as a quoted JSON string literal.
+#[must_use]
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_escaped(&mut out, s);
+    out
+}
+
+fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if u32::from(c) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", u32::from(c));
+                }
+                c => out.push(c),
+            }
         }
+    } else {
+        out.push_str(s);
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -427,16 +494,28 @@ mod tests {
     fn writer_matches_pretty_layout() {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_u64("clips", 3);
+        w.field_u64("clips", 3).field_i64("skew", -2).field_opt_u64("top", None);
         w.begin_named_array("pair");
         w.item_u64(1).item_u64(2);
         w.end_array();
+        w.begin_named_object("empty");
+        w.end_object();
         w.end_object();
         let json = w.finish();
-        assert!(json.contains("\"clips\": 3"), "{json}");
+        assert_eq!(
+            json,
+            "{\n  \"clips\": 3,\n  \"skew\": -2,\n  \"top\": null,\n  \"pair\": [\n    1,\n    2\n  ],\n  \"empty\": {}\n}"
+        );
         let v = parse(&json).unwrap();
         assert_eq!(v.get("clips").and_then(JsonValue::as_u64), Some(3));
         assert_eq!(v.get("pair").and_then(JsonValue::as_arr).map(<[JsonValue]>::len), Some(2));
+    }
+
+    #[test]
+    fn escape_handles_controls() {
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape("plain"), "\"plain\"");
     }
 
     #[test]
@@ -452,7 +531,7 @@ mod tests {
         // Regression for the `.expect("ascii slice")` / `.expect("non-
         // empty")` sites this replaced: every degenerate number or
         // string shape must come back as a JsonError, never a panic.
-        for bad in ["-", "1e+e+", "--3", "[1,", "\"abc", "\"ab\\", "{\"k\""] {
+        for bad in ["-", "1e+e+", "--3", "[1,", "\"abc", "\"ab\\", "{\"k\"", "\"\\u12"] {
             let err = parse(bad).unwrap_err();
             assert!(!err.message.is_empty(), "input {bad:?} must yield a message");
         }
@@ -464,5 +543,26 @@ mod tests {
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("a\"b\n"));
         let arr = v.get("arr").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(arr[1].get("x").and_then(JsonValue::as_f64), Some(-2.5));
+    }
+
+    #[test]
+    fn fields_demand_the_exact_key_sequence() {
+        let v = parse(r#"{"a": 1, "b": 2}"#).unwrap();
+        let [a, b] = v.fields(["a", "b"]).unwrap();
+        assert_eq!((a.as_u64(), b.as_u64()), (Some(1), Some(2)));
+        assert_eq!(v.fields(["b", "a"]), None, "reordered");
+        assert_eq!(v.fields(["a"]), None, "extra key");
+        assert_eq!(v.fields(["a", "b", "c"]), None, "missing key");
+        assert_eq!(parse("[1]").unwrap().fields(["a"]), None, "not an object");
+    }
+
+    #[test]
+    fn as_u64_reads_digits_only() {
+        let num = |text: &str| parse(text).unwrap();
+        assert_eq!(num("18446744073709551615").as_u64(), Some(u64::MAX));
+        for text in ["18446744073709551616", "-1", "1.0", "1e3", "-0"] {
+            assert_eq!(num(text).as_u64(), None, "{text}");
+        }
+        assert_eq!(num("1e3").as_f64(), Some(1000.0));
     }
 }

@@ -14,6 +14,8 @@
 //!   [`Histogram::quantile_upper_bound`].
 //! * [`wire`] — the single-line JSON wire format bench agent
 //!   processes use to ship their histograms to the orchestrator.
+//! * [`json`] — the workspace's one JSON module: the pretty writer,
+//!   string escaping and the reader every decoder is built on.
 //! * [`Span`] — wall-clock stage timing routed through the single
 //!   D1-allowlisted [`timing`] module. Span durations are *reported
 //!   only* and never enter a snapshot.
@@ -28,6 +30,7 @@
 //! The crate has no dependencies, so every other workspace crate can
 //! embed it without cycles.
 
+pub mod json;
 pub mod merge;
 pub mod registry;
 pub mod snapshot;

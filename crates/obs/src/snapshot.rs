@@ -9,10 +9,11 @@
 //! worker count; the cross-worker test and the golden-file test both
 //! pin that property.
 //!
-//! The JSON encoding is hand-rolled (the crate is dependency-free) in
-//! the same two-space pretty style as `pphcr-core`'s writer, so the
-//! artifact diffs cleanly in CI.
+//! The JSON goes through the crate's one [`JsonWriter`], in the
+//! two-space pretty style of every other artifact, so it diffs cleanly
+//! in CI.
 
+use crate::json::JsonWriter;
 use crate::registry::{Histogram, Registry};
 use crate::trace::{DecisionTrace, DecisionTraceEntry};
 
@@ -105,160 +106,59 @@ impl ObsSnapshot {
     /// Stable pretty-JSON encoding of the snapshot.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        self.write_counters(&mut out);
-        self.write_gauges(&mut out);
-        self.write_histograms(&mut out);
-        self.write_trace(&mut out);
-        out.push_str("}\n");
-        out
-    }
-
-    fn write_counters(&self, out: &mut String) {
-        write_scalar_map(out, 1, "counters", self.counters.iter().map(|(k, v)| (k, v.to_string())));
-        out.push_str(",\n");
-    }
-
-    fn write_gauges(&self, out: &mut String) {
-        write_scalar_map(out, 1, "gauges", self.gauges.iter().map(|(k, v)| (k, v.to_string())));
-        out.push_str(",\n");
-    }
-
-    fn write_histograms(&self, out: &mut String) {
-        push_indent(out, 1);
-        out.push_str("\"histograms\": ");
-        if self.histograms.is_empty() {
-            out.push_str("{}");
-        } else {
-            out.push_str("{\n");
-            for (i, (name, h)) in self.histograms.iter().enumerate() {
-                push_indent(out, 2);
-                out.push('"');
-                out.push_str(&escape(name));
-                out.push_str("\": {\n");
-                push_indent(out, 3);
-                out.push_str(&format!("\"count\": {},\n", h.count));
-                push_indent(out, 3);
-                out.push_str(&format!("\"sum\": {},\n", h.sum));
-                write_scalar_map(
-                    out,
-                    3,
-                    "buckets",
-                    h.buckets.iter().map(|(b, c)| (format!("b{b}"), c.to_string())),
-                );
-                out.push('\n');
-                push_indent(out, 2);
-                out.push('}');
-                out.push_str(if i + 1 < self.histograms.len() { ",\n" } else { "\n" });
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.begin_named_object("counters");
+        for (name, value) in &self.counters {
+            w.field_u64(name, *value);
+        }
+        w.end_object();
+        w.begin_named_object("gauges");
+        for (name, value) in &self.gauges {
+            w.field_i64(name, *value);
+        }
+        w.end_object();
+        w.begin_named_object("histograms");
+        for (name, h) in &self.histograms {
+            w.begin_named_object(name);
+            w.field_u64("count", h.count).field_u64("sum", h.sum);
+            w.begin_named_object("buckets");
+            for (bucket, count) in &h.buckets {
+                w.field_u64(&format!("b{bucket}"), *count);
             }
-            push_indent(out, 1);
-            out.push('}');
+            w.end_object();
+            w.end_object();
         }
-        out.push_str(",\n");
-    }
-
-    fn write_trace(&self, out: &mut String) {
-        push_indent(out, 1);
-        out.push_str("\"trace\": {\n");
-        push_indent(out, 2);
-        out.push_str(&format!("\"capacity\": {},\n", self.trace_capacity));
-        push_indent(out, 2);
-        out.push_str(&format!("\"dropped\": {},\n", self.trace_dropped));
-        push_indent(out, 2);
-        out.push_str("\"entries\": ");
-        if self.trace.is_empty() {
-            out.push_str("[]\n");
-        } else {
-            out.push_str("[\n");
-            for (i, e) in self.trace.iter().enumerate() {
-                write_entry(out, 3, e);
-                out.push_str(if i + 1 < self.trace.len() { ",\n" } else { "\n" });
-            }
-            push_indent(out, 2);
-            out.push_str("]\n");
+        w.end_object();
+        w.begin_named_object("trace");
+        w.field_u64("capacity", self.trace_capacity).field_u64("dropped", self.trace_dropped);
+        w.begin_named_array("entries");
+        for e in &self.trace {
+            w.begin_object();
+            w.field_u64("user", e.user)
+                .field_u64("at_s", e.at_s)
+                .field_str("trigger", e.trigger)
+                .field_u64("considered", e.considered)
+                .field_u64("cut_freshness", e.cut_freshness)
+                .field_u64("cut_preference", e.cut_preference)
+                .field_u64("cut_geo", e.cut_geo)
+                .field_u64("cut_heard", e.cut_heard)
+                .field_u64("scored", e.scored)
+                .field_u64("scheduled", e.scheduled)
+                .field_opt_u64("top_clip", e.top_clip)
+                .field_i64("top_content_micro", e.top_content_micro)
+                .field_i64("top_context_micro", e.top_context_micro)
+                .field_i64("top_total_micro", e.top_total_micro)
+                .field_str("verdict", e.verdict.as_str());
+            w.end_object();
         }
-        push_indent(out, 1);
-        out.push_str("}\n");
+        w.end_array();
+        w.end_object();
+        w.end_object();
+        let mut doc = w.finish();
+        doc.push('\n');
+        doc
     }
-}
-
-fn write_entry(out: &mut String, indent: usize, e: &DecisionTraceEntry) {
-    push_indent(out, indent);
-    out.push_str("{\n");
-    let fields: Vec<(&str, String)> = vec![
-        ("user", e.user.to_string()),
-        ("at_s", e.at_s.to_string()),
-        ("trigger", format!("\"{}\"", escape(e.trigger))),
-        ("considered", e.considered.to_string()),
-        ("cut_freshness", e.cut_freshness.to_string()),
-        ("cut_preference", e.cut_preference.to_string()),
-        ("cut_geo", e.cut_geo.to_string()),
-        ("cut_heard", e.cut_heard.to_string()),
-        ("scored", e.scored.to_string()),
-        ("scheduled", e.scheduled.to_string()),
-        ("top_clip", e.top_clip.map_or_else(|| "null".to_string(), |c| c.to_string())),
-        ("top_content_micro", e.top_content_micro.to_string()),
-        ("top_context_micro", e.top_context_micro.to_string()),
-        ("top_total_micro", e.top_total_micro.to_string()),
-        ("verdict", format!("\"{}\"", e.verdict.as_str())),
-    ];
-    for (i, (name, value)) in fields.iter().enumerate() {
-        push_indent(out, indent + 1);
-        out.push_str(&format!("\"{name}\": {value}"));
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    push_indent(out, indent);
-    out.push('}');
-}
-
-/// Writes `"name": { "k": v, … }` (no trailing newline/comma) at
-/// `indent`, with string keys and pre-rendered scalar values.
-fn write_scalar_map<K: AsRef<str>>(
-    out: &mut String,
-    indent: usize,
-    name: &str,
-    items: impl Iterator<Item = (K, String)>,
-) {
-    push_indent(out, indent);
-    out.push_str(&format!("\"{name}\": "));
-    let items: Vec<(K, String)> = items.collect();
-    if items.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    out.push_str("{\n");
-    for (i, (k, v)) in items.iter().enumerate() {
-        push_indent(out, indent + 1);
-        out.push_str(&format!("\"{}\": {}", escape(k.as_ref()), v));
-        out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-    }
-    push_indent(out, indent);
-    out.push('}');
-}
-
-fn push_indent(out: &mut String, level: usize) {
-    for _ in 0..level {
-        out.push_str("  ");
-    }
-}
-
-/// Minimal JSON string escaping (metric names are plain identifiers,
-/// but the encoder must never emit invalid JSON).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -411,11 +311,5 @@ mod tests {
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"histograms\": {}"));
         assert!(json.contains("\"entries\": []"));
-    }
-
-    #[test]
-    fn escape_handles_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -14,13 +14,15 @@
 //! ```
 //!
 //! `buckets` holds `(bucket index, count)` pairs for non-empty buckets
-//! in ascending index order. Decoding validates through
-//! [`Histogram::from_parts`], so a tampered line (bucket counts that
-//! do not sum to `count`, out-of-range indexes) decodes to `None`
-//! rather than a silently-wrong histogram. Merging decoded histograms
+//! in ascending index order. Decoding reads through [`crate::json`]
+//! with the key order fixed and integers digits-only, then validates
+//! through [`Histogram::from_parts`], so a tampered line (bucket
+//! counts that do not sum to `count`, out-of-range indexes) decodes to
+//! `None` rather than a silently-wrong histogram. Merging decoded histograms
 //! is exact integer addition — commutative and associative — which is
 //! what makes per-agent histograms safe to combine in any order.
 
+use crate::json::{self, JsonValue};
 use crate::registry::Histogram;
 use std::fmt::Write as _;
 
@@ -43,102 +45,28 @@ impl Histogram {
 
     /// Decodes a histogram from [`Self::to_wire_json`] output.
     ///
-    /// Tolerates surrounding whitespace but nothing else: unknown
+    /// Tolerates whitespace between tokens but nothing else: unknown
     /// keys, reordered fields, non-integer numbers and inconsistent
     /// bucket totals all return `None`.
     #[must_use]
     pub fn from_wire_json(input: &str) -> Option<Histogram> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-        p.skip_ws();
-        p.consume(b'{')?;
-        p.consume_key("count")?;
-        let count = p.integer()?;
-        p.consume(b',')?;
-        p.consume_key("sum")?;
-        let sum = p.integer()?;
-        p.consume(b',')?;
-        p.consume_key("buckets")?;
-        p.consume(b'[')?;
-        let mut nonzero: Vec<(usize, u64)> = Vec::new();
-        p.skip_ws();
-        if p.peek() != Some(b']') {
-            loop {
-                p.consume(b'[')?;
-                let index = p.integer()?;
-                p.consume(b',')?;
-                let c = p.integer()?;
-                p.consume(b']')?;
-                nonzero.push((usize::try_from(index).ok()?, c));
-                p.skip_ws();
-                match p.peek() {
-                    Some(b',') => {
-                        p.pos += 1;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        p.consume(b']')?;
-        p.consume(b'}')?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return None;
-        }
-        Histogram::from_parts(count, sum, nonzero)
-    }
-}
-
-/// A tiny scanner for exactly the wire layout above.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        Self::from_wire_value(&json::parse(input).ok()?)
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn consume(&mut self, byte: u8) -> Option<()> {
-        self.skip_ws();
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    /// Consumes `"key":`.
-    fn consume_key(&mut self, key: &str) -> Option<()> {
-        self.consume(b'"')?;
-        let rest = self.bytes.get(self.pos..)?;
-        if !rest.starts_with(key.as_bytes()) {
-            return None;
-        }
-        self.pos += key.len();
-        self.consume(b'"')?;
-        self.consume(b':')
-    }
-
-    /// Consumes a non-negative decimal integer, rejecting overflow.
-    fn integer(&mut self) -> Option<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        // Digits only, so from_utf8 cannot fail; parse rejects overflow.
-        std::str::from_utf8(&self.bytes[start..self.pos]).ok()?.parse().ok()
+    /// Decodes a histogram from an already-parsed wire object, as
+    /// embedded in a larger document.
+    #[must_use]
+    pub fn from_wire_value(value: &JsonValue) -> Option<Histogram> {
+        let [count, sum, buckets] = value.fields(["count", "sum", "buckets"])?;
+        let nonzero = buckets
+            .as_arr()?
+            .iter()
+            .map(|pair| match pair.as_arr()? {
+                [index, c] => Some((usize::try_from(index.as_u64()?).ok()?, c.as_u64()?)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Histogram::from_parts(count.as_u64()?, sum.as_u64()?, nonzero)
     }
 }
 
