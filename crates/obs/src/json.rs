@@ -15,9 +15,14 @@
 //!   literal text, so a decoder can demand an exact key sequence
 //!   ([`JsonValue::fields`]) and read a `u64` without an `f64` detour
 //!   that would round a saturated histogram sum
-//!   ([`JsonValue::as_u64`]).
+//!   ([`JsonValue::as_u64`]). Nesting is bounded by [`MAX_DEPTH`], so
+//!   no input can overflow the stack.
 
 use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. Every
+/// document the platform writes nests at most six levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,9 +129,10 @@ impl std::error::Error for JsonError {}
 /// Parses a JSON document, tolerating whitespace between tokens.
 ///
 /// # Errors
-/// Returns a [`JsonError`] describing the first malformed construct.
+/// Returns a [`JsonError`] describing the first malformed construct,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -139,6 +145,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,8 +179,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -543,6 +558,18 @@ mod tests {
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("a\"b\n"));
         let arr = v.get("arr").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(arr[1].get("x").and_then(JsonValue::as_f64), Some(-2.5));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // 100 000 unclosed brackets overflowed the stack before the
+        // depth limit; now they are an ordinary error.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{{\"k\": {at_limit}}}");
+        assert!(parse(&over).is_err());
     }
 
     #[test]
