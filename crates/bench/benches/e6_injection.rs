@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pphcr_catalog::{CategoryId, ClipKind, ServiceIndex};
-use pphcr_core::{Engine, EngineConfig};
+use pphcr_core::{Engine, EngineConfig, TickRequest};
 use pphcr_geo::{TimePoint, TimeSpan};
 use pphcr_sim::experiments::e6_injection;
 use pphcr_userdata::{AgeBand, UserId, UserProfile};
@@ -44,7 +44,7 @@ fn bench_e6(c: &mut Criterion) {
         b.iter(|| {
             t = t.advance(TimeSpan::seconds(30));
             engine.inject(UserId(1), clip, t, "bench").unwrap();
-            black_box(engine.tick(UserId(1), t))
+            black_box(engine.run_tick(&TickRequest::single(&UserId(1), t)))
         });
     });
 

@@ -276,7 +276,7 @@ impl Dashboard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, TickRequest};
     use pphcr_catalog::{CategoryId, ClipKind, ServiceIndex};
     use pphcr_geo::TimeSpan;
     use pphcr_trajectory::GpsFix;
@@ -358,7 +358,7 @@ mod tests {
     fn observability_panel_summarizes_counters() {
         let mut e = engine_with_user();
         let t = TimePoint::at(0, 9, 0, 0);
-        e.tick(UserId(1), t).expect("registered");
+        e.run_tick(&TickRequest::single(&UserId(1), t)).expect("registered");
         let view = Dashboard::observability(&e);
         assert_eq!(view.health, HealthCounts { healthy: 1, degraded: 0, broadcast_only: 0 });
         assert!(

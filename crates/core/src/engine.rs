@@ -105,7 +105,7 @@ pub struct EngineConfig {
     /// A fix older than this at prediction time counts as a stale
     /// mobility input (lossy Tracking topic).
     pub stale_fix_after: TimeSpan,
-    /// Worker threads for [`Engine::tick_batch`]'s speculative
+    /// Worker threads for a batch [`Engine::run_tick`]'s speculative
     /// candidate-scoring phase. `1` disables threading.
     pub worker_threads: usize,
     /// Observability master switch: `false` swaps in a no-op registry
@@ -363,8 +363,8 @@ pub(crate) struct CachedCandidates {
     pub(crate) warmed_at: u64,
 }
 
-/// One consolidated engine-step request: the single entry point behind
-/// the historical `tick` / `tick_batch` / `tick_batch_with` wrappers.
+/// One engine-step request for [`Engine::run_tick`], the single tick
+/// entry point.
 #[derive(Debug, Clone)]
 pub struct TickRequest<'a> {
     /// Listeners to step, in order.
@@ -373,9 +373,8 @@ pub struct TickRequest<'a> {
     pub now: TimePoint,
     /// Run the shared batch preamble (bus clock advance, telemetry
     /// pump, parallel candidate-cache warm) once before the sequential
-    /// user loop. `false` reproduces the historical single-user
-    /// [`Engine::tick`] bit-exactly: each user's step performs its own
-    /// clock advance and pumps.
+    /// user loop. `false` steps each user on its own: each user's step
+    /// performs its own clock advance and pumps.
     pub batch: bool,
     /// Worker threads for the warm phase; `None` uses
     /// [`EngineConfig::worker_threads`]. Ignored unless `batch`.
@@ -383,14 +382,13 @@ pub struct TickRequest<'a> {
 }
 
 impl<'a> TickRequest<'a> {
-    /// A single-listener step (the historical [`Engine::tick`]).
+    /// A single-listener step.
     #[must_use]
     pub fn single(user: &'a UserId, now: TimePoint) -> Self {
         TickRequest { users: std::slice::from_ref(user), now, batch: false, workers: None }
     }
 
-    /// A population step with the shared preamble and warm phase (the
-    /// historical [`Engine::tick_batch`]).
+    /// A population step with the shared preamble and warm phase.
     #[must_use]
     pub fn batch(users: &'a [UserId], now: TimePoint) -> Self {
         TickRequest { users, now, batch: true, workers: None }
@@ -1201,19 +1199,6 @@ impl Engine {
         ctx
     }
 
-    /// One engine step for a listener.
-    ///
-    /// **Deprecated-style wrapper**: prefer [`Engine::run_tick`] with
-    /// [`TickRequest::single`], which also returns the tick's
-    /// observability deltas. Kept for the existing call sites.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] if the listener was never
-    /// registered (same contract as the batch path).
-    pub fn tick(&mut self, user: UserId, now: TimePoint) -> Result<Vec<EngineEvent>, EngineError> {
-        self.run_tick(&TickRequest::single(&user, now))
-    }
-
     /// The single-user step body: advance the player, learn from its
     /// events, send editorial injections and proactive schedules as
     /// acknowledged deliveries over the bus, and sweep the retry
@@ -1326,45 +1311,9 @@ impl Engine {
         out
     }
 
-    /// One engine step for a whole population, sharing the telemetry
-    /// pump and warming contexts + candidate lists with a sharded
-    /// worker pool before the (authoritative) sequential commit loop.
-    ///
-    /// **Deprecated-style wrapper**: prefer [`Engine::run_tick`] with
-    /// [`TickRequest::batch`].
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] for the first unregistered user in
-    /// the batch; nothing is mutated in that case.
-    pub fn tick_batch(
-        &mut self,
-        users: &[UserId],
-        now: TimePoint,
-    ) -> Result<Vec<EngineEvent>, EngineError> {
-        self.run_tick(&TickRequest::batch(users, now))
-    }
-
-    /// [`Self::tick_batch`] with an explicit worker count (`1` runs the
-    /// warm phase inline without spawning).
-    ///
-    /// **Deprecated-style wrapper**: prefer [`Engine::run_tick`] with
-    /// [`TickRequest::batch`] + [`TickRequest::with_workers`].
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] for the first unregistered user in
-    /// the batch; nothing is mutated in that case.
-    pub fn tick_batch_with(
-        &mut self,
-        users: &[UserId],
-        now: TimePoint,
-        workers: usize,
-    ) -> Result<Vec<EngineEvent>, EngineError> {
-        self.run_tick(&TickRequest::batch(users, now).with_workers(workers))
-    }
-
-    /// The consolidated engine step: every historical tick entry point
-    /// is a thin wrapper over this. Returns the events in delivery
-    /// order.
+    /// The engine step, for one listener ([`TickRequest::single`]) or a
+    /// population ([`TickRequest::batch`]). Returns the events in
+    /// delivery order.
     ///
     /// For batch requests the telemetry is drained once for the whole
     /// batch — exactly what the first sequential step would do, so
@@ -2255,7 +2204,9 @@ mod tests {
             Some(CategoryId::new(2)),
         );
         e.inject(UserId(1), clip, t, "try this").unwrap();
-        let events = e.tick(UserId(1), t.advance(TimeSpan::seconds(30))).expect("registered");
+        let events = e
+            .run_tick(&TickRequest::single(&UserId(1), t.advance(TimeSpan::seconds(30))))
+            .expect("registered");
         assert!(events
             .iter()
             .any(|ev| matches!(ev, EngineEvent::InjectionDelivered { clip: c, .. } if *c == clip)));
@@ -2493,11 +2444,13 @@ mod tests {
         let ctx = e.context_for(UserId(1), t);
         // Tick once so tick_seq advances past the warm epoch of the
         // first fill, then fill the cache.
-        let _ = e.tick(UserId(1), t).expect("registered");
+        let _ = e.run_tick(&TickRequest::single(&UserId(1), t)).expect("registered");
         let _ = e.ranked_candidates(UserId(1), &ctx, t);
         assert_eq!(e.obs.counter("candidates.cache_misses"), 1);
         // Next tick: tick_seq moves, the entry does not.
-        let _ = e.tick(UserId(1), t.advance(TimeSpan::seconds(30))).expect("registered");
+        let _ = e
+            .run_tick(&TickRequest::single(&UserId(1), t.advance(TimeSpan::seconds(30))))
+            .expect("registered");
         let hits_before = e.obs.counter("candidates.cross_tick_hit");
         let _ = e.ranked_candidates(UserId(1), &ctx, t.advance(TimeSpan::seconds(30)));
         assert_eq!(e.obs.counter("candidates.cache_misses"), 1, "no new miss");
@@ -2513,16 +2466,16 @@ mod tests {
         let mut e = engine();
         let t = TimePoint::at(0, 9, 0, 0);
         assert_eq!(
-            e.tick_batch(&[UserId(1), UserId(2)], t),
+            e.run_tick(&TickRequest::batch(&[UserId(1), UserId(2)], t)),
             Err(EngineError::UnknownUser(UserId(1)))
         );
         // A mixed batch is rejected before any user ticks.
         e.register_user(profile(1), t);
         assert_eq!(
-            e.tick_batch(&[UserId(1), UserId(2)], t),
+            e.run_tick(&TickRequest::batch(&[UserId(1), UserId(2)], t)),
             Err(EngineError::UnknownUser(UserId(2)))
         );
-        assert!(e.tick_batch(&[UserId(1)], t).expect("registered").is_empty());
+        assert!(e.run_tick(&TickRequest::batch(&[UserId(1)], t)).expect("registered").is_empty());
     }
 
     /// End-to-end proactive flow: a commuter with history starts the
@@ -2597,7 +2550,7 @@ mod tests {
             let now = d8.advance(TimeSpan::seconds(i * 30));
             let frac = i as f64 / 39.0;
             e.record_fix(UserId(1), GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5));
-            let events = e.tick(UserId(1), now).expect("registered");
+            let events = e.run_tick(&TickRequest::single(&UserId(1), now)).expect("registered");
             if events.iter().any(|ev| matches!(ev, EngineEvent::Recommended { .. })) {
                 recommended = true;
                 break;

@@ -19,7 +19,8 @@ use pphcr_catalog::{CategoryId, ClipKind, GeoTag, ServiceIndex};
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::persist::{decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use pphcr_core::{
-    restore_engine, DurableEngine, Engine, EngineConfig, MemWal, PersistError, WalOp, WalRecord,
+    restore_engine, DurableEngine, Engine, EngineConfig, MemWal, PersistError, TickRequest, WalOp,
+    WalRecord,
 };
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
@@ -89,7 +90,7 @@ fn mini_engine() -> Engine {
     for step in 0..6u64 {
         let now = t0.advance(TimeSpan::seconds(120 + step * 30));
         for u in 1..=2u64 {
-            let _ = e.tick(UserId(u), now);
+            let _ = e.run_tick(&TickRequest::single(&UserId(u), now));
         }
     }
     e
@@ -330,7 +331,7 @@ fn fill_trace_ring(e: &mut Engine, user: UserId) {
     for i in 0..12u64 {
         let now = d8.advance(TimeSpan::seconds(i * 30));
         e.record_fix(user, GpsFix::new(drive(home, bearing, i), now, 7.5));
-        e.tick(user, now).expect("registered");
+        e.run_tick(&TickRequest::single(&user, now)).expect("registered");
     }
 }
 
@@ -364,8 +365,8 @@ fn obs_state_survives_restore_and_ring_rearms() {
     for step in 0..10u64 {
         let now = t1.advance(TimeSpan::seconds(step * 30));
         for u in 1..=3u64 {
-            let a = original.tick(UserId(u), now).expect("registered");
-            let b = restored.tick(UserId(u), now).expect("registered");
+            let a = original.run_tick(&TickRequest::single(&UserId(u), now)).expect("registered");
+            let b = restored.run_tick(&TickRequest::single(&UserId(u), now)).expect("registered");
             assert_eq!(a, b, "post-restore events diverged at step {step}");
         }
     }

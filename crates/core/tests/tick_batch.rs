@@ -1,11 +1,11 @@
-//! Batch-tick equivalence: `Engine::tick_batch` must emit a
+//! Batch-tick equivalence: a batch `Engine::run_tick` must emit a
 //! bit-identical event stream to ticking each user sequentially, for
 //! any worker count. The parallel phase is pure memoization, so this
 //! holds by construction — these tests pin the construction down.
 
 use pphcr_audio::clip::ClipId;
 use pphcr_catalog::{CategoryId, ClipKind};
-use pphcr_core::{CacheQuanta, Engine, EngineConfig, EngineEvent, PlayerEvent};
+use pphcr_core::{CacheQuanta, Engine, EngineConfig, EngineEvent, PlayerEvent, TickRequest};
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -128,7 +128,7 @@ fn tick_batch_matches_sequential_ticks_across_worker_counts() {
     let reference = run_day8(&mut sequential, n, |e, users, now| {
         let mut evs = Vec::new();
         for &u in users {
-            evs.extend(e.tick(u, now).expect("registered"));
+            evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered"));
         }
         evs
     });
@@ -139,11 +139,11 @@ fn tick_batch_matches_sequential_ticks_across_worker_counts() {
     for workers in [1usize, 2, 8] {
         let mut batched = commuter_engine(n);
         let events = run_day8(&mut batched, n, |e, users, now| {
-            e.tick_batch_with(users, now, workers).expect("registered")
+            e.run_tick(&TickRequest::batch(users, now).with_workers(workers)).expect("registered")
         });
         assert_eq!(
             events, reference,
-            "tick_batch with {workers} workers diverged from sequential ticks"
+            "batch tick with {workers} workers diverged from sequential ticks"
         );
     }
 }
@@ -155,13 +155,14 @@ fn tick_batch_default_workers_matches_sequential() {
     let reference = run_day8(&mut sequential, n, |e, users, now| {
         let mut evs = Vec::new();
         for &u in users {
-            evs.extend(e.tick(u, now).expect("registered"));
+            evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered"));
         }
         evs
     });
     let mut batched = commuter_engine(n);
-    let events =
-        run_day8(&mut batched, n, |e, users, now| e.tick_batch(users, now).expect("registered"));
+    let events = run_day8(&mut batched, n, |e, users, now| {
+        e.run_tick(&TickRequest::batch(users, now)).expect("registered")
+    });
     assert_eq!(events, reference);
 }
 
@@ -215,7 +216,9 @@ fn churn_window(workers: usize) -> (Vec<EngineEvent>, String, u64) {
         if i == 9 {
             events.extend(e.skip(UserId(3), now));
         }
-        events.extend(e.tick_batch_with(&users, now, workers).expect("registered"));
+        events.extend(
+            e.run_tick(&TickRequest::batch(&users, now).with_workers(workers)).expect("registered"),
+        );
     }
     let hits = e.obs().counter("candidates.cross_tick_hit");
     (events, e.obs_snapshot().to_json(), hits)

@@ -728,7 +728,7 @@ pub fn e6_injection(seed: u64) -> E6Report {
     let mut ticks = 0;
     for i in 1..=5u32 {
         let now = t0.advance(TimeSpan::seconds(u64::from(i) * 10));
-        let events = engine.tick(UserId(1), now).unwrap_or_default();
+        let events = engine.run_tick(&TickRequest::single(&UserId(1), now)).unwrap_or_default();
         if let Some(EngineEvent::InjectionDelivered { hops: h, .. }) =
             events.iter().find(|e| matches!(e, EngineEvent::InjectionDelivered { .. }))
         {

@@ -5,7 +5,7 @@
 //! Run with `cargo run --example editorial_dashboard`.
 
 use pphcr::catalog::{CategoryId, ClipKind, Gazetteer, ServiceIndex};
-use pphcr::core::{Dashboard, Engine, EngineConfig, PlaybackMode};
+use pphcr::core::{Dashboard, Engine, EngineConfig, PlaybackMode, TickRequest};
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::trajectory::GpsFix;
 use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -97,8 +97,9 @@ fn main() {
         .inject(listener, geo_clip, now, "trial: test geo clip on this listener")
         .expect("valid injection target");
     println!("pending injections now: {}", engine.injections.pending(listener).len());
-    let events =
-        engine.tick(listener, now.advance(TimeSpan::seconds(30))).expect("listener is registered");
+    let events = engine
+        .run_tick(&TickRequest::single(&listener, now.advance(TimeSpan::seconds(30))))
+        .expect("listener is registered");
     for e in &events {
         println!("engine: {e:?}");
     }

@@ -7,7 +7,7 @@
 
 use pphcr::audio::ClipStore;
 use pphcr::catalog::{CategoryId, ClipKind, Programme, ProgrammeId, ServiceIndex};
-use pphcr::core::{Dashboard, Engine, EngineConfig, EngineEvent, ReplacementPlanner};
+use pphcr::core::{Dashboard, Engine, EngineConfig, EngineEvent, ReplacementPlanner, TickRequest};
 use pphcr::geo::time::TimeInterval;
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::trajectory::GpsFix;
@@ -111,7 +111,9 @@ fn main() {
         let now = depart.advance(TimeSpan::seconds(i * 30));
         let frac = i as f64 / 39.0;
         engine.record_fix(lilly, GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5));
-        for event in engine.tick(lilly, now).expect("lilly is registered") {
+        for event in
+            engine.run_tick(&TickRequest::single(&lilly, now)).expect("lilly is registered")
+        {
             match event {
                 EngineEvent::TripPredicted { destination, confidence, delta_t, .. } => {
                     println!("[{now}] trip predicted → stay #{destination} (confidence {confidence:.2}), ΔT = {delta_t}");

@@ -17,7 +17,7 @@ use pphcr::audio::ClipId;
 use pphcr::catalog::{CategoryId, ClipKind, ServiceIndex};
 use pphcr::core::{
     BusMessage, DeadLetterReason, Engine, EngineConfig, EngineEvent, FaultProfile, FaultyTransport,
-    HealthCounts, PlatformSnapshot, Topic, UnicastLink,
+    HealthCounts, PlatformSnapshot, TickRequest, Topic, UnicastLink,
 };
 use pphcr::geo::{TimePoint, TimeSpan};
 use pphcr::userdata::{AgeBand, UserId, UserProfile};
@@ -83,7 +83,8 @@ fn drive(engine: &mut Engine) -> (HashMap<ClipId, u64>, u64) {
             }
         }
         for u in 1..=USERS {
-            for event in engine.tick(UserId(u), now).expect("registered") {
+            for event in engine.run_tick(&TickRequest::single(&UserId(u), now)).expect("registered")
+            {
                 if let EngineEvent::InjectionDelivered { clip, .. } = event {
                     *deliveries.entry(clip).or_default() += 1;
                 }

@@ -7,7 +7,7 @@ use pphcr::audio::source::{AudioSource, LiveSource};
 use pphcr::audio::{ClipId, ClipStore, SampleClock, TimeShiftBuffer};
 use pphcr::catalog::{CategoryId, ClipKind, Schedule, ServiceIndex};
 use pphcr::core::{
-    Engine, EngineConfig, EngineError, HealthCounts, PlaybackMode, ReplacementPlanner,
+    Engine, EngineConfig, EngineError, HealthCounts, PlaybackMode, ReplacementPlanner, TickRequest,
 };
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::sim::population::GpsNoise;
@@ -65,7 +65,7 @@ fn invalid_fix_flood_is_contained() {
     engine.record_fix(user, GpsFix::new(GeoPoint::new(45.07, 7.69), TimePoint(501), 1.0));
     assert_eq!(engine.tracking.total_fixes(), 1);
     // The engine still ticks without a panic.
-    let _ = engine.tick(user, TimePoint(502));
+    let _ = engine.run_tick(&TickRequest::single(&user, TimePoint(502)));
 }
 
 /// Cold start: a brand-new user with no history, no fixes and an empty
@@ -76,13 +76,16 @@ fn cold_start_everything_empty() {
     let mut engine = Engine::new(EngineConfig::default());
     let user = register(&mut engine, 9);
     let now = TimePoint::at(0, 9, 0, 0);
-    assert!(engine.tick(user, now).expect("registered").is_empty());
+    assert!(engine.run_tick(&TickRequest::single(&user, now)).expect("registered").is_empty());
     let events = engine.skip(user, now);
     assert!(events.is_empty(), "nothing to recommend: {events:?}");
     // The player falls back to live, not to a crash.
     assert_eq!(engine.player(user).unwrap().mode(), PlaybackMode::Live);
     // Ticking an unregistered user is a typed rejection, not a panic.
-    assert_eq!(engine.tick(UserId(777), now), Err(EngineError::UnknownUser(UserId(777))));
+    assert_eq!(
+        engine.run_tick(&TickRequest::single(&UserId(777), now)),
+        Err(EngineError::UnknownUser(UserId(777)))
+    );
 }
 
 /// Clip underflow: the queue runs dry mid-session; the player resumes
@@ -102,7 +105,7 @@ fn queue_underflow_resumes_live() {
         Some(CategoryId::new(1)),
     );
     engine.inject(user, clip, now, "seed the queue").unwrap();
-    let _ = engine.tick(user, now.advance(TimeSpan::seconds(10)));
+    let _ = engine.run_tick(&TickRequest::single(&user, now.advance(TimeSpan::seconds(10))));
     engine.advance_player(user, now.advance(TimeSpan::seconds(20))).unwrap();
     assert!(matches!(engine.player(user).unwrap().mode(), PlaybackMode::Clip { .. }));
     // The clip ends; nothing else queued.
@@ -188,7 +191,7 @@ fn erratic_movement_never_triggers() {
                 GpsFix::new(origin.destination(bearing, i as f64 * 300.0), now, 9.0),
             );
             events_seen += engine
-                .tick(user, now)
+                .run_tick(&TickRequest::single(&user, now))
                 .expect("registered")
                 .iter()
                 .filter(|e| matches!(e, pphcr::core::EngineEvent::Recommended { .. }))
@@ -232,7 +235,10 @@ fn unregistered_user_is_total_at_every_entry_point() {
     );
 
     // Typed rejection from the tick path; no-ops everywhere else.
-    assert_eq!(engine.tick(ghost, now), Err(EngineError::UnknownUser(ghost)));
+    assert_eq!(
+        engine.run_tick(&TickRequest::single(&ghost, now)),
+        Err(EngineError::UnknownUser(ghost))
+    );
     assert!(engine.skip(ghost, now).is_empty());
     assert!(engine.heard(ghost).is_empty());
     assert!(engine.player(ghost).is_none());

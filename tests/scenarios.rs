@@ -3,7 +3,7 @@
 //! the public facade only.
 
 use pphcr::catalog::{CategoryId, ClipKind, Programme, ProgrammeId, ServiceIndex};
-use pphcr::core::{Engine, EngineConfig, EngineEvent, PlaybackMode};
+use pphcr::core::{Engine, EngineConfig, EngineEvent, PlaybackMode, TickRequest};
 use pphcr::geo::time::TimeInterval;
 use pphcr::geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr::nlp::{AsrConfig, SimulatedAsr};
@@ -170,7 +170,7 @@ fn lilly_proactive_morning() {
         let now = depart.advance(TimeSpan::seconds(i * 30));
         let frac = i as f64 / 39.0;
         engine.record_fix(lilly, GpsFix::new(home.destination(80.0, frac * 9_000.0), now, 7.5));
-        for ev in engine.tick(lilly, now).expect("registered") {
+        for ev in engine.run_tick(&TickRequest::single(&lilly, now)).expect("registered") {
             if let EngineEvent::Recommended { schedule: s, .. } = ev {
                 schedule = Some(s);
             }
@@ -298,7 +298,7 @@ fn editorial_injection_preempts_organic() {
         Some(CategoryId::new(21)), // a category the user never liked
     );
     engine.inject(user, pushed, now, "from the dashboard").unwrap();
-    let _ = engine.tick(user, now.advance(TimeSpan::seconds(10)));
+    let _ = engine.run_tick(&TickRequest::single(&user, now.advance(TimeSpan::seconds(10))));
     // The injected clip plays before any organic one.
     let events = engine.advance_player(user, now.advance(TimeSpan::seconds(20))).unwrap();
     assert!(
