@@ -45,7 +45,7 @@ use pphcr_obs::timing::stopwatch;
 use pphcr_shard::{
     commands, run_single, run_single_windowed, tick_heavy, ProcessShard, Router, SingleRun,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn env_or(key: &str, default: &str) -> String {
@@ -78,7 +78,7 @@ struct Row {
 /// `shards`-process deployment. Pass an empty `setup` to time the
 /// whole script.
 fn run_once(
-    bin: &PathBuf,
+    bin: &Path,
     setup: &[pphcr_core::EngineCommand],
     window: &[pphcr_core::EngineCommand],
     shards: usize,

@@ -87,7 +87,7 @@ fn orchestrator_merges_two_agents_into_summary_json() {
         assert_eq!(s.get("agents").and_then(|v| v.as_u64()), Some(2), "{suite}/{name}");
         assert_eq!(
             Some(&ops),
-            expected.get(&(suite.clone(), name.clone())).as_deref(),
+            expected.get(&(suite.clone(), name.clone())),
             "merged ops for {suite}/{name} must equal the sum of the agents'"
         );
         assert_eq!(s.get("hist_count").and_then(|v| v.as_u64()), Some(ops), "{suite}/{name}");

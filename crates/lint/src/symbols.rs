@@ -199,11 +199,7 @@ impl SymbolIndex {
             // (trait method signature, `mod name;`, `fn` in a macro).
             for c in code.chars() {
                 match c {
-                    ';' => {
-                        if !matches!(pending, Pending::None) {
-                            pending = Pending::None;
-                        }
-                    }
+                    ';' => pending = Pending::None,
                     '{' => {
                         let scope = match std::mem::replace(&mut pending, Pending::None) {
                             Pending::None => Scope::Block,

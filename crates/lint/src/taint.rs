@@ -11,7 +11,7 @@
 //! `snapshot_engine`, `restore_engine`, `Bus` delivery, recommender
 //! scoring). A single breadth-first search from all roots yields, for
 //! every reachable sin, the *shortest witness chain*
-//! `root → callee → … → offending line` with a file:line per hop,
+//! `root → callee → … → offending line` with a `file:line` per hop,
 //! which is reported verbatim in diagnostics and `LINT_REPORT.json`.
 //!
 //! Suppression is two-level, and stale pragmas stay hard errors:
