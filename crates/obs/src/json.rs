@@ -409,38 +409,35 @@ impl JsonWriter {
         self.close(']')
     }
 
-    /// Writes a `"key": <unsigned>` field.
-    pub fn field_u64(&mut self, key: &str, value: u64) -> &mut Self {
+    /// Writes a `"key": value` field from the value's `Display` text.
+    fn field(&mut self, key: &str, value: impl fmt::Display) -> &mut Self {
         self.key(key);
         // Writing to a String cannot fail.
         let _ = write!(self.out, "{value}");
         self
     }
 
+    /// Writes a `"key": <unsigned>` field.
+    pub fn field_u64(&mut self, key: &str, value: u64) -> &mut Self {
+        self.field(key, value)
+    }
+
     /// Writes a `"key": <signed>` field.
     pub fn field_i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.out, "{value}");
-        self
+        self.field(key, value)
     }
 
     /// Writes a `"key": <unsigned>` field, or `"key": null` for `None`.
     pub fn field_opt_u64(&mut self, key: &str, value: Option<u64>) -> &mut Self {
         match value {
-            Some(v) => self.field_u64(key, v),
-            None => {
-                self.key(key);
-                self.out.push_str("null");
-                self
-            }
+            Some(v) => self.field(key, v),
+            None => self.field(key, "null"),
         }
     }
 
     /// Writes a `"key": <float>` field.
     pub fn field_f64(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.out, "{value}");
-        self
+        self.field(key, value)
     }
 
     /// Writes a `"key": "value"` field.
@@ -452,9 +449,7 @@ impl JsonWriter {
 
     /// Writes a `"key": true|false` field.
     pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.out, "{value}");
-        self
+        self.field(key, value)
     }
 
     /// Writes a bare unsigned array element.
@@ -562,8 +557,8 @@ mod tests {
 
     #[test]
     fn nesting_is_bounded() {
-        // 100 000 unclosed brackets overflowed the stack before the
-        // depth limit; now they are an ordinary error.
+        // Without the limit, recursion on 100 000 unclosed brackets
+        // overflows the stack and aborts the process.
         let err = parse(&"[".repeat(100_000)).unwrap_err();
         assert_eq!(err.offset, MAX_DEPTH);
         let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
