@@ -342,6 +342,11 @@ mod tests {
         quoted.scenarios[0].name = "say \"hi\" \\ bye".into();
         let back = AgentSummary::from_line_json(&quoted.to_line_json()).expect("escaped label");
         assert_eq!(back, quoted);
+        // A long label decodes in time linear in its length.
+        let mut long = sample_summary(5);
+        long.scenarios[1].name = "long label é ".repeat(50_000);
+        let back = AgentSummary::from_line_json(&long.to_line_json()).expect("long label");
+        assert_eq!(back, long);
         // Empty scenario lists are legal (an agent that ran nothing).
         let empty = AgentSummary { agent: 1, seed: 9, scenarios: Vec::new() };
         assert_eq!(AgentSummary::from_line_json(&empty.to_line_json()), Some(empty));

@@ -132,18 +132,19 @@ impl std::error::Error for JsonError {}
 /// Returns a [`JsonError`] describing the first malformed construct,
 /// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { input, pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.input.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
+    /// Byte offset of the next token; always on a character boundary.
     pos: usize,
     /// Arrays and objects open around the current position.
     depth: usize,
@@ -155,11 +156,11 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn rest(&self) -> &[u8] {
-        self.bytes.get(self.pos..).unwrap_or_default()
+    fn rest(&self) -> &str {
+        self.input.get(self.pos..).unwrap_or_default()
     }
 
     fn skip_ws(&mut self) {
@@ -198,7 +199,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.rest().starts_with(text.as_bytes()) {
+        if self.rest().starts_with(text) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -217,9 +218,8 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = self
-            .bytes
+            .input
             .get(start..self.pos)
-            .and_then(|b| std::str::from_utf8(b).ok())
             .filter(|t| t.parse::<f64>().is_ok())
             .ok_or_else(|| self.err("malformed number"))?;
         Ok(JsonValue::Num(text.to_string()))
@@ -250,9 +250,8 @@ impl Parser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let code = self
-                                .bytes
+                                .input
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|b| std::str::from_utf8(b).ok())
                                 .and_then(|hex| u32::from_str_radix(hex, 16).ok())
                                 .ok_or_else(|| self.err("bad unicode escape"))?;
                             self.pos += 4;
@@ -263,8 +262,8 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 code point.
-                    let ch = std::str::from_utf8(self.rest())
-                        .map_err(|_| self.err("invalid utf-8"))?
+                    let ch = self
+                        .rest()
                         .chars()
                         .next()
                         .ok_or_else(|| self.err("unterminated string"))?;
