@@ -475,22 +475,18 @@ pub fn escape(s: &str) -> String {
 
 fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if u32::from(c) < 0x20 => {
-                    let _ = write!(out, "\\u{:04x}", u32::from(c));
-                }
-                c => out.push(c),
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
             }
+            c => out.push(c),
         }
-    } else {
-        out.push_str(s);
     }
     out.push('"');
 }
