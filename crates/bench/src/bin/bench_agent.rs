@@ -1,60 +1,43 @@
-//! One bench-harness agent process. Spawned by `pphcr-bench`, runs the
-//! scenario suites against its own private `Engine` and prints exactly
+//! One bench-harness agent process. Spawned by `pphcr-bench`, runs
+//! suites A and B against its own private `Engine` and prints exactly
 //! one line of JSON — the `AgentSummary` wire form — to stdout.
 //! Progress chatter goes to stderr so stdout stays machine-readable.
 //!
-//! Environment overrides (all optional):
-//! * `AGENT_ID` — agent index reported in the summary, default 0.
-//! * `AGENT_SEED` — seed for the stochastic suite, default 42.
-//! * `AGENT_SUITES` — which suites to run: `ab`, `a` or `b`, default `ab`.
-//! * `AGENT_USERS` — fleet size, default 200.
-//! * `AGENT_CLIPS` — retrieval archive size, default 2000.
-//! * `AGENT_TICKS` — ticks per deterministic scenario, default 50.
-//! * `AGENT_PASSES` — retrieval passes over the fleet, default 3.
-//! * `AGENT_ARRIVALS` — Poisson arrivals per chaos scenario, default 500.
-//! * `AGENT_RATE_HZ` — Poisson arrival rate, default 8.
-//! * `AGENT_WORKERS` — worker threads for batched ticks, default 2.
+//! The orchestrator passes every field in the environment (see
+//! `pphcr_bench::harness::run_agents`): `AGENT_ID` (index reported in
+//! the summary), `AGENT_SEED`, and the scale `AGENT_USERS`,
+//! `AGENT_CLIPS`, `AGENT_TICKS`, `AGENT_PASSES` and `AGENT_ARRIVALS`.
 
 use pphcr_bench::harness::{AgentScenario, AgentSummary};
-use pphcr_sim::scenarios::{run_suites, suite_a, suite_b, ScenarioSpec};
+use pphcr_sim::scenarios::{run_suites, ScenarioSpec};
 use std::process::ExitCode;
 
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
+fn field<T: std::str::FromStr>(key: &str) -> Result<T, String> {
+    let text = std::env::var(key).map_err(|_| format!("{key} is not set"))?;
+    text.parse().map_err(|_| format!("{key}={text:?} does not parse"))
 }
 
 fn main() -> ExitCode {
-    let agent: u64 = env_or("AGENT_ID", "0").parse().expect("AGENT_ID");
-    let suites = env_or("AGENT_SUITES", "ab");
-    let defaults = ScenarioSpec::default();
-    let spec = ScenarioSpec {
-        users: env_or("AGENT_USERS", &defaults.users.to_string()).parse().expect("AGENT_USERS"),
-        clips: env_or("AGENT_CLIPS", &defaults.clips.to_string()).parse().expect("AGENT_CLIPS"),
-        ticks: env_or("AGENT_TICKS", &defaults.ticks.to_string()).parse().expect("AGENT_TICKS"),
-        retrieval_passes: env_or("AGENT_PASSES", &defaults.retrieval_passes.to_string())
-            .parse()
-            .expect("AGENT_PASSES"),
-        arrivals: env_or("AGENT_ARRIVALS", &defaults.arrivals.to_string())
-            .parse()
-            .expect("AGENT_ARRIVALS"),
-        rate_hz: env_or("AGENT_RATE_HZ", &defaults.rate_hz.to_string())
-            .parse()
-            .expect("AGENT_RATE_HZ"),
-        workers: env_or("AGENT_WORKERS", &defaults.workers.to_string())
-            .parse()
-            .expect("AGENT_WORKERS"),
-        seed: env_or("AGENT_SEED", &defaults.seed.to_string()).parse().expect("AGENT_SEED"),
+    let fields = || -> Result<(u64, ScenarioSpec), String> {
+        let spec = ScenarioSpec {
+            users: field("AGENT_USERS")?,
+            clips: field("AGENT_CLIPS")?,
+            ticks: field("AGENT_TICKS")?,
+            retrieval_passes: field("AGENT_PASSES")?,
+            arrivals: field("AGENT_ARRIVALS")?,
+            seed: field("AGENT_SEED")?,
+        };
+        Ok((field("AGENT_ID")?, spec))
     };
-    eprintln!("agent {agent}: suites '{suites}' seed {} users {}", spec.seed, spec.users);
-    let reports = match suites.as_str() {
-        "a" => suite_a(&spec),
-        "b" => suite_b(&spec),
-        "ab" => run_suites(&spec),
-        other => {
-            eprintln!("agent {agent}: unknown AGENT_SUITES {other:?} (use a, b or ab)");
+    let (agent, spec) = match fields() {
+        Ok(fields) => fields,
+        Err(e) => {
+            eprintln!("bench_agent: {e}");
             return ExitCode::FAILURE;
         }
     };
+    eprintln!("agent {agent}: seed {} users {}", spec.seed, spec.users);
+    let reports = run_suites(&spec);
     for r in &reports {
         eprintln!("agent {agent}: {r}");
     }

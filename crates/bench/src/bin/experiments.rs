@@ -1,5 +1,6 @@
-//! Prints every experiment table of `DESIGN.md` (E1–E12) without
-//! Criterion timing noise. `EXPERIMENTS.md` records this output.
+//! Prints every paper experiment table of `DESIGN.md` (E1–E12).
+//! `EXPERIMENTS.md` records this output; the E13 and E16 tables come
+//! from `pphcr-bench`.
 //!
 //! ```text
 //! cargo run -p pphcr-bench --release --bin experiments
@@ -84,15 +85,6 @@ fn main() {
     for row in exp::e12_resilience(5, 4, 42) {
         println!("{row}");
     }
-
-    println!("\n=== E13: retrieval index + sharded batch ticks ===");
-    for row in exp::e13_retrieval(&[(1_000, 200), (10_000, 200)], 42, 2) {
-        println!("{row}");
-    }
-    for row in exp::e13_tick_scaling(12, &[1, 2, 8], 2) {
-        println!("{row}");
-    }
-    println!("{}", exp::e13_obs_overhead(12, 8, 2));
 
     println!("\n{:=<78}", "");
     println!("done.");

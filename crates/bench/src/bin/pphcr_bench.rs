@@ -1,125 +1,84 @@
-//! `pphcr-bench` — the process-based benchmark orchestrator (E15).
+//! `pphcr-bench` — the one CI gate runner.
 //!
-//! Spawns `PPHCR_BENCH_AGENTS` release-built `bench_agent` processes
-//! concurrently, reads one summary line from each agent's stdout,
-//! merges the per-agent log2-bucket histograms losslessly, and writes
-//! `summary.json` with per-suite throughput plus p50/p95/p99 latency
-//! upper bounds. Exits non-zero if an agent fails, a line does not
-//! parse, a merged total disagrees with the sum of the agent totals,
-//! or any tail triple is not finite and ordered.
+//! Runs suites A and B in `bench_agent` processes, then the E13 and
+//! E16 suites in this process, and writes one `summary.json` holding
+//! every result with its gate. Writes the E13 obs-overhead run's
+//! snapshot as `OBS_SNAPSHOT.json` next to it. Exits non-zero if any
+//! gate fails or a process cannot be run.
 //!
-//! Environment overrides (all optional):
-//! * `PPHCR_BENCH_AGENTS` — agent processes to spawn, default 2.
-//! * `PPHCR_BENCH_SEED` — base seed; agent `i` runs with seed
-//!   `base ^ i` so the stochastic suites decorrelate, default 42.
-//! * `PPHCR_BENCH_OUT` — output path, default `summary.json`.
-//! * `PPHCR_BENCH_AGENT_BIN` — path to the agent binary, default the
-//!   `bench_agent` sitting next to this executable.
-//! * `AGENT_*` — scale knobs forwarded to every agent (see
-//!   `bench_agent`'s docs); `AGENT_ID`/`AGENT_SEED` are set per agent.
+//! Environment (all optional):
+//! * `PPHCR_BENCH_SPEC` — `smoke` (CI) or `full` (the committed
+//!   artifact), default `full`.
+//! * `PPHCR_BENCH_OUT` — summary path, default `summary.json`.
+//! * `PPHCR_BENCH_AGENT_BIN` — path to `bench_agent`, default the
+//!   binary next to this executable. `shard_agent` is always taken
+//!   from next to this executable (build `pphcr-shard` first).
 
-use pphcr_bench::harness::{merge_agents, summary_json, AgentSummary};
-use std::process::{Command, ExitCode, Stdio};
+use pphcr_bench::harness::{ab_entries, run_agents};
+use pphcr_bench::summary::summary_json;
+use pphcr_bench::{suites, BenchSpec};
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
-fn env_or(key: &str, default: &str) -> String {
-    std::env::var(key).unwrap_or_else(|_| default.to_string())
-}
-
-fn agent_bin() -> std::path::PathBuf {
-    if let Ok(path) = std::env::var("PPHCR_BENCH_AGENT_BIN") {
-        return path.into();
-    }
+/// The binary called `name` in this executable's directory.
+fn sibling(name: &str) -> PathBuf {
     let mut path = std::env::current_exe().expect("current_exe");
-    path.set_file_name(if cfg!(windows) { "bench_agent.exe" } else { "bench_agent" });
+    path.set_file_name(format!("{name}{}", std::env::consts::EXE_SUFFIX));
     path
 }
 
 fn main() -> ExitCode {
-    let agents: u64 = env_or("PPHCR_BENCH_AGENTS", "2").parse().expect("PPHCR_BENCH_AGENTS");
-    let base_seed: u64 = env_or("PPHCR_BENCH_SEED", "42").parse().expect("PPHCR_BENCH_SEED");
-    let out_path = env_or("PPHCR_BENCH_OUT", "summary.json");
-    let bin = agent_bin();
-    if agents == 0 {
-        eprintln!("FAIL: PPHCR_BENCH_AGENTS must be at least 1");
+    let spec_name = std::env::var("PPHCR_BENCH_SPEC").unwrap_or_else(|_| "full".into());
+    let Some(spec) = BenchSpec::named(&spec_name) else {
+        eprintln!("FAIL: PPHCR_BENCH_SPEC must be smoke or full, not {spec_name:?}");
         return ExitCode::FAILURE;
+    };
+    let out_path = std::env::var("PPHCR_BENCH_OUT").unwrap_or_else(|_| "summary.json".into());
+    let agent_bin = std::env::var_os("PPHCR_BENCH_AGENT_BIN")
+        .map_or_else(|| sibling("bench_agent"), Into::into);
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+
+    println!("=== pphcr-bench: {spec_name} spec, {host_cores} host cores ===");
+    let agents = match run_agents(&agent_bin, &spec.agent) {
+        Ok(agents) => agents,
+        Err(e) => {
+            eprintln!("FAIL: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut entries = ab_entries(&agents);
+    let (e13, snapshot_json) = suites::e13(&spec, host_cores);
+    entries.extend(e13);
+    match suites::e16(&spec, &sibling("shard_agent")) {
+        Ok(e16) => entries.extend(e16),
+        Err(e) => {
+            eprintln!("FAIL: E16 {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
-    println!("=== pphcr-bench: {agents} agent processes via {} ===", bin.display());
-    let mut children = Vec::new();
-    for i in 0..agents {
-        let child = Command::new(&bin)
-            .env("AGENT_ID", i.to_string())
-            .env("AGENT_SEED", (base_seed ^ i).to_string())
-            .stdout(Stdio::piped())
-            .spawn();
-        match child {
-            Ok(child) => children.push((i, child)),
-            Err(err) => {
-                eprintln!("FAIL: could not spawn agent {i} ({}): {err}", bin.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut summaries = Vec::new();
-    for (i, child) in children {
-        let output = child.wait_with_output().expect("wait for agent");
-        if !output.status.success() {
-            eprintln!("FAIL: agent {i} exited with {:?}", output.status.code());
-            return ExitCode::FAILURE;
-        }
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        let Some(summary) = AgentSummary::from_line_json(&stdout) else {
-            eprintln!("FAIL: agent {i} stdout is not a valid summary line: {stdout:?}");
-            return ExitCode::FAILURE;
-        };
-        if summary.agent != i {
-            eprintln!("FAIL: agent {i} reported itself as agent {}", summary.agent);
-            return ExitCode::FAILURE;
-        }
-        summaries.push(summary);
-    }
-
-    let merged = merge_agents(&summaries);
-    if merged.is_empty() {
-        eprintln!("FAIL: agents reported no scenarios");
-        return ExitCode::FAILURE;
-    }
-    for cell in &merged {
-        // The lossless-merge invariant, re-checked across the process
-        // boundary: the merged cell must hold exactly the sum of what
-        // the agents reported, and its tails must be ordered.
-        let agent_total: u64 = summaries
-            .iter()
-            .flat_map(|s| &s.scenarios)
-            .filter(|s| s.suite == cell.suite && s.name == cell.name)
-            .map(|s| s.ops)
-            .sum();
-        if cell.ops != agent_total || cell.hist.count() != agent_total {
-            eprintln!(
-                "FAIL: {}/{} merged {} ops but agents reported {agent_total}",
-                cell.suite, cell.name, cell.ops
-            );
-            return ExitCode::FAILURE;
-        }
-        let Some((p50, p95, p99)) = cell.tails_us() else {
-            eprintln!("FAIL: {}/{} has no samples to take quantiles of", cell.suite, cell.name);
-            return ExitCode::FAILURE;
-        };
-        if !(p50 <= p95 && p95 <= p99) {
-            eprintln!("FAIL: {}/{} tails disordered: {p50} {p95} {p99}", cell.suite, cell.name);
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "suite {} {:<22} agents={} ops={:>8} ops/s={:>10.1} p50<={p50}us p95<={p95}us \
-             p99<={p99}us",
-            cell.suite, cell.name, cell.agents, cell.ops, cell.ops_per_s
-        );
-    }
-
-    let doc = summary_json(&summaries, &merged);
+    let obs_path = Path::new(&out_path).with_file_name("OBS_SNAPSHOT.json");
     // lint: allow(fsync-free-write) — bench artifact, not durable state; loss on crash is fine
-    std::fs::write(&out_path, doc).expect("write summary.json");
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
+    std::fs::write(&obs_path, format!("{snapshot_json}\n")).expect("write OBS_SNAPSHOT.json");
+    // lint: allow(fsync-free-write) — bench artifact, not durable state; loss on crash is fine
+    std::fs::write(&out_path, summary_json(spec.name, host_cores, &agents, &entries))
+        .expect("write summary.json");
+    println!("wrote {out_path} and {}", obs_path.display());
+
+    let mut failed = false;
+    for e in &entries {
+        let gate = e.gate.as_ref().map_or(String::new(), |g| {
+            format!(" {} = {:.3} {} {:.3}", g.metric, g.value, g.cmp.symbol(), g.bound)
+        });
+        println!("{:<4} {:<28} {}{gate}", e.suite, e.name, e.outcome());
+        if !e.passed() {
+            eprintln!("FAIL: {}/{}{gate}", e.suite, e.name);
+            failed = true;
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -4,9 +4,9 @@
 //! byte-identical run, or if the clean-restart full replay diverges.
 //!
 //! Also exercises the real file-backed WAL once per seed: the scripted
-//! workload is logged through a `FileWal` with group commit, the file
-//! is re-scanned from disk, and the decoded records must match the
-//! in-memory log exactly.
+//! workload is logged through a `FileWal`, which fsyncs every record,
+//! the file is re-scanned from disk, and the decoded records must match
+//! the in-memory log exactly.
 //!
 //! Environment overrides (all optional):
 //! * `E14_SEEDS` — comma-separated chaos seeds, default `1,2,3`.
@@ -24,19 +24,17 @@ fn env_or(key: &str, default: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| default.to_string())
 }
 
-/// Logs the scripted workload through a real file-backed WAL (group
-/// commit of 4, force-synced at the end) and checks the bytes on disk
-/// scan back to the same records as the in-memory baseline.
+/// Logs the scripted workload through a real file-backed WAL and checks
+/// the bytes on disk scan back to the same records as the in-memory
+/// baseline.
 fn file_wal_round_trip(seed: u64) -> Result<(), String> {
     let (_, mem_bytes) = run_uninterrupted(seed);
     let path = std::env::temp_dir().join(format!("pphcr-recovery-smoke-{seed}.wal"));
-    let wal = FileWal::with_group_commit(&path, 4).map_err(|e| format!("create wal: {e}"))?;
+    let wal = FileWal::create(&path).map_err(|e| format!("create wal: {e}"))?;
     let mut durable = DurableEngine::new(genesis_engine(seed), wal);
     for op in scripted_ops(seed) {
         durable.apply(op).map_err(|e| format!("durable apply: {e}"))?;
     }
-    let (_, mut wal) = durable.into_parts();
-    wal.force_sync().map_err(|e| format!("force_sync: {e}"))?;
     let disk_bytes = std::fs::read(&path).map_err(|e| format!("read wal back: {e}"))?;
     let _ = std::fs::remove_file(&path);
     if disk_bytes != mem_bytes {

@@ -1,0 +1,260 @@
+//! Every gate `pphcr-bench` enforces, each a pure function of the
+//! measurement it reads. The thresholds are constants: no setting can
+//! move or loosen a gate.
+
+use crate::harness::{AgentSummary, MergedScenario};
+use pphcr_shard::SingleRun;
+use pphcr_sim::experiments::E13ScaleRow;
+
+/// E13: the index's speedup over the scan at the largest archive.
+pub const MIN_RETRIEVAL_SPEEDUP: f64 = 1.0;
+
+/// E13: the widest worker count's speedup over 1 worker at
+/// [`GATE_FLEET`].
+pub const MIN_TICK_SPEEDUP: f64 = 3.0;
+
+/// E13: the fleet the scaling and cross-tick gates read. Larger fleets
+/// still run and land in the summary; the 100k row's lower warm share
+/// is tracked, not gated.
+pub const GATE_FLEET: u64 = 10_000;
+
+/// E13: how much slower than the bare engine the instrumented one may
+/// run, percent.
+pub const MAX_OVERHEAD_PCT: f64 = 3.0;
+
+/// E13: absolute slack on the overhead budget, seconds, so sub-noise
+/// wall times cannot fake a percentage.
+pub const OBS_SLACK_S: f64 = 0.02;
+
+/// Which side of the bound passes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    /// `value >= bound`.
+    AtLeast,
+    /// `value <= bound`.
+    AtMost,
+    /// `value == bound`.
+    Equals,
+}
+
+impl Cmp {
+    /// The operator as the summary prints it.
+    #[must_use]
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Cmp::AtLeast => ">=",
+            Cmp::AtMost => "<=",
+            Cmp::Equals => "==",
+        }
+    }
+}
+
+/// One gate decision: the metric read, its value, the bound it is held
+/// to and the verdict.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// Name of the metric the gate reads.
+    pub metric: &'static str,
+    /// The measured value.
+    pub value: f64,
+    /// Which side of `bound` passes.
+    pub cmp: Cmp,
+    /// The threshold.
+    pub bound: f64,
+    /// Whether the measurement passed.
+    pub pass: bool,
+}
+
+impl Gate {
+    fn check(metric: &'static str, value: f64, cmp: Cmp, bound: f64) -> Gate {
+        let pass = match cmp {
+            Cmp::AtLeast => value >= bound,
+            Cmp::AtMost => value <= bound,
+            Cmp::Equals => value == bound,
+        };
+        Gate { metric, value, cmp, bound, pass }
+    }
+}
+
+/// E13: at the largest archive the production dispatch must not lose to
+/// the linear scan.
+#[must_use]
+pub fn retrieval(speedup: f64) -> Gate {
+    Gate::check("speedup", speedup, Cmp::AtLeast, MIN_RETRIEVAL_SPEEDUP)
+}
+
+/// E13: the scaling floor at [`GATE_FLEET`], from its 1-worker row
+/// `base` and its widest-worker row. On a host with at least as many
+/// cores as `widest.workers` the measured user-ticks/s speedup must
+/// clear the floor. On a narrower host thread counts cannot speed
+/// anything up, so the gate reads the Amdahl bound implied by the base
+/// row's warm share `p`: `1 / ((1 - p) + p / workers)`.
+#[must_use]
+pub fn scaling(base: &E13ScaleRow, widest: &E13ScaleRow, host_cores: usize) -> Gate {
+    if host_cores >= widest.workers {
+        let measured = widest.user_ticks_per_s / base.user_ticks_per_s.max(1e-9);
+        Gate::check("measured_speedup", measured, Cmp::AtLeast, MIN_TICK_SPEEDUP)
+    } else {
+        let p = base.parallel_fraction;
+        let amdahl = 1.0 / ((1.0 - p) + p / widest.workers as f64);
+        Gate::check("amdahl_speedup", amdahl, Cmp::AtLeast, MIN_TICK_SPEEDUP)
+    }
+}
+
+/// E13: at least one ranked list must survive across ticks on the gate
+/// fleet's 1-worker row; a `now`-keyed cache pins this counter at zero.
+#[must_use]
+pub fn cross_tick(hits: u64) -> Gate {
+    Gate::check("cross_tick_hits", hits as f64, Cmp::AtLeast, 1.0)
+}
+
+/// E13: the instrumented window may take at most
+/// `bare × (1 + MAX_OVERHEAD_PCT/100) + OBS_SLACK_S`.
+#[must_use]
+pub fn obs_overhead(bare_s: f64, instrumented_s: f64) -> Gate {
+    let budget_s = bare_s * (1.0 + MAX_OVERHEAD_PCT / 100.0) + OBS_SLACK_S;
+    Gate::check("instrumented_s", instrumented_s, Cmp::AtMost, budget_s)
+}
+
+/// E16: one sharded round matches the single-process run when its
+/// merged event lines and merged obs JSON are byte-identical to it.
+#[must_use]
+pub fn round_identical(run: &SingleRun, baseline: &SingleRun) -> bool {
+    run.lines == baseline.lines && run.obs_json == baseline.obs_json
+}
+
+/// E16: no timed round at a shard count may diverge.
+#[must_use]
+pub fn shard_identity(diverged_rounds: u64) -> Gate {
+    Gate::check("diverged_rounds", diverged_rounds as f64, Cmp::AtMost, 0.0)
+}
+
+/// A/B: a merged cell must hold exactly the sum of what the agents
+/// reported for it, and its p50/p95/p99 must exist and be ordered.
+#[must_use]
+pub fn merged_cell(cell: &MergedScenario, agents: &[AgentSummary]) -> Gate {
+    let agent_total: u64 = agents
+        .iter()
+        .flat_map(|a| &a.scenarios)
+        .filter(|s| s.suite == cell.suite && s.name == cell.name)
+        .map(|s| s.ops)
+        .sum();
+    let ordered = cell.tails_ns().is_some_and(|(p50, p95, p99)| p50 <= p95 && p95 <= p99);
+    Gate {
+        metric: "ops",
+        value: cell.ops as f64,
+        cmp: Cmp::Equals,
+        bound: agent_total as f64,
+        pass: cell.ops == agent_total && cell.hist.count() == agent_total && ordered,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{merge_agents, AgentScenario};
+    use pphcr_obs::Histogram;
+
+    fn row(workers: usize, user_ticks_per_s: f64, parallel_fraction: f64) -> E13ScaleRow {
+        E13ScaleRow {
+            users: GATE_FLEET,
+            workers,
+            ticks: 50,
+            seconds: 1.0,
+            user_ticks_per_s,
+            events: 0,
+            warm_s: parallel_fraction,
+            parallel_fraction,
+            cache_misses: 0,
+            warm_serves: 0,
+            cross_tick_hits: 1,
+        }
+    }
+
+    #[test]
+    fn retrieval_passes_at_parity_and_fails_below() {
+        assert!(retrieval(1.0).pass);
+        assert!(!retrieval(0.999).pass);
+    }
+
+    #[test]
+    fn scaling_reads_the_measured_speedup_on_a_wide_host() {
+        let base = row(1, 100.0, 0.0);
+        let at_floor = scaling(&base, &row(8, 300.0, 0.0), 8);
+        assert_eq!(
+            (at_floor.metric, at_floor.value, at_floor.pass),
+            ("measured_speedup", 3.0, true)
+        );
+        assert!(!scaling(&base, &row(8, 299.0, 0.0), 8).pass);
+    }
+
+    #[test]
+    fn scaling_reads_the_amdahl_bound_on_a_narrow_host() {
+        // The bound reaches 3.0 at p = 16/21 ≈ 0.76190: p = 0.7620
+        // bounds 8 workers to 3.0008x, p = 0.7619 to 2.9999x, whatever
+        // the measured speedup on two cores says.
+        let above = scaling(&row(1, 100.0, 0.7620), &row(8, 100.0, 0.0), 2);
+        assert_eq!((above.metric, above.pass), ("amdahl_speedup", true), "{above:?}");
+        let below = scaling(&row(1, 100.0, 0.7619), &row(8, 1_000.0, 0.0), 2);
+        assert!(!below.pass && below.value > 2.999, "{below:?}");
+    }
+
+    #[test]
+    fn cross_tick_needs_one_surviving_list() {
+        assert!(cross_tick(1).pass);
+        assert!(!cross_tick(0).pass);
+    }
+
+    #[test]
+    fn obs_overhead_passes_at_its_budget_and_fails_just_over() {
+        let bare = 1.7;
+        let budget = bare * 1.03 + 0.020;
+        assert!(obs_overhead(bare, budget).pass);
+        assert!(!obs_overhead(bare, budget + 1e-9).pass);
+    }
+
+    #[test]
+    fn a_round_is_identical_only_when_lines_and_obs_match() {
+        let run = |lines: &[&str], obs_json: &str| SingleRun {
+            lines: lines.iter().map(|l| (*l).to_string()).collect(),
+            obs_json: obs_json.to_string(),
+        };
+        let baseline = run(&["a", "b"], "{}");
+        assert!(round_identical(&run(&["a", "b"], "{}"), &baseline));
+        assert!(!round_identical(&run(&["a", "b "], "{}"), &baseline));
+        assert!(!round_identical(&run(&["a"], "{}"), &baseline));
+        assert!(!round_identical(&run(&["a", "b"], "{}\n"), &baseline));
+        assert!(shard_identity(0).pass);
+        assert!(!shard_identity(1).pass);
+    }
+
+    #[test]
+    fn merged_cell_must_equal_the_agent_sum() {
+        let agent = |id: u64, samples: &[u64]| {
+            let mut hist = Histogram::default();
+            for &v in samples {
+                hist.record(v);
+            }
+            AgentSummary {
+                agent: id,
+                seed: id,
+                scenarios: vec![AgentScenario {
+                    suite: "A".into(),
+                    name: "fan_out".into(),
+                    ops: hist.count(),
+                    elapsed_s: 0.1,
+                    hist,
+                }],
+            }
+        };
+        let agents = [agent(0, &[5, 900]), agent(1, &[70])];
+        let mut cell = merge_agents(&agents).remove(0);
+        let gate = merged_cell(&cell, &agents);
+        assert_eq!((gate.value, gate.bound, gate.pass), (3.0, 3.0, true));
+        cell.ops += 1;
+        assert!(!merged_cell(&cell, &agents).pass, "a total off by one");
+        // A cell with no samples has no tails to order.
+        let empty = [agent(0, &[])];
+        assert!(!merged_cell(&merge_agents(&empty)[0], &empty).pass);
+    }
+}

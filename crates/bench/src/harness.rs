@@ -1,8 +1,9 @@
-//! The process-based bench harness behind the `pphcr-bench` binary.
+//! The agent phase of `pphcr-bench`: suites A and B in separate
+//! processes.
 //!
 //! An in-process benchmark shares its allocator, its warmed caches and
 //! its panic domain with the code it measures; the numbers it prints
-//! inherit all three. This harness spawns each agent as its own
+//! inherit all three. [`run_agents`] spawns each agent as its own
 //! release process (`bench_agent`), lets it run the scenario suites
 //! against a private [`Engine`](pphcr_core::Engine), and reads back one
 //! line of JSON per agent from stdout. Histograms cross the process
@@ -20,9 +21,17 @@
 //! sums), and the embedded histogram decoded by
 //! [`Histogram::from_wire_value`].
 
-use pphcr_obs::json::{self, escape, JsonWriter};
+use crate::gates;
+use crate::summary::Entry;
+use pphcr_obs::json::{self, escape};
 use pphcr_obs::Histogram;
+use pphcr_sim::scenarios::ScenarioSpec;
 use std::fmt::Write as _;
+use std::path::Path;
+use std::process::{Command, Stdio};
+
+/// Agent processes a run spawns.
+pub const AGENTS: u64 = 2;
 
 /// One scenario's result inside an agent summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,7 +44,7 @@ pub struct AgentScenario {
     pub ops: u64,
     /// Scenario wall time in this agent, seconds.
     pub elapsed_s: f64,
-    /// Per-operation latency histogram, microseconds.
+    /// Per-operation latency histogram, nanoseconds.
     pub hist: Histogram,
 }
 
@@ -124,15 +133,15 @@ pub struct MergedScenario {
     pub elapsed_s: f64,
     /// `ops / elapsed_s`.
     pub ops_per_s: f64,
-    /// The merged latency histogram, microseconds.
+    /// The merged latency histogram, nanoseconds.
     pub hist: Histogram,
 }
 
 impl MergedScenario {
     /// The three tail figures the summary reports, as bucket upper
-    /// bounds: `(p50, p95, p99)` in microseconds.
+    /// bounds: `(p50, p95, p99)` in nanoseconds.
     #[must_use]
-    pub fn tails_us(&self) -> Option<(u64, u64, u64)> {
+    pub fn tails_ns(&self) -> Option<(u64, u64, u64)> {
         Some((
             self.hist.quantile_upper_bound(0.50)?,
             self.hist.quantile_upper_bound(0.95)?,
@@ -189,7 +198,7 @@ pub struct SuiteSummary {
     pub elapsed_s: f64,
     /// `ops / elapsed_s`.
     pub ops_per_s: f64,
-    /// All of the suite's latency samples, microseconds.
+    /// All of the suite's latency samples, nanoseconds.
     pub hist: Histogram,
 }
 
@@ -222,55 +231,83 @@ pub fn suite_rollup(merged: &[MergedScenario]) -> Vec<SuiteSummary> {
     suites
 }
 
-/// Renders the pretty `summary.json` document the orchestrator writes.
+/// Spawns [`AGENTS`] `bench_agent` processes from `bin` at `spec`,
+/// agent `i` on seed `spec.seed ^ i` so the stochastic suites
+/// decorrelate, and reads back each one's summary line. Fails if an
+/// agent cannot spawn, exits non-zero, prints anything but a valid
+/// line or reports another agent's index, or if no agent ran a
+/// scenario.
+pub fn run_agents(bin: &Path, spec: &ScenarioSpec) -> Result<Vec<AgentSummary>, String> {
+    let mut children = Vec::new();
+    for i in 0..AGENTS {
+        let child = Command::new(bin)
+            .env("AGENT_ID", i.to_string())
+            .env("AGENT_SEED", (spec.seed ^ i).to_string())
+            .env("AGENT_USERS", spec.users.to_string())
+            .env("AGENT_CLIPS", spec.clips.to_string())
+            .env("AGENT_TICKS", spec.ticks.to_string())
+            .env("AGENT_PASSES", spec.retrieval_passes.to_string())
+            .env("AGENT_ARRIVALS", spec.arrivals.to_string())
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("could not spawn agent {i} ({}): {e}", bin.display()))?;
+        children.push((i, child));
+    }
+    let mut summaries = Vec::new();
+    for (i, child) in children {
+        let output = child.wait_with_output().map_err(|e| format!("wait for agent {i}: {e}"))?;
+        if !output.status.success() {
+            return Err(format!("agent {i} exited with {:?}", output.status.code()));
+        }
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let summary = AgentSummary::from_line_json(&stdout)
+            .ok_or_else(|| format!("agent {i} stdout is not a valid summary line: {stdout:?}"))?;
+        if summary.agent != i {
+            return Err(format!("agent {i} reported itself as agent {}", summary.agent));
+        }
+        summaries.push(summary);
+    }
+    if summaries.iter().all(|s| s.scenarios.is_empty()) {
+        return Err("agents reported no scenarios".into());
+    }
+    Ok(summaries)
+}
+
+/// The A/B entries: one per merged `(suite, name)` cell, held to
+/// [`gates::merged_cell`], then one ungated `all` rollup per suite.
 #[must_use]
-pub fn summary_json(agents: &[AgentSummary], merged: &[MergedScenario]) -> String {
-    let suites = suite_rollup(merged);
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.field_str("bench", "pphcr-bench");
-    w.field_u64("agents", agents.len() as u64);
-    w.begin_named_array("agent_seeds");
-    for a in agents {
-        w.item_u64(a.seed);
-    }
-    w.end_array();
-    w.begin_named_array("suites");
-    for s in &suites {
+pub fn ab_entries(agents: &[AgentSummary]) -> Vec<Entry> {
+    let merged = merge_agents(agents);
+    let mut entries: Vec<Entry> = merged
+        .iter()
+        .map(|m| {
+            let (p50, p95, p99) = tails_or_zero(&m.hist);
+            Entry::new(&m.suite, &m.name)
+                .u64("agents", m.agents)
+                .u64("ops", m.ops)
+                .f64("elapsed_s", m.elapsed_s)
+                .f64("ops_per_s", m.ops_per_s)
+                .u64("p50_ns", p50)
+                .u64("p95_ns", p95)
+                .u64("p99_ns", p99)
+                .u64("hist_count", m.hist.count())
+                .u64("hist_sum_ns", m.hist.sum())
+                .gated(gates::merged_cell(m, agents))
+        })
+        .collect();
+    for s in suite_rollup(&merged) {
         let (p50, p95, p99) = tails_or_zero(&s.hist);
-        w.begin_object();
-        w.field_str("suite", &s.suite)
-            .field_u64("ops", s.ops)
-            .field_f64("elapsed_s", s.elapsed_s)
-            .field_f64("ops_per_s", s.ops_per_s)
-            .field_u64("p50_us", p50)
-            .field_u64("p95_us", p95)
-            .field_u64("p99_us", p99);
-        w.end_object();
+        entries.push(
+            Entry::new(&s.suite, "all")
+                .u64("ops", s.ops)
+                .f64("elapsed_s", s.elapsed_s)
+                .f64("ops_per_s", s.ops_per_s)
+                .u64("p50_ns", p50)
+                .u64("p95_ns", p95)
+                .u64("p99_ns", p99),
+        );
     }
-    w.end_array();
-    w.begin_named_array("scenarios");
-    for m in merged {
-        let (p50, p95, p99) = tails_or_zero(&m.hist);
-        w.begin_object();
-        w.field_str("suite", &m.suite)
-            .field_str("name", &m.name)
-            .field_u64("agents", m.agents)
-            .field_u64("ops", m.ops)
-            .field_f64("elapsed_s", m.elapsed_s)
-            .field_f64("ops_per_s", m.ops_per_s)
-            .field_u64("p50_us", p50)
-            .field_u64("p95_us", p95)
-            .field_u64("p99_us", p99)
-            .field_u64("hist_count", m.hist.count())
-            .field_u64("hist_sum_us", m.hist.sum());
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    let mut doc = w.finish();
-    doc.push('\n');
-    doc
+    entries
 }
 
 fn tails_or_zero(hist: &Histogram) -> (u64, u64, u64) {
@@ -284,6 +321,7 @@ fn tails_or_zero(hist: &Histogram) -> (u64, u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::summary_json;
 
     fn hist_of(values: &[u64]) -> Histogram {
         let mut h = Histogram::default();
@@ -381,7 +419,7 @@ mod tests {
             assert_eq!(cell.ops, a.scenarios[i].ops + b.scenarios[i].ops);
             assert_eq!(cell.hist.count(), cell.ops, "merge must stay lossless");
             assert!((cell.elapsed_s - a.scenarios[i].elapsed_s).abs() < 1e-12);
-            let (p50, p95, p99) = cell.tails_us().expect("non-empty");
+            let (p50, p95, p99) = cell.tails_ns().expect("non-empty");
             assert!(p50 <= p95 && p95 <= p99);
         }
         let suites = suite_rollup(&merged);
@@ -394,76 +432,101 @@ mod tests {
     #[test]
     fn summary_json_parses_and_reports_tails() {
         let agents = [sample_summary(0), sample_summary(1)];
-        let merged = merge_agents(&agents);
-        let doc = summary_json(&agents, &merged);
+        let doc = summary_json("smoke", 2, &agents, &ab_entries(&agents));
         assert_eq!(doc, SUMMARY_JSON);
         let parsed = json::parse(&doc).expect("summary.json must parse");
         assert_eq!(parsed.get("agents").and_then(|v| v.as_u64()), Some(2));
-        let scenarios = parsed.get("scenarios").and_then(|v| v.as_arr()).expect("scenarios");
-        assert_eq!(scenarios.len(), 2);
-        for s in scenarios {
-            let p50 = s.get("p50_us").and_then(|v| v.as_u64()).expect("p50");
-            let p95 = s.get("p95_us").and_then(|v| v.as_u64()).expect("p95");
-            let p99 = s.get("p99_us").and_then(|v| v.as_u64()).expect("p99");
-            assert!(p50 <= p95 && p95 <= p99);
+        assert_eq!(parsed.get("outcome").and_then(|v| v.as_str()), Some("success"));
+        let results = parsed.get("results").and_then(|v| v.as_arr()).expect("results");
+        assert_eq!(results.len(), 4, "two cells and two suite rollups");
+        for r in results {
+            let metrics = r.get("metrics").expect("metrics");
+            let tail = |key| metrics.get(key).and_then(|v| v.as_u64()).expect(key);
+            assert!(tail("p50_ns") <= tail("p95_ns") && tail("p95_ns") <= tail("p99_ns"));
         }
-        assert_eq!(parsed.get("suites").and_then(|v| v.as_arr()).map(<[_]>::len), Some(2));
     }
 
     /// `summary_json` of two `sample_summary` agents, byte for byte.
     const SUMMARY_JSON: &str = r#"{
   "bench": "pphcr-bench",
+  "spec": "smoke",
+  "host_cores": 2,
   "agents": 2,
   "agent_seeds": [
     42,
     43
   ],
-  "suites": [
-    {
-      "suite": "A",
-      "ops": 6,
-      "elapsed_s": 0.25,
-      "ops_per_s": 24,
-      "p50_us": 1023,
-      "p95_us": 2047,
-      "p99_us": 2047
-    },
-    {
-      "suite": "B",
-      "ops": 4,
-      "elapsed_s": 0.5,
-      "ops_per_s": 8,
-      "p50_us": 0,
-      "p95_us": 7,
-      "p99_us": 7
-    }
-  ],
-  "scenarios": [
+  "outcome": "success",
+  "results": [
     {
       "suite": "A",
       "name": "baseline_tick",
-      "agents": 2,
-      "ops": 6,
-      "elapsed_s": 0.25,
-      "ops_per_s": 24,
-      "p50_us": 1023,
-      "p95_us": 2047,
-      "p99_us": 2047,
-      "hist_count": 6,
-      "hist_sum_us": 3868
+      "outcome": "success",
+      "gate": {
+        "metric": "ops",
+        "value": 6,
+        "cmp": "==",
+        "bound": 6
+      },
+      "metrics": {
+        "agents": 2,
+        "ops": 6,
+        "elapsed_s": 0.25,
+        "ops_per_s": 24,
+        "p50_ns": 1023,
+        "p95_ns": 2047,
+        "p99_ns": 2047,
+        "hist_count": 6,
+        "hist_sum_ns": 3868
+      }
     },
     {
       "suite": "B",
       "name": "poisson_calm",
-      "agents": 2,
-      "ops": 4,
-      "elapsed_s": 0.5,
-      "ops_per_s": 8,
-      "p50_us": 0,
-      "p95_us": 7,
-      "p99_us": 7,
-      "hist_count": 4,
-      "hist_sum_us": 14
+      "outcome": "success",
+      "gate": {
+        "metric": "ops",
+        "value": 4,
+        "cmp": "==",
+        "bound": 4
+      },
+      "metrics": {
+        "agents": 2,
+        "ops": 4,
+        "elapsed_s": 0.5,
+        "ops_per_s": 8,
+        "p50_ns": 0,
+        "p95_ns": 7,
+        "p99_ns": 7,
+        "hist_count": 4,
+        "hist_sum_ns": 14
+      }
+    },
+    {
+      "suite": "A",
+      "name": "all",
+      "outcome": "success",
+      "metrics": {
+        "ops": 6,
+        "elapsed_s": 0.25,
+        "ops_per_s": 24,
+        "p50_ns": 1023,
+        "p95_ns": 2047,
+        "p99_ns": 2047
+      }
+    },
+    {
+      "suite": "B",
+      "name": "all",
+      "outcome": "success",
+      "metrics": {
+        "ops": 4,
+        "elapsed_s": 0.5,
+        "ops_per_s": 8,
+        "p50_ns": 0,
+        "p95_ns": 7,
+        "p99_ns": 7
+      }
     }
   ]
 }

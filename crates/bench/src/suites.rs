@@ -1,0 +1,228 @@
+//! The two suites `pphcr-bench` runs in its own process after the
+//! agents: E13 (retrieval index, batch-tick scaling, obs overhead) and
+//! E16 (identity-checked rounds over `shard_agent` processes).
+
+use crate::gates::{self, GATE_FLEET};
+use crate::summary::Entry;
+use crate::BenchSpec;
+use pphcr_core::EngineCommand;
+use pphcr_obs::timing::stopwatch;
+use pphcr_shard::{
+    commands, run_single, run_single_windowed, tick_heavy, ProcessShard, Router, SingleRun,
+};
+use pphcr_sim::experiments::{e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling};
+use std::path::Path;
+
+/// E13 timed rounds per retrieval pass and per tick-scaling row, after
+/// one discarded warmup; the minimum is reported.
+const TIMED_ROUNDS: usize = 3;
+
+/// E13 worker counts; the last is the widest.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Batched ticks per E13 population-grid cell.
+const GRID_TICKS: u64 = 50;
+
+/// Seed of the E13 archive worlds.
+const ARCHIVE_SEED: u64 = 42;
+
+/// E16 shard counts.
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Seed of both E16 workloads.
+const SHARD_SEED: u64 = 1;
+
+/// Batch ticks in the E16 tick-heavy window (plus a drain tick).
+const HEAVY_TICKS: u64 = 12;
+
+/// Runs E13 at `spec` and returns its entries plus the instrumented
+/// obs-overhead run's `ObsSnapshot` JSON. Rows are printed as they
+/// land.
+#[must_use]
+pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
+    println!("=== E13: retrieval index + sharded batch ticks ===");
+    let mut entries = Vec::new();
+    let retrieval = e13_retrieval(spec.retrieval_grid, ARCHIVE_SEED, TIMED_ROUNDS);
+    let largest = retrieval.iter().map(|r| r.clips).max();
+    for r in &retrieval {
+        println!("{r}");
+        let entry = Entry::new("E13", format!("retrieval_{}x{}", r.clips, r.users))
+            .u64("rounds", TIMED_ROUNDS as u64)
+            .u64("clips", r.clips as u64)
+            .u64("users", r.users as u64)
+            .f64("scan_s", r.scan_s)
+            .f64("indexed_s", r.indexed_s)
+            .f64("speedup", r.speedup)
+            .u64("candidates", r.candidates)
+            .text("dispatch", r.dispatch.label());
+        let gated = Some(r.clips) == largest;
+        entries.push(if gated { entry.gated(gates::retrieval(r.speedup)) } else { entry });
+    }
+    for r in e13_tick_scaling(spec.tick_users, &WORKER_COUNTS, TIMED_ROUNDS) {
+        println!("{r}");
+        entries.push(
+            Entry::new("E13", format!("tick_scaling_{}u_{}w", r.users, r.workers))
+                .u64("rounds", TIMED_ROUNDS as u64)
+                .u64("users", r.users)
+                .u64("workers", r.workers as u64)
+                .f64("seconds", r.seconds)
+                .f64("user_ticks_per_s", r.user_ticks_per_s)
+                .u64("events", r.events),
+        );
+    }
+    let widest = WORKER_COUNTS[WORKER_COUNTS.len() - 1];
+    let grid = e13_tick_grid(spec.tick_grid, &WORKER_COUNTS, GRID_TICKS);
+    let base = grid
+        .iter()
+        .find(|r| r.users == GATE_FLEET && r.workers == 1)
+        .expect("every spec ticks the gate fleet, and 1 worker is in the worker counts");
+    for r in &grid {
+        println!("{r}");
+        let entry = Entry::new("E13", format!("tick_grid_{}u_{}w", r.users, r.workers))
+            .u64("users", r.users)
+            .u64("workers", r.workers as u64)
+            .u64("ticks", r.ticks)
+            .f64("seconds", r.seconds)
+            .f64("user_ticks_per_s", r.user_ticks_per_s)
+            .f64("warm_s", r.warm_s)
+            .f64("parallel_fraction", r.parallel_fraction)
+            .u64("cache_misses", r.cache_misses)
+            .u64("warm_serves", r.warm_serves)
+            .u64("cross_tick_hits", r.cross_tick_hits)
+            .u64("events", r.events);
+        entries.push(match (r.users == GATE_FLEET, r.workers) {
+            (true, 1) => entry.gated(gates::cross_tick(r.cross_tick_hits)),
+            (true, w) if w == widest => entry.gated(gates::scaling(base, r, host_cores)),
+            _ => entry,
+        });
+    }
+    let obs = e13_obs_overhead(spec.tick_users, widest, spec.obs_rounds);
+    println!("{obs}");
+    entries.push(
+        Entry::new("E13", "obs_overhead")
+            .u64("users", obs.users)
+            .u64("workers", obs.workers as u64)
+            .u64("rounds", obs.rounds as u64)
+            .f64("bare_s", obs.bare_s)
+            .f64("instrumented_s", obs.instrumented_s)
+            .f64("overhead_pct", obs.overhead_pct)
+            .u64("events", obs.events)
+            .gated(gates::obs_overhead(obs.bare_s, obs.instrumented_s)),
+    );
+    (entries, obs.snapshot_json)
+}
+
+/// Runs E16 at `spec` through `shard_agent` processes spawned from
+/// `agent_bin`: the differential workload, whole script timed, then
+/// the tick-heavy window, setup untimed. Every round at every shard
+/// count is diffed against the single-process run. Fails only if a
+/// deployment cannot spawn or a command fails; divergence is a failed
+/// gate, not an error.
+pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
+    let mut entries = Vec::new();
+    let ops = commands(SHARD_SEED);
+    let started = stopwatch();
+    let baseline = run_single(&ops);
+    let baseline_ms = started.elapsed_s() * 1e3;
+    println!(
+        "=== E16: shard scaling, seed {SHARD_SEED}, {} ops, {} event lines, in-process \
+         {baseline_ms:.1} ms ===",
+        ops.len(),
+        baseline.lines.len()
+    );
+    for n in SHARD_COUNTS {
+        let (best_ms, diverged) = best_of(agent_bin, &[], &ops, n, spec.shard_rounds, &baseline)?;
+        let ops_per_s = ops.len() as f64 / (best_ms / 1e3);
+        println!("shards={n} best={best_ms:.1}ms ops/s={ops_per_s:.0} diverged_rounds={diverged}");
+        entries.push(
+            Entry::new("E16", format!("differential_{n}_shards"))
+                .u64("seed", SHARD_SEED)
+                .u64("ops", ops.len() as u64)
+                .u64("lines", baseline.lines.len() as u64)
+                .u64("rounds", spec.shard_rounds as u64)
+                .f64("baseline_ms", baseline_ms)
+                .u64("shards", n as u64)
+                .f64("best_ms", best_ms)
+                .f64("ops_per_s", ops_per_s)
+                .flag("identical", diverged == 0)
+                .gated(gates::shard_identity(diverged)),
+        );
+    }
+
+    let (setup, window) = tick_heavy(SHARD_SEED, spec.heavy_users, HEAVY_TICKS);
+    let (heavy_baseline, heavy_baseline_ms) = run_single_windowed(&setup, &window);
+    println!(
+        "=== E16b: tick-heavy window, {} commuters, {HEAVY_TICKS}+1 ticks, {} setup ops, \
+         in-process window {heavy_baseline_ms:.1} ms ===",
+        spec.heavy_users,
+        setup.len()
+    );
+    for n in SHARD_COUNTS {
+        let (window_ms, diverged) =
+            best_of(agent_bin, &setup, &window, n, spec.heavy_rounds, &heavy_baseline)?;
+        let speedup = heavy_baseline_ms / window_ms;
+        println!(
+            "shards={n} window={window_ms:.1}ms speedup={speedup:.2}x diverged_rounds={diverged}"
+        );
+        entries.push(
+            Entry::new("E16", format!("tick_heavy_{n}_shards"))
+                .u64("seed", SHARD_SEED)
+                .u64("users", spec.heavy_users)
+                .u64("ticks", HEAVY_TICKS)
+                .u64("rounds", spec.heavy_rounds as u64)
+                .f64("baseline_window_ms", heavy_baseline_ms)
+                .u64("shards", n as u64)
+                .f64("window_ms", window_ms)
+                .f64("speedup", speedup)
+                .flag("identical", diverged == 0)
+                .gated(gates::shard_identity(diverged)),
+        );
+    }
+    Ok(entries)
+}
+
+/// Runs `rounds` fresh `shards`-process deployments, returning the best
+/// timed `window` in ms and how many rounds diverged from `baseline`.
+fn best_of(
+    agent_bin: &Path,
+    setup: &[EngineCommand],
+    window: &[EngineCommand],
+    shards: usize,
+    rounds: usize,
+    baseline: &SingleRun,
+) -> Result<(f64, u64), String> {
+    let mut best_ms = f64::INFINITY;
+    let mut diverged = 0;
+    for _ in 0..rounds {
+        let (run, elapsed_ms) = run_once(agent_bin, setup, window, shards)
+            .map_err(|e| format!("{shards}-shard round: {e}"))?;
+        best_ms = best_ms.min(elapsed_ms);
+        diverged += u64::from(!gates::round_identical(&run, baseline));
+    }
+    Ok((best_ms, diverged))
+}
+
+/// Runs `setup` untimed, then `window` timed, through a fresh
+/// `shards`-process deployment.
+fn run_once(
+    agent_bin: &Path,
+    setup: &[EngineCommand],
+    window: &[EngineCommand],
+    shards: usize,
+) -> Result<(SingleRun, f64), String> {
+    let spawned: Result<Vec<ProcessShard>, _> =
+        (0..shards).map(|_| ProcessShard::spawn(agent_bin)).collect();
+    let mut router = Router::new(spawned.map_err(|e| format!("spawn: {e}"))?)
+        .map_err(|e| format!("router: {e}"))?;
+    let mut lines = Vec::new();
+    for cmd in setup {
+        lines.extend(router.apply(cmd).map_err(|e| format!("apply: {e}"))?);
+    }
+    let started = stopwatch();
+    for cmd in window {
+        lines.extend(router.apply(cmd).map_err(|e| format!("apply: {e}"))?);
+    }
+    let elapsed_ms = started.elapsed_s() * 1e3;
+    let obs_json = router.merged_obs().map_err(|e| format!("merge: {e}"))?.to_json();
+    Ok((SingleRun { lines, obs_json }, elapsed_ms))
+}

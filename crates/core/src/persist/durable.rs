@@ -16,7 +16,7 @@ pub trait WalStorage {
     /// Appends one framed record.
     fn append(&mut self, frame: &[u8]) -> Result<(), PersistError>;
     /// Makes previously appended frames durable. Called after every
-    /// record; group-commit implementations may batch the actual fsync.
+    /// record.
     fn sync(&mut self) -> Result<(), PersistError>;
 }
 
@@ -58,55 +58,28 @@ impl WalStorage for MemWal {
     }
 }
 
-/// A file-backed WAL with configurable group commit.
-///
-/// `group_commit_every = 1` (the default) fsyncs after every record —
-/// the strongest durability. Larger values amortize the fsync over N
-/// records: a crash can lose up to the last N-1 appended records, but
-/// never corrupts the prefix, and recovery still truncates cleanly at
-/// the last fully synced frame.
+/// A file-backed WAL that fsyncs every record before the write-ahead
+/// wrapper applies it, so an acknowledged record survives a crash.
 #[derive(Debug)]
 pub struct FileWal {
     file: File,
-    unsynced: u64,
-    group_commit_every: u64,
 }
 
 impl FileWal {
-    /// Creates (truncating) a WAL file that fsyncs every record.
+    /// Creates (truncating) a WAL file.
     pub fn create(path: &Path) -> Result<Self, PersistError> {
         let file = File::create(path).map_err(|_| PersistError::Io)?;
-        Ok(FileWal { file, unsynced: 0, group_commit_every: 1 })
-    }
-
-    /// Creates (truncating) a WAL file with a group-commit boundary:
-    /// the file is fsynced once every `every` records (min 1).
-    pub fn with_group_commit(path: &Path, every: u64) -> Result<Self, PersistError> {
-        let mut wal = FileWal::create(path)?;
-        wal.group_commit_every = every.max(1);
-        Ok(wal)
-    }
-
-    /// Forces an fsync regardless of the group-commit boundary.
-    pub fn force_sync(&mut self) -> Result<(), PersistError> {
-        self.file.sync_data().map_err(|_| PersistError::Io)?;
-        self.unsynced = 0;
-        Ok(())
+        Ok(FileWal { file })
     }
 }
 
 impl WalStorage for FileWal {
     fn append(&mut self, frame: &[u8]) -> Result<(), PersistError> {
-        self.file.write_all(frame).map_err(|_| PersistError::Io)?;
-        self.unsynced += 1;
-        Ok(())
+        self.file.write_all(frame).map_err(|_| PersistError::Io)
     }
 
     fn sync(&mut self) -> Result<(), PersistError> {
-        if self.unsynced >= self.group_commit_every {
-            self.force_sync()?;
-        }
-        Ok(())
+        self.file.sync_data().map_err(|_| PersistError::Io)
     }
 }
 
@@ -151,14 +124,6 @@ impl<S: WalStorage> DurableEngine<S> {
     /// The wrapped engine (read-only views, dashboards, snapshots).
     pub fn engine(&self) -> &Engine {
         &self.engine
-    }
-
-    /// Mutable access to the wrapped engine.
-    ///
-    /// Mutations through this reference bypass the WAL; use it only for
-    /// non-replayed concerns (installing transports, dashboards).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
     }
 
     /// The sequence number the next logged record will carry.

@@ -531,8 +531,8 @@ fn sequence_gap_is_typed_on_restore() {
     }
 }
 
-/// Group commit: with `every = 4` the file is fsynced on the 4th
-/// record, not before — and `force_sync` resets the countdown.
+/// `DurableEngine` stamps sequence numbers from 1 and logs each op as
+/// one record before applying it.
 #[test]
 fn durable_engine_applies_ops_in_sequence() {
     let mut durable = DurableEngine::new(Engine::new(EngineConfig::default()), MemWal::new());

@@ -244,7 +244,7 @@ const HASH_ITER_FILES: &[&str] = &[
 ];
 
 /// The one module allowed to write files without a pragma: it owns the
-/// fsync discipline (`FileWal`, group commit, `force_sync`).
+/// fsync discipline (`FileWal` fsyncs every record).
 const PERSIST_ALLOWLIST: &[&str] = &["crates/core/src/persist/"];
 
 /// Bus/retry files where every `loop` needs an exit.

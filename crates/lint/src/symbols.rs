@@ -23,7 +23,7 @@ use crate::lexer::LexedLine;
 ///
 /// `crates/core/src/lib.rs` → `["core"]`,
 /// `crates/core/src/persist/wal.rs` → `["core", "persist", "wal"]`,
-/// `crates/bench/src/bin/e13.rs` → `["bench", "bin", "e13"]`.
+/// `crates/bench/src/bin/experiments.rs` → `["bench", "bin", "experiments"]`.
 /// Returns `None` for paths outside the `crates/*/src` layout.
 #[must_use]
 pub fn module_path_of(rel_path: &str) -> Option<Vec<String>> {

@@ -86,12 +86,6 @@ impl NaiveBayes {
         }
     }
 
-    /// Vocabulary size observed during training.
-    #[must_use]
-    pub fn vocab_size(&self) -> usize {
-        self.token_counts.len()
-    }
-
     /// Classifies a document. Returns `None` when the classifier has
     /// seen no training documents.
     #[must_use]

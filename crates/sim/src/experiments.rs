@@ -1,9 +1,9 @@
 //! The experiment harness: one function per experiment in `DESIGN.md`.
 //!
 //! Each function reproduces one figure or claim of the paper and
-//! returns printable rows; `pphcr-bench` wraps them in Criterion
-//! benches and the `experiments` binary prints the tables recorded in
-//! `EXPERIMENTS.md`.
+//! returns printable rows. The `experiments` binary prints the E1–E12
+//! tables recorded in `EXPERIMENTS.md`; `pphcr-bench` runs the E13
+//! functions and gates on their rows.
 
 use crate::corpus::CorpusGenerator;
 use crate::listener::{ListenerModel, SessionMetrics};
@@ -1416,7 +1416,8 @@ pub fn e13_retrieval(grid: &[(usize, usize)], seed: u64, rounds: usize) -> Vec<E
     rows
 }
 
-const E13_ORIGIN: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
+/// The E13 city anchor the fleet builders grow their commutes from.
+pub(crate) const ORIGIN: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
 
 /// An engine with `users` commuters, each with seven days of
 /// home→work→home history on their own bearing, plus a fresh batch of
@@ -1437,7 +1438,7 @@ fn e13_commuter_fleet(users: u64, config: EngineConfig) -> Engine {
         );
     }
     for u in 1..=users {
-        let home = E13_ORIGIN.destination(30.0 * u as f64, 1_500.0 * u as f64);
+        let home = ORIGIN.destination(30.0 * u as f64, 1_500.0 * u as f64);
         let bearing = 80.0 + 15.0 * u as f64;
         let work = home.destination(bearing, 9_000.0);
         for day in 0..7u64 {
@@ -1497,7 +1498,7 @@ fn e13_commute_window(engine: &mut Engine, users: u64, workers: usize) -> (f64, 
     for i in 0..12u64 {
         let now = d8.advance(TimeSpan::seconds(i * 30));
         for &u in &ids {
-            let home = E13_ORIGIN.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
+            let home = ORIGIN.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
             let bearing = 80.0 + 15.0 * u.0 as f64;
             engine.record_fix(
                 u,
@@ -1722,7 +1723,7 @@ pub fn e13_scale_fleet(users: u64, config: EngineConfig) -> Engine {
     }
     let drivers = e13_driver_count(users);
     for u in 1..=drivers {
-        let home = E13_ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
+        let home = ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
         let bearing = 80.0 + (u % 24) as f64 * 15.0;
         let work = home.destination(bearing, 9_000.0);
         // Three compressed days: home dwell, the 20-minute drive at
@@ -1759,7 +1760,7 @@ pub fn e13_scale_fleet(users: u64, config: EngineConfig) -> Engine {
     // Stationary bulk: one seed fix each, so day-8 contexts have a
     // position without any driving history.
     for u in (drivers + 1)..=users {
-        let spot = E13_ORIGIN.destination((u % 360) as f64, 500.0 + (u % 97) as f64 * 40.0);
+        let spot = ORIGIN.destination((u % 360) as f64, 500.0 + (u % 97) as f64 * 40.0);
         engine.record_fix(UserId(u), GpsFix::new(spot, TimePoint::at(2, 20, 0, 0), 0.1));
     }
     let clips: Vec<pphcr_audio::ClipId> = (0..30u64)
@@ -1811,7 +1812,7 @@ fn e13_scale_window(engine: &mut Engine, users: u64, workers: usize, ticks: u64)
     for i in 0..ticks {
         let now = d3.advance(TimeSpan::seconds(i * 30));
         for u in 1..=drivers {
-            let home = E13_ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
+            let home = ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
             let bearing = 80.0 + (u % 24) as f64 * 15.0;
             let frac = (i as f64 / 39.0).min(1.0);
             engine.record_fix(

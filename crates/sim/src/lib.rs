@@ -14,7 +14,7 @@
 //! * [`listener`] — the listener behaviour model: how a simulated
 //!   person with tastes reacts to played content (listen, like, skip,
 //!   channel-surf),
-//! * [`experiments`] — the harness the benches call: each function
+//! * [`experiments`] — the harness the bench binaries call: each function
 //!   reproduces one experiment of `DESIGN.md` and returns printable
 //!   rows,
 //! * [`chaos`] — seeded end-to-end fault profiles (lossy wire, flaky

@@ -1,7 +1,7 @@
 //! Scenario suites for the process-based bench harness (`pphcr-bench`).
 //!
 //! Each scenario drives one engine through a workload and records every
-//! operation's wall-clock latency, in microseconds, into an obs
+//! operation's wall-clock latency, in nanoseconds, into an obs
 //! [`Histogram`] — the log2-bucket form the harness can merge exactly
 //! across agent processes before extracting p50/p95/p99 upper bounds.
 //!
@@ -21,7 +21,7 @@
 //! latencies differ — that is the noise the harness is measuring).
 
 use crate::chaos::ChaosProfile;
-use crate::experiments::{e13_archive_world, e13_driver_count, e13_scale_fleet};
+use crate::experiments::{e13_archive_world, e13_driver_count, e13_scale_fleet, ORIGIN};
 use pphcr_catalog::{CategoryId, CATEGORY_COUNT};
 use pphcr_core::{EngineConfig, TickRequest};
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
@@ -31,12 +31,13 @@ use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{FeedbackEvent, FeedbackKind, UserId};
 use std::fmt;
 
-/// The E13 city anchor the fleet builders grow their commutes from.
-const ORIGIN: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
+/// Poisson arrival rate of Suite B, events per simulated second.
+const RATE_HZ: f64 = 8.0;
 
-/// Every tunable of a suite run. The defaults are the full-scale
-/// shape; CI smoke runs shrink them through the `bench_agent`
-/// environment overrides.
+/// Worker threads for the fan-out scenario's batched ticks.
+const WORKERS: usize = 2;
+
+/// The scale of a suite run.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioSpec {
     /// Fleet size for the fan-out and Poisson scenarios.
@@ -49,31 +50,12 @@ pub struct ScenarioSpec {
     pub retrieval_passes: u64,
     /// Poisson arrivals per stochastic scenario.
     pub arrivals: u64,
-    /// Poisson arrival rate, events per simulated second.
-    pub rate_hz: f64,
-    /// Worker threads for batched ticks.
-    pub workers: usize,
     /// Seed for every stochastic draw.
     pub seed: u64,
 }
 
-impl Default for ScenarioSpec {
-    fn default() -> Self {
-        ScenarioSpec {
-            users: 200,
-            clips: 2_000,
-            ticks: 50,
-            retrieval_passes: 3,
-            arrivals: 500,
-            rate_hz: 8.0,
-            workers: 2,
-            seed: 42,
-        }
-    }
-}
-
 /// One scenario's outcome: how many operations ran, how long the whole
-/// scenario took, and the per-operation latency histogram (µs).
+/// scenario took, and the per-operation latency histogram (ns).
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// `"A"` or `"B"`.
@@ -84,7 +66,7 @@ pub struct ScenarioReport {
     pub ops: u64,
     /// Scenario wall time, seconds.
     pub elapsed_s: f64,
-    /// Per-operation latency, microseconds.
+    /// Per-operation latency, nanoseconds.
     pub hist: Histogram,
 }
 
@@ -92,7 +74,7 @@ impl fmt::Display for ScenarioReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "suite {} {:<22} ops={:>7} elapsed={:>7.3}s p50<={:?}us p99<={:?}us",
+            "suite {} {:<22} ops={:>7} elapsed={:>7.3}s p50<={:?}ns p99<={:?}ns",
             self.suite,
             self.name,
             self.ops,
@@ -149,7 +131,7 @@ fn baseline_tick(spec: &ScenarioSpec) -> ScenarioReport {
         engine.record_fix(user, GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5));
         let t = crate::timing::stopwatch();
         let _ = engine.run_tick(&TickRequest::single(&user, now));
-        hist.record(t.elapsed_ns() / 1_000);
+        hist.record(t.elapsed_ns());
     }
     report("A", "baseline_tick", total.elapsed_s(), hist)
 }
@@ -174,10 +156,10 @@ fn fan_out(spec: &ScenarioSpec) -> ScenarioReport {
                 GpsFix::new(home.destination(bearing, frac * 9_000.0), now, 7.5),
             );
         }
-        let request = TickRequest::batch(&ids, now).with_workers(spec.workers);
+        let request = TickRequest::batch(&ids, now).with_workers(WORKERS);
         let t = crate::timing::stopwatch();
         let _ = engine.run_tick(&request);
-        hist.record(t.elapsed_ns() / 1_000);
+        hist.record(t.elapsed_ns());
     }
     report("A", "fan_out", total.elapsed_s(), hist)
 }
@@ -207,7 +189,7 @@ fn archive_retrieval(spec: &ScenarioSpec) -> ScenarioReport {
         for (prefs, ctx) in &jobs {
             let t = crate::timing::stopwatch();
             let shortlist = filter.candidates_indexed(&world.repo, prefs, ctx, &weights);
-            hist.record(t.elapsed_ns() / 1_000);
+            hist.record(t.elapsed_ns());
             std::hint::black_box(shortlist);
         }
     }
@@ -227,7 +209,6 @@ fn poisson_chaos(
     let mut engine = e13_scale_fleet(users, EngineConfig::default());
     profile.apply(&mut engine, spec.seed);
     let mut rng = spec.seed ^ 0x5DEE_CE66_D152_5A5B;
-    let rate = if spec.rate_hz > 0.0 { spec.rate_hz } else { 1.0 };
     let start = TimePoint::at(3, 8, 0, 0);
     let mut offset_s = 0.0f64;
     let mut hist = Histogram::default();
@@ -235,7 +216,7 @@ fn poisson_chaos(
     for k in 0..spec.arrivals {
         // Exponential inter-arrival: -ln(U)/λ with U ∈ (0, 1].
         let u = 1.0 - (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
-        offset_s += -u.ln() / rate;
+        offset_s += -u.ln() / RATE_HZ;
         let now = start.advance(TimeSpan::seconds(offset_s as u64));
         let who = UserId(1 + splitmix64(&mut rng) % users);
         let t = crate::timing::stopwatch();
@@ -259,11 +240,11 @@ fn poisson_chaos(
             let dist = 200.0 + (splitmix64(&mut rng) % 8_000) as f64;
             engine.record_fix(who, GpsFix::new(ORIGIN.destination(bearing, dist), now, 7.5));
         }
-        hist.record(t.elapsed_ns() / 1_000);
+        hist.record(t.elapsed_ns());
         if k % 32 == 31 {
             let t = crate::timing::stopwatch();
             let _ = engine.run_tick(&TickRequest::single(&who, now));
-            hist.record(t.elapsed_ns() / 1_000);
+            hist.record(t.elapsed_ns());
         }
     }
     report("B", name, total.elapsed_s(), hist)
@@ -292,16 +273,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> ScenarioSpec {
-        ScenarioSpec {
-            users: 6,
-            clips: 300,
-            ticks: 4,
-            retrieval_passes: 1,
-            arrivals: 48,
-            rate_hz: 8.0,
-            workers: 2,
-            seed: 7,
-        }
+        ScenarioSpec { users: 6, clips: 300, ticks: 4, retrieval_passes: 1, arrivals: 48, seed: 7 }
     }
 
     #[test]
@@ -315,6 +287,13 @@ mod tests {
                 r.hist.quantile_upper_bound(0.99).unwrap(),
             );
             assert!(p50 <= p99, "{r}");
+            if r.name == "baseline_tick" {
+                // The timed ticks are most of the scenario's wall time,
+                // so their ns samples must sum to a sizeable share of
+                // it; µs samples sum to about a thousandth.
+                let elapsed_ns = r.elapsed_s * 1e9;
+                assert!(r.hist.sum() as f64 >= elapsed_ns / 10.0, "{r}: sum {}", r.hist.sum());
+            }
         }
     }
 
