@@ -18,28 +18,10 @@ impl Bitrate {
     /// The paper's live stream rate: 96 kbps.
     pub const LIVE_STREAM: Bitrate = Bitrate(96_000);
 
-    /// A rate of `n` kilobits per second.
-    #[must_use]
-    pub fn kbps(n: u64) -> Self {
-        Bitrate(n * 1_000)
-    }
-
-    /// Bits per second.
-    #[must_use]
-    pub fn bps(self) -> u64 {
-        self.0
-    }
-
     /// Bytes needed to carry `span` of audio at this rate (rounded up).
     #[must_use]
     pub fn bytes_for(self, span: TimeSpan) -> u64 {
         (self.0 * span.as_seconds()).div_ceil(8)
-    }
-
-    /// Megabytes (10^6 bytes) for `span`, as a float for reporting.
-    #[must_use]
-    pub fn megabytes_for(self, span: TimeSpan) -> f64 {
-        self.bytes_for(span) as f64 / 1e6
     }
 }
 
@@ -62,7 +44,6 @@ mod tests {
         // 96 kbps × 3600 s = 43.2 MB/h.
         let bytes = Bitrate::LIVE_STREAM.bytes_for(TimeSpan::hours(1));
         assert_eq!(bytes, 43_200_000);
-        assert!((Bitrate::LIVE_STREAM.megabytes_for(TimeSpan::hours(1)) - 43.2).abs() < 1e-9);
     }
 
     #[test]
@@ -79,7 +60,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(Bitrate::kbps(96).to_string(), "96 kbps");
+        assert_eq!(Bitrate(96_000).to_string(), "96 kbps");
         assert_eq!(Bitrate(1_500).to_string(), "1500 bps");
     }
 }

@@ -34,14 +34,6 @@ pub struct AudioClip {
     pub bitrate: Bitrate,
 }
 
-impl AudioClip {
-    /// Download size in bytes at the clip's bit rate.
-    #[must_use]
-    pub fn size_bytes(&self) -> u64 {
-        self.bitrate.bytes_for(self.duration)
-    }
-}
-
 /// In-memory store of clip audio.
 #[derive(Debug, Clone, Default)]
 pub struct ClipStore {
@@ -94,12 +86,6 @@ impl ClipStore {
     pub fn source(&self, id: ClipId, clock: SampleClock) -> Option<ClipSource> {
         self.get(id).map(|c| ClipSource::new(id.0, clock.samples_in(c.duration)))
     }
-
-    /// Total stored audio duration.
-    #[must_use]
-    pub fn total_duration(&self) -> TimeSpan {
-        self.clips.values().fold(TimeSpan::ZERO, |acc, c| acc.plus(c.duration))
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +110,7 @@ mod tests {
         let old = store.insert(AudioClip {
             id: ClipId(1),
             duration: TimeSpan::minutes(2),
-            bitrate: Bitrate::kbps(64),
+            bitrate: Bitrate(64_000),
         });
         assert_eq!(old.unwrap().duration, TimeSpan::minutes(1));
         assert_eq!(store.get(ClipId(1)).unwrap().duration, TimeSpan::minutes(2));
@@ -140,24 +126,5 @@ mod tests {
         assert_ne!(src.sample(9_999), 0.0);
         assert_eq!(src.sample(10_000), 0.0);
         assert!(store.source(ClipId(99), clock).is_none());
-    }
-
-    #[test]
-    fn size_accounting() {
-        let clip = AudioClip {
-            id: ClipId(2),
-            duration: TimeSpan::minutes(15),
-            bitrate: Bitrate::LIVE_STREAM,
-        };
-        // 96 kbps × 900 s / 8 = 10.8 MB.
-        assert_eq!(clip.size_bytes(), 10_800_000);
-    }
-
-    #[test]
-    fn total_duration_sums() {
-        let mut store = ClipStore::new();
-        store.insert_simple(ClipId(1), TimeSpan::minutes(3));
-        store.insert_simple(ClipId(2), TimeSpan::minutes(7));
-        assert_eq!(store.total_duration(), TimeSpan::minutes(10));
     }
 }

@@ -29,7 +29,6 @@
 
 pub mod bitrate;
 pub mod clip;
-pub mod loudness;
 pub mod sample;
 pub mod source;
 pub mod splice;
@@ -37,7 +36,6 @@ pub mod timeshift;
 
 pub use bitrate::Bitrate;
 pub use clip::{AudioClip, ClipId, ClipStore};
-pub use loudness::{match_gain, measure, Gained, Loudness};
 pub use sample::SampleClock;
 pub use source::{AudioSource, ClipSource, LiveSource, SilenceSource, SourceId};
 pub use splice::{PlannedSegment, RenderStats, SpliceError, SplicePlan};

@@ -30,12 +30,6 @@ impl SampleClock {
         SampleClock { rate_hz }
     }
 
-    /// Samples per second.
-    #[must_use]
-    pub fn rate_hz(self) -> u32 {
-        self.rate_hz
-    }
-
     /// The first sample at or after the instant `t`.
     #[must_use]
     pub fn sample_at(self, t: TimePoint) -> u64 {
@@ -46,24 +40,6 @@ impl SampleClock {
     #[must_use]
     pub fn samples_in(self, span: TimeSpan) -> u64 {
         span.as_seconds() * u64::from(self.rate_hz)
-    }
-
-    /// The instant containing sample `s` (floor to whole seconds).
-    #[must_use]
-    pub fn time_of(self, s: u64) -> TimePoint {
-        TimePoint(s / u64::from(self.rate_hz))
-    }
-
-    /// Span covered by `n` samples, rounded down to whole seconds.
-    #[must_use]
-    pub fn span_of(self, n: u64) -> TimeSpan {
-        TimeSpan::seconds(n / u64::from(self.rate_hz))
-    }
-
-    /// Span of `n` samples in fractional seconds.
-    #[must_use]
-    pub fn span_of_f64(self, n: u64) -> f64 {
-        n as f64 / f64::from(self.rate_hz)
     }
 }
 
@@ -77,20 +53,17 @@ mod tests {
         let t = TimePoint::at(0, 1, 2, 3);
         let s = c.sample_at(t);
         assert_eq!(s, 3_723 * 8_000);
-        assert_eq!(c.time_of(s), t);
     }
 
     #[test]
     fn samples_in_span() {
         let c = SampleClock::new(100);
         assert_eq!(c.samples_in(TimeSpan::minutes(2)), 12_000);
-        assert_eq!(c.span_of(12_050), TimeSpan::seconds(120));
-        assert!((c.span_of_f64(150) - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn broadcast_rate() {
-        assert_eq!(SampleClock::BROADCAST.rate_hz(), 48_000);
+        assert_eq!(SampleClock::BROADCAST.rate_hz, 48_000);
     }
 
     #[test]

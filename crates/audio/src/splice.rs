@@ -223,12 +223,6 @@ impl SplicePlan {
         (idx < self.segments.len()).then_some(idx)
     }
 
-    /// The source audible at `pos` (ignoring fades).
-    #[must_use]
-    pub fn provenance(&self, pos: u64) -> Option<SourceId> {
-        self.segment_at(pos).map(|i| self.segments[i].source.id())
-    }
-
     /// The fade envelope at `pos` within segment `idx`: 1.0 in the
     /// segment body, ramping to ~0 at interior seams.
     fn envelope(&self, idx: usize, pos: u64) -> f32 {
@@ -384,15 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn provenance_is_exact() {
+    fn segment_at_is_exact() {
         let plan = replacement_plan(0);
-        let live_id = LiveSource::new(1).id();
-        let clip_id = ClipSource::new(7, 2_000).id();
-        assert_eq!(plan.provenance(999), Some(live_id));
-        assert_eq!(plan.provenance(1_000), Some(clip_id));
-        assert_eq!(plan.provenance(2_999), Some(clip_id));
-        assert_eq!(plan.provenance(3_000), Some(live_id));
-        assert_eq!(plan.provenance(4_000), None);
+        assert_eq!(plan.segment_at(999), Some(0));
+        assert_eq!(plan.segment_at(1_000), Some(1));
+        assert_eq!(plan.segment_at(2_999), Some(1));
+        assert_eq!(plan.segment_at(3_000), Some(2));
+        assert_eq!(plan.segment_at(4_000), None);
     }
 
     #[test]

@@ -72,6 +72,7 @@ impl TimeShiftBuffer {
     /// # Panics
     /// Panics if `capacity_samples` is zero.
     #[must_use]
+    // lint: allow(dead) — E1 (DESIGN.md §4) names audio::timeshift; tests/properties.rs::timeshift_reads_are_exact checks it
     pub fn new(source_id: SourceId, capacity_samples: usize, start: u64) -> Self {
         assert!(capacity_samples > 0, "time-shift capacity must be positive");
         TimeShiftBuffer {
@@ -83,12 +84,6 @@ impl TimeShiftBuffer {
         }
     }
 
-    /// The recorded source.
-    #[must_use]
-    pub fn source_id(&self) -> SourceId {
-        self.source_id
-    }
-
     /// Maximum retained samples.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -97,12 +92,14 @@ impl TimeShiftBuffer {
 
     /// Oldest absolute sample still retained.
     #[must_use]
+    // lint: allow(dead) — E1 (DESIGN.md §4) names audio::timeshift; tests/properties.rs::timeshift_reads_are_exact checks it
     pub fn oldest(&self) -> u64 {
         self.tail
     }
 
     /// One past the newest absolute sample recorded.
     #[must_use]
+    // lint: allow(dead) — E1 (DESIGN.md §4) names audio::timeshift; tests/properties.rs::timeshift_reads_are_exact checks it
     pub fn newest(&self) -> u64 {
         self.head
     }
@@ -122,6 +119,7 @@ impl TimeShiftBuffer {
     /// Records the live source up to absolute sample `until`
     /// (exclusive). Called by the player as wall-clock time advances;
     /// recording beyond capacity evicts the oldest samples.
+    // lint: allow(dead) — E1 (DESIGN.md §4) names audio::timeshift; tests/properties.rs::timeshift_reads_are_exact checks it
     pub fn record_until(&mut self, source: &impl AudioSource, until: u64) {
         debug_assert_eq!(source.id(), self.source_id, "recording a different source");
         while self.head < until {
@@ -140,6 +138,7 @@ impl TimeShiftBuffer {
     /// [`TimeShiftError::Evicted`] when part of the range has been
     /// overwritten; [`TimeShiftError::NotYetRecorded`] when it reaches
     /// past the recording head.
+    // lint: allow(dead) — E1 (DESIGN.md §4) names audio::timeshift; tests/properties.rs::timeshift_reads_are_exact checks it
     pub fn read(&self, start: u64, out: &mut [f32]) -> Result<(), TimeShiftError> {
         let end = start + out.len() as u64;
         if start < self.tail {
@@ -153,13 +152,6 @@ impl TimeShiftBuffer {
             *o = self.ring[(pos % self.capacity as u64) as usize];
         }
         Ok(())
-    }
-
-    /// The largest delay (in samples) currently readable: how far behind
-    /// live a time-shifted playhead may be.
-    #[must_use]
-    pub fn max_delay(&self) -> u64 {
-        self.head - self.tail
     }
 }
 
@@ -237,7 +229,7 @@ mod tests {
         // programme should replay from its start.
         let mut buf = TimeShiftBuffer::new(live.id(), 5_000, program_start);
         buf.record_until(&live, 12_000);
-        assert!(buf.max_delay() >= 2_000);
+        assert!(buf.newest() - buf.oldest() >= 2_000);
         let mut out = vec![0.0f32; 2_000];
         buf.read(program_start, &mut out).unwrap();
         for (i, &v) in out.iter().enumerate() {

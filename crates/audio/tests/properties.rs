@@ -1,6 +1,5 @@
 //! Property-based tests for the audio substrate.
 
-use pphcr_audio::loudness::{match_gain, measure, Gained};
 use pphcr_audio::source::{AudioSource, ClipSource, LiveSource, ANCHOR_SPACING};
 use pphcr_audio::splice::{PlannedSegment, SegmentSource, SplicePlan};
 use pphcr_audio::{Bitrate, TimeShiftBuffer};
@@ -39,7 +38,7 @@ proptest! {
     /// and additive in duration (up to the ceil rounding of each term).
     #[test]
     fn bitrate_monotone_additive(kbps in 1u64..512, s1 in 0u64..100_000, s2 in 0u64..100_000) {
-        let r = Bitrate::kbps(kbps);
+        let r = Bitrate(kbps * 1_000);
         let b1 = r.bytes_for(TimeSpan::seconds(s1));
         let b2 = r.bytes_for(TimeSpan::seconds(s2));
         let both = r.bytes_for(TimeSpan::seconds(s1 + s2));
@@ -94,21 +93,5 @@ proptest! {
         // Envelope slope bound (2 / fade) plus the intra-source slope.
         let bound = 2.0 / fade as f32 + 2.0 / ANCHOR_SPACING as f32 + 1e-3;
         prop_assert!(stats.max_seam_jump <= bound, "{} > {}", stats.max_seam_jump, bound);
-    }
-
-    /// Loudness gain matching never produces clipping and scales RMS
-    /// linearly.
-    #[test]
-    fn gain_matching_no_clipping(clip_no in 0u64..32, target_no in 32u64..64) {
-        let clip = ClipSource::new(clip_no, 50_000);
-        let target = ClipSource::new(target_no, 50_000);
-        let l_clip = measure(&clip, 0, 20_000);
-        let l_target = measure(&target, 0, 20_000);
-        let gain = match_gain(l_target, l_clip);
-        let gained = Gained::new(clip, gain);
-        let l_after = measure(&gained, 0, 20_000);
-        prop_assert!(l_after.peak <= 1.0 + 1e-5, "clipped: {}", l_after.peak);
-        // RMS scales exactly by the gain.
-        prop_assert!((l_after.rms - l_clip.rms * f64::from(gain)).abs() < 1e-6);
     }
 }

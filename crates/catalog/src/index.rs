@@ -139,12 +139,6 @@ impl RepositoryIndex {
         &list[from..]
     }
 
-    /// The geo grid (projected tag position → clip id).
-    #[must_use]
-    pub fn geo(&self) -> &GridIndex<ClipId> {
-        &self.geo
-    }
-
     /// Largest geo-tag radius ever indexed, meters.
     #[must_use]
     pub fn max_tag_radius_m(&self) -> f64 {
@@ -253,10 +247,10 @@ mod tests {
         let mut m = meta(1, 3, TimePoint::at(0, 6, 0, 0));
         m.geo = Some(GeoTag { point: TORINO.destination(90.0, 1_000.0), radius_m: 750.0 });
         idx.insert(&m, &proj);
-        assert_eq!(idx.geo().len(), 1);
+        assert_eq!(idx.geo.len(), 1);
         assert!((idx.max_tag_radius_m() - 750.0).abs() < 1e-12);
         idx.rebuild_geo([m.clone()].iter(), ClipId(1), &proj);
-        assert!(idx.geo().is_empty());
+        assert!(idx.geo.is_empty());
     }
 
     #[test]
@@ -273,11 +267,9 @@ mod tests {
         let ids_after = |order: Vec<&ClipMetadata>| {
             let mut idx = RepositoryIndex::new(50_000.0);
             idx.rebuild_geo(order.into_iter(), ClipId(99), &proj);
-            idx.geo()
-                .query_radius(proj.project(TORINO), 10_000.0)
-                .into_iter()
-                .map(|(_, id)| id.0)
-                .collect::<Vec<u64>>()
+            let mut ids = Vec::new();
+            idx.geo.for_each_in_radius(proj.project(TORINO), 10_000.0, |_, id| ids.push(id.0));
+            ids
         };
         assert_eq!(ids_after(vec![&a, &b]), vec![1, 2]);
         assert_eq!(ids_after(vec![&b, &a]), vec![1, 2], "rebuild must not echo caller order");

@@ -13,7 +13,7 @@ use crate::category::CategoryId;
 use crate::clipmeta::ClipMetadata;
 use crate::index::RepositoryIndex;
 use pphcr_audio::ClipId;
-use pphcr_geo::{LocalProjection, Polyline, TimePoint, TimeSpan};
+use pphcr_geo::{LocalProjection, Polyline, TimePoint};
 use std::collections::HashMap;
 
 /// The content repository (metadata side).
@@ -81,12 +81,6 @@ impl ContentRepository {
         self.clips.is_empty()
     }
 
-    /// All clips of one category, oldest first.
-    #[must_use]
-    pub fn by_category(&self, category: CategoryId) -> Vec<&ClipMetadata> {
-        self.index.postings(category).iter().filter_map(|&(_, id)| self.clips.get(&id)).collect()
-    }
-
     /// Number of indexed clips in one category — the posting-list
     /// length, read in O(1) without visiting any clip.
     #[must_use]
@@ -108,33 +102,6 @@ impl ContentRepository {
         since: TimePoint,
     ) -> impl Iterator<Item = &ClipMetadata> {
         self.index.postings_since(category, since).iter().filter_map(|&(_, id)| self.clips.get(&id))
-    }
-
-    /// Clips published at or after `since`, newest first.
-    #[must_use]
-    pub fn published_since(&self, since: TimePoint) -> Vec<&ClipMetadata> {
-        let mut out: Vec<&ClipMetadata> =
-            self.clips.values().filter(|m| m.published >= since).collect();
-        out.sort_by(|a, b| b.published.cmp(&a.published).then(a.id.cmp(&b.id)));
-        out
-    }
-
-    /// Clips whose duration fits `[min, max]`.
-    #[must_use]
-    pub fn by_duration(&self, min: TimeSpan, max: TimeSpan) -> Vec<&ClipMetadata> {
-        self.clips.values().filter(|m| m.duration >= min && m.duration <= max).collect()
-    }
-
-    /// Geo-tagged clips whose tag lies within `radius_m` of `point`
-    /// (projected frame).
-    #[must_use]
-    pub fn geo_near(&self, point: pphcr_geo::ProjectedPoint, radius_m: f64) -> Vec<&ClipMetadata> {
-        self.index
-            .geo()
-            .query_radius(point, radius_m)
-            .into_iter()
-            .filter_map(|(_, id)| self.clips.get(&id))
-            .collect()
     }
 
     /// Geo-tagged clips relevant to a route: tags within `corridor_m`
@@ -201,7 +168,7 @@ impl ContentRepository {
 mod tests {
     use super::*;
     use crate::clipmeta::{ClipKind, GeoTag};
-    use pphcr_geo::{GeoPoint, ProjectedPoint};
+    use pphcr_geo::{GeoPoint, ProjectedPoint, TimeSpan};
 
     const TORINO: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
 
@@ -230,9 +197,8 @@ mod tests {
     #[test]
     fn category_query() {
         let r = repo();
-        let wine = r.by_category(CategoryId::new(8));
-        assert_eq!(wine.len(), 2);
-        assert!(r.by_category(CategoryId::new(9)).is_empty());
+        assert_eq!(r.category_len(CategoryId::new(8)), 2);
+        assert_eq!(r.category_len(CategoryId::new(9)), 0);
     }
 
     #[test]
@@ -257,23 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn published_since_sorted_newest_first() {
-        let r = repo();
-        let recent = r.published_since(TimePoint::at(0, 6, 30, 0));
-        let ids: Vec<u64> = recent.iter().map(|m| m.id.0).collect();
-        assert_eq!(ids, vec![2, 3]);
-    }
-
-    #[test]
-    fn duration_window() {
-        let r = repo();
-        let fits = r.by_duration(TimeSpan::minutes(5), TimeSpan::minutes(20));
-        let mut ids: Vec<u64> = fits.iter().map(|m| m.id.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
-    }
-
-    #[test]
     fn reingest_replaces_cleanly() {
         let mut r = repo();
         let mut m = meta(1, 9, TimePoint::at(0, 10, 0, 0), 10);
@@ -281,23 +230,8 @@ mod tests {
         r.ingest(m);
         assert_eq!(r.len(), 3);
         assert_eq!(r.get(ClipId(1)).unwrap().title, "Updated");
-        assert_eq!(r.by_category(CategoryId::new(8)).len(), 1, "old index entry removed");
-        assert_eq!(r.by_category(CategoryId::new(9)).len(), 1);
-    }
-
-    #[test]
-    fn geo_near_query() {
-        let mut r = ContentRepository::new(LocalProjection::new(TORINO));
-        let mut near = meta(10, 13, TimePoint::EPOCH, 3);
-        near.geo = Some(GeoTag { point: TORINO.destination(90.0, 1_000.0), radius_m: 500.0 });
-        let mut far = meta(11, 13, TimePoint::EPOCH, 3);
-        far.geo = Some(GeoTag { point: TORINO.destination(90.0, 30_000.0), radius_m: 500.0 });
-        r.ingest(near);
-        r.ingest(far);
-        let proj = *r.projection();
-        let hits = r.geo_near(proj.project(TORINO), 2_000.0);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, ClipId(10));
+        assert_eq!(r.category_len(CategoryId::new(8)), 1, "old index entry removed");
+        assert_eq!(r.category_len(CategoryId::new(9)), 1);
     }
 
     #[test]

@@ -111,21 +111,6 @@ impl Schedule {
         slots.get(idx)
     }
 
-    /// Programmes on `service` overlapping `window`, in air order.
-    #[must_use]
-    pub fn programmes_in(&self, service: ServiceIndex, window: TimeInterval) -> Vec<&Programme> {
-        self.by_service
-            .get(&service)
-            .map(|slots| slots.iter().filter(|p| p.interval.overlaps(window)).collect())
-            .unwrap_or_default()
-    }
-
-    /// All programmes on `service`, in air order.
-    #[must_use]
-    pub fn service_programmes(&self, service: ServiceIndex) -> &[Programme] {
-        self.by_service.get(&service).map_or(&[], Vec::as_slice)
-    }
-
     /// Total number of scheduled programmes.
     #[must_use]
     // lint: allow(reach-hash-iter) — a sum over per-service lengths is visit-order insensitive
@@ -216,22 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn programmes_in_window() {
-        let s = fig4_schedule();
-        let svc = ServiceIndex(0);
-        let window = TimeInterval::new(TimePoint::at(0, 10, 54, 0), TimePoint::at(0, 11, 11, 0));
-        let progs = s.programmes_in(svc, window);
-        let ids: Vec<u64> = progs.iter().map(|p| p.id.0).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn out_of_order_insertion_stays_sorted() {
         let mut s = Schedule::new();
         s.add(prog(2, 0, TimePoint(200), TimePoint(300))).unwrap();
         s.add(prog(1, 0, TimePoint(0), TimePoint(100))).unwrap();
         s.add(prog(3, 0, TimePoint(100), TimePoint(200))).unwrap();
-        let ids: Vec<u64> = s.service_programmes(ServiceIndex(0)).iter().map(|p| p.id.0).collect();
+        let ids: Vec<u64> = s.by_service[&ServiceIndex(0)].iter().map(|p| p.id.0).collect();
         assert_eq!(ids, vec![1, 3, 2]);
         assert_eq!(s.len(), 3);
     }

@@ -8,7 +8,7 @@
 //! bearer that carries the service; that choice is what the paper's
 //! network-resource-optimization claim rests on.
 
-use pphcr_audio::{Bitrate, LiveSource};
+use pphcr_audio::Bitrate;
 use serde::{Deserialize, Serialize};
 
 /// Dense index of a service within the platform (Rai runs 10).
@@ -48,28 +48,6 @@ pub enum Bearer {
     },
 }
 
-impl Bearer {
-    /// True for broadcast bearers (FM/DAB), which cost nothing per
-    /// additional listener.
-    #[must_use]
-    pub fn is_broadcast(&self) -> bool {
-        !matches!(self, Bearer::Ip { .. })
-    }
-
-    /// RadioDNS-style lookup key for the bearer.
-    #[must_use]
-    pub fn radiodns_key(&self) -> String {
-        match self {
-            Bearer::Fm { gcc, pi, frequency_khz } => {
-                // fm/<gcc>/<pi>/<freq in 10 kHz units, 5 digits>
-                format!("fm/{gcc}/{pi:04x}/{:05}", frequency_khz / 10)
-            }
-            Bearer::Dab { eid, sid } => format!("dab/{eid:04x}/{sid:08x}"),
-            Bearer::Ip { url } => format!("ip/{url}"),
-        }
-    }
-}
-
 /// A live radio service.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Service {
@@ -84,18 +62,6 @@ pub struct Service {
 }
 
 impl Service {
-    /// The deterministic audio source carrying this service.
-    #[must_use]
-    pub fn live_source(&self) -> LiveSource {
-        LiveSource::new(self.index.0)
-    }
-
-    /// True when at least one bearer is broadcast.
-    #[must_use]
-    pub fn has_broadcast_bearer(&self) -> bool {
-        self.bearers.iter().any(Bearer::is_broadcast)
-    }
-
     /// Builds the paper's 10-service Rai-like line-up, each with an FM,
     /// a DAB and an IP bearer at 96 kbps.
     #[must_use]
@@ -122,52 +88,24 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pphcr_audio::AudioSource;
 
     #[test]
     fn lineup_has_ten_hybrid_services() {
         let lineup = Service::rai_lineup();
         assert_eq!(lineup.len(), 10);
         for s in &lineup {
-            assert!(s.has_broadcast_bearer());
-            assert!(s.bearers.iter().any(|b| !b.is_broadcast()));
+            assert!(s.bearers.iter().any(|b| !matches!(b, Bearer::Ip { .. })));
+            assert!(s.bearers.iter().any(|b| matches!(b, Bearer::Ip { .. })));
             assert_eq!(s.bitrate, Bitrate::LIVE_STREAM);
         }
     }
 
     #[test]
-    fn live_sources_are_distinct() {
+    fn lineup_bearers_are_unique() {
         let lineup = Service::rai_lineup();
-        let a = lineup[0].live_source();
-        let b = lineup[1].live_source();
-        assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn radiodns_keys() {
-        let fm = Bearer::Fm { gcc: "5e0".into(), pi: 0x5201, frequency_khz: 89_300 };
-        assert_eq!(fm.radiodns_key(), "fm/5e0/5201/08930");
-        let dab = Bearer::Dab { eid: 0x5064, sid: 0x52010 };
-        assert_eq!(dab.radiodns_key(), "dab/5064/00052010");
-        let ip = Bearer::Ip { url: "http://x/y".into() };
-        assert_eq!(ip.radiodns_key(), "ip/http://x/y");
-    }
-
-    #[test]
-    fn broadcast_classification() {
-        assert!(Bearer::Dab { eid: 1, sid: 2 }.is_broadcast());
-        assert!(Bearer::Fm { gcc: "5e0".into(), pi: 1, frequency_khz: 100_000 }.is_broadcast());
-        assert!(!Bearer::Ip { url: "u".into() }.is_broadcast());
-    }
-
-    #[test]
-    fn lineup_keys_are_unique() {
-        let lineup = Service::rai_lineup();
-        let mut keys: Vec<String> =
-            lineup.iter().flat_map(|s| s.bearers.iter().map(Bearer::radiodns_key)).collect();
-        let before = keys.len();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), before);
+        let bearers: Vec<&Bearer> = lineup.iter().flat_map(|s| &s.bearers).collect();
+        for (i, b) in bearers.iter().enumerate() {
+            assert!(!bearers[i + 1..].contains(b), "duplicate bearer {b:?}");
+        }
     }
 }

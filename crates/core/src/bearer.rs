@@ -5,13 +5,11 @@
 //! signal reaches, IP elsewhere. The paper's efficiency argument
 //! (§1.1: "the efficiency of content delivery can be optimized, if the
 //! device allows using a broadcast technology") only materializes where
-//! coverage exists — this module models that: transmitter footprints,
-//! per-position bearer choice with hysteresis (no flapping at the cell
-//! edge), and the coverage-aware refinement of the network-cost model.
+//! coverage exists — this module models that: transmitter footprints
+//! and per-position bearer choice with hysteresis (no flapping at the
+//! cell edge).
 
-use crate::netcost::{DeliveryPlanKind, NetworkCostModel, TrafficReport};
-use pphcr_catalog::{Bearer, Service};
-use pphcr_geo::{ProjectedPoint, TimeSpan};
+use pphcr_geo::ProjectedPoint;
 use serde::{Deserialize, Serialize};
 
 /// A broadcast transmitter footprint (disc model).
@@ -62,12 +60,6 @@ impl CoverageMap {
             .map(|t| t.radius_m - t.position.distance_m(pos))
             .fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// True when `pos` has broadcast signal.
-    #[must_use]
-    pub fn covered(&self, pos: ProjectedPoint) -> bool {
-        self.margin_m(pos) >= 0.0
-    }
 }
 
 /// Which bearer class the client currently uses.
@@ -102,18 +94,6 @@ impl BearerSelector {
         BearerSelector { coverage, hysteresis_m: 150.0, current, switches: 0 }
     }
 
-    /// The active bearer class.
-    #[must_use]
-    pub fn current(&self) -> BearerClass {
-        self.current
-    }
-
-    /// Bearer switches performed so far.
-    #[must_use]
-    pub fn switches(&self) -> u32 {
-        self.switches
-    }
-
     /// Observes the listener's position; returns the bearer to use and
     /// records a switch when it changes.
     pub fn observe(&mut self, pos: ProjectedPoint) -> BearerClass {
@@ -128,41 +108,6 @@ impl BearerSelector {
             self.current = next;
         }
         self.current
-    }
-
-    /// The concrete bearer of `service` for the current class, if the
-    /// service carries one (preferred order as listed on the service).
-    #[must_use]
-    pub fn pick_bearer<'a>(&self, service: &'a Service) -> Option<&'a Bearer> {
-        service.bearers.iter().find(|b| match self.current {
-            BearerClass::Broadcast => b.is_broadcast(),
-            BearerClass::Ip => !b.is_broadcast(),
-        })
-    }
-}
-
-/// Coverage-aware hybrid traffic: listeners outside broadcast coverage
-/// must stream the linear part over IP too. `coverage_fraction` is the
-/// share of the audience inside coverage.
-#[must_use]
-pub fn hybrid_with_coverage(
-    model: &NetworkCostModel,
-    listeners: u64,
-    listen: TimeSpan,
-    personalized_fraction: f64,
-    coverage_fraction: f64,
-) -> TrafficReport {
-    let cf = coverage_fraction.clamp(0.0, 1.0);
-    let inside = (listeners as f64 * cf).round() as u64;
-    let outside = listeners - inside;
-    let hybrid = model.traffic(DeliveryPlanKind::Hybrid, inside, listen, personalized_fraction);
-    let ip = model.traffic(DeliveryPlanKind::AllIp, outside, listen, personalized_fraction);
-    TrafficReport {
-        plan: DeliveryPlanKind::Hybrid,
-        listeners,
-        personalized_fraction: personalized_fraction.clamp(0.0, 1.0),
-        broadcast_bytes: hybrid.broadcast_bytes,
-        unicast_bytes: hybrid.unicast_bytes + ip.unicast_bytes,
     }
 }
 
@@ -180,25 +125,24 @@ mod tests {
     #[test]
     fn margin_and_coverage() {
         let c = city_coverage();
-        assert!(c.covered(ProjectedPoint::new(1_000.0, 0.0)));
-        assert!(!c.covered(ProjectedPoint::new(7_000.0, 0.0)), "gap between cells");
-        assert!(c.covered(ProjectedPoint::new(11_000.0, 0.0)));
+        assert!(c.margin_m(ProjectedPoint::new(1_000.0, 0.0)) >= 0.0);
+        assert!(c.margin_m(ProjectedPoint::new(7_000.0, 0.0)) < 0.0, "gap between cells");
+        assert!(c.margin_m(ProjectedPoint::new(11_000.0, 0.0)) >= 0.0);
         assert!(c.margin_m(ProjectedPoint::new(0.0, 0.0)) > 4_999.0);
         let empty = CoverageMap::new();
-        assert!(!empty.covered(ProjectedPoint::new(0.0, 0.0)));
         assert_eq!(empty.margin_m(ProjectedPoint::new(0.0, 0.0)), f64::NEG_INFINITY);
     }
 
     #[test]
     fn selector_switches_in_the_gap_and_back() {
         let mut sel = BearerSelector::new(city_coverage());
-        assert_eq!(sel.current(), BearerClass::Broadcast);
+        assert_eq!(sel.current, BearerClass::Broadcast);
         // Drive east through the coverage gap.
         for x in (0..=12_000).step_by(500) {
             sel.observe(ProjectedPoint::new(f64::from(x), 0.0));
         }
-        assert_eq!(sel.current(), BearerClass::Broadcast, "back inside cell 2");
-        assert_eq!(sel.switches(), 2, "one drop to IP in the gap, one return");
+        assert_eq!(sel.current, BearerClass::Broadcast, "back inside cell 2");
+        assert_eq!(sel.switches, 2, "one drop to IP in the gap, one return");
     }
 
     #[test]
@@ -209,43 +153,16 @@ mod tests {
             let x = 5_000.0 + if i % 2 == 0 { 100.0 } else { -100.0 };
             sel.observe(ProjectedPoint::new(x, 0.0));
         }
-        assert_eq!(sel.switches(), 0, "no switch inside the hysteresis band");
+        assert_eq!(sel.switches, 0, "no switch inside the hysteresis band");
         // A decisive exit does switch.
         sel.observe(ProjectedPoint::new(6_000.0, 0.0));
-        assert_eq!(sel.switches(), 1);
-        assert_eq!(sel.current(), BearerClass::Ip);
-    }
-
-    #[test]
-    fn pick_bearer_respects_class() {
-        let service = &Service::rai_lineup()[0];
-        let mut sel = BearerSelector::new(city_coverage());
-        assert!(sel.pick_bearer(service).unwrap().is_broadcast());
-        sel.observe(ProjectedPoint::new(50_000.0, 0.0));
-        assert_eq!(sel.current(), BearerClass::Ip);
-        assert!(!sel.pick_bearer(service).unwrap().is_broadcast());
+        assert_eq!(sel.switches, 1);
+        assert_eq!(sel.current, BearerClass::Ip);
     }
 
     #[test]
     fn no_coverage_starts_on_ip() {
         let sel = BearerSelector::new(CoverageMap::new());
-        assert_eq!(sel.current(), BearerClass::Ip);
-    }
-
-    #[test]
-    fn coverage_aware_hybrid_interpolates() {
-        let model = NetworkCostModel::default();
-        let listen = TimeSpan::hours(1);
-        let full = hybrid_with_coverage(&model, 1_000, listen, 0.2, 1.0);
-        let none = hybrid_with_coverage(&model, 1_000, listen, 0.2, 0.0);
-        let half = hybrid_with_coverage(&model, 1_000, listen, 0.2, 0.5);
-        let pure_hybrid = model.traffic(DeliveryPlanKind::Hybrid, 1_000, listen, 0.2);
-        let pure_ip = model.traffic(DeliveryPlanKind::AllIp, 1_000, listen, 0.2);
-        assert_eq!(full.unicast_bytes, pure_hybrid.unicast_bytes);
-        assert_eq!(none.unicast_bytes, pure_ip.unicast_bytes);
-        assert!(half.unicast_bytes > full.unicast_bytes);
-        assert!(half.unicast_bytes < none.unicast_bytes);
-        // Broadcast keeps transmitting regardless of who listens.
-        assert_eq!(half.broadcast_bytes, pure_hybrid.broadcast_bytes);
+        assert_eq!(sel.current, BearerClass::Ip);
     }
 }

@@ -239,22 +239,10 @@ impl Bus {
         Bus::default()
     }
 
-    /// Creates a bus over a custom transport (e.g. a seeded
-    /// [`crate::fault::FaultyTransport`]).
-    #[must_use]
-    pub fn with_transport(transport: Box<dyn Transport>) -> Self {
-        Bus { transport, ..Bus::default() }
-    }
-
     /// Replaces the wire under the bus. Messages already in flight on
     /// the old transport are discarded.
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
         self.transport = transport;
-    }
-
-    /// Overrides the bounded-queue policy of one topic.
-    pub fn set_policy(&mut self, topic: Topic, policy: QueuePolicy) {
-        self.policies.insert(topic, policy);
     }
 
     /// The effective policy of a topic.
@@ -268,12 +256,6 @@ impl Bus {
     /// which in-flight messages have arrived.
     pub fn advance_clock(&mut self, now: TimePoint) {
         self.clock = self.clock.max(now);
-    }
-
-    /// The bus clock: the latest instant the bus has seen.
-    #[must_use]
-    pub fn clock(&self) -> TimePoint {
-        self.clock
     }
 
     /// Publishes a message on a topic, returning its sequence number.
@@ -320,16 +302,6 @@ impl Bus {
         self.transport.send(topic, envelope.clone(), now);
         self.published += 1;
         Ok(envelope)
-    }
-
-    /// Forwards an existing envelope to another topic, incrementing its
-    /// hop count (e.g. Editorial → Recommendation). The sequence number
-    /// is preserved so consumers still deduplicate correctly.
-    pub fn forward(&mut self, envelope: Envelope, topic: Topic) {
-        let hops = envelope.hops + 1;
-        let published_at = envelope.published_at;
-        self.transport.send(topic, Envelope { hops, ..envelope }, published_at);
-        self.published += 1;
     }
 
     /// Re-sends an envelope on a topic without counting a new
@@ -475,22 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_increments_hops() {
-        let mut bus = Bus::new();
-        bus.publish(
-            Topic::Editorial,
-            BusMessage::Inject { user: UserId(1), clip: ClipId(5), at: TimePoint(3) },
-            TimePoint(3),
-        );
-        let env = bus.drain(Topic::Editorial).pop().unwrap();
-        assert_eq!(env.hops, 1);
-        bus.forward(env, Topic::Recommendation);
-        let env2 = bus.drain(Topic::Recommendation).pop().unwrap();
-        assert_eq!(env2.hops, 2);
-        assert_eq!(env2.published_at, TimePoint(3), "publication instant preserved");
-    }
-
-    #[test]
     fn counters_track_volume() {
         let mut bus = Bus::new();
         for i in 0..5 {
@@ -502,21 +458,17 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbers_are_unique_and_preserved_by_forward() {
+    fn sequence_numbers_are_unique() {
         let mut bus = Bus::new();
         let a = bus.publish(Topic::Editorial, tuned(1), TimePoint(0));
         let b = bus.publish(Topic::Editorial, tuned(2), TimePoint(0));
         assert_ne!(a, b);
-        let envs = bus.drain(Topic::Editorial);
-        bus.forward(envs[0].clone(), Topic::Recommendation);
-        let fwd = bus.drain(Topic::Recommendation).pop().unwrap();
-        assert_eq!(fwd.seq, a, "forward keeps the original sequence number");
     }
 
     #[test]
     fn drop_oldest_topic_sheds_load_into_dead_letters() {
         let mut bus = Bus::new();
-        bus.set_policy(
+        bus.policies.insert(
             Topic::Tracking,
             QueuePolicy { capacity: 3, overflow: OverflowPolicy::DropOldest },
         );
@@ -540,7 +492,7 @@ mod tests {
     #[test]
     fn editorial_topic_rejects_when_full() {
         let mut bus = Bus::new();
-        bus.set_policy(
+        bus.policies.insert(
             Topic::Editorial,
             QueuePolicy { capacity: 2, overflow: OverflowPolicy::Reject },
         );
@@ -562,7 +514,8 @@ mod tests {
             max_delay: pphcr_geo::TimeSpan::seconds(20),
             ..FaultProfile::none()
         };
-        let mut bus = Bus::with_transport(Box::new(FaultyTransport::new(profile, 42)));
+        let mut bus = Bus::new();
+        bus.set_transport(Box::new(FaultyTransport::new(profile, 42)));
         bus.publish(Topic::Recommendation, tuned(1), TimePoint(100));
         assert!(bus.drain(Topic::Recommendation).is_empty(), "still in flight");
         assert_eq!(bus.pending(Topic::Recommendation), 1);

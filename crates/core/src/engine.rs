@@ -7,7 +7,7 @@
 //! clips are queued on the listener's player (editorial injections
 //! first). All state is in-process and deterministic.
 
-use crate::bearer::{BearerClass, BearerSelector, CoverageMap};
+use crate::bearer::{BearerSelector, CoverageMap};
 use crate::bus::{Bus, BusMessage, PublishError, Topic};
 use crate::command::EngineCommand;
 use crate::fault::ChaosRng;
@@ -730,17 +730,6 @@ impl Engine {
     /// hysteretic bearer selector fed by their arriving fixes.
     pub fn set_coverage(&mut self, coverage: CoverageMap) {
         self.coverage = Some(coverage);
-    }
-
-    /// The listener's current bearer class, when coverage is attached.
-    /// [`HealthState::BroadcastOnly`] forces the broadcast bearer
-    /// regardless of position.
-    #[must_use]
-    pub fn bearer_for(&self, user: UserId) -> Option<BearerClass> {
-        if self.health_of(user) == Some(HealthState::BroadcastOnly) {
-            return Some(BearerClass::Broadcast);
-        }
-        self.bearers.get(&user).map(BearerSelector::current)
     }
 
     /// The listener's position on the degradation ladder (`None` for
@@ -1960,9 +1949,8 @@ impl Engine {
     }
 }
 
-/// Fluent engine construction, consolidating the historical
-/// `set_coverage` / `set_road_network` / `set_gazetteer` post-hoc
-/// setters into one builder:
+/// Fluent engine construction: a configuration plus an optional
+/// gazetteer (see [`Engine::set_gazetteer`]):
 ///
 /// ```
 /// use pphcr_core::{Engine, EngineConfig};
@@ -1972,8 +1960,6 @@ impl Engine {
 /// ```
 pub struct EngineBuilder {
     config: EngineConfig,
-    coverage: Option<CoverageMap>,
-    road_network: Option<RoadNetwork>,
     gazetteer: Option<Gazetteer>,
 }
 
@@ -1987,34 +1973,13 @@ impl EngineBuilder {
     /// A builder starting from [`EngineConfig::default`].
     #[must_use]
     pub fn new() -> Self {
-        EngineBuilder {
-            config: EngineConfig::default(),
-            coverage: None,
-            road_network: None,
-            gazetteer: None,
-        }
+        EngineBuilder { config: EngineConfig::default(), gazetteer: None }
     }
 
     /// Replaces the engine configuration.
     #[must_use]
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Attaches the broadcast coverage map (see
-    /// [`Engine::set_coverage`]).
-    #[must_use]
-    pub fn coverage(mut self, coverage: CoverageMap) -> Self {
-        self.coverage = Some(coverage);
-        self
-    }
-
-    /// Attaches the road network used for distraction zones (see
-    /// [`Engine::set_road_network`]).
-    #[must_use]
-    pub fn road_network(mut self, network: RoadNetwork) -> Self {
-        self.road_network = Some(network);
         self
     }
 
@@ -2030,12 +1995,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn build(self) -> Engine {
         let mut engine = Engine::new(self.config);
-        if let Some(coverage) = self.coverage {
-            engine.set_coverage(coverage);
-        }
-        if let Some(network) = self.road_network {
-            engine.set_road_network(network);
-        }
         if let Some(gazetteer) = self.gazetteer {
             engine.set_gazetteer(gazetteer);
         }
@@ -2278,13 +2237,12 @@ mod tests {
         let t0 = TimePoint::at(0, 9, 0, 0);
         e.register_user(profile(1), t0);
         e.change_service(UserId(1), ServiceIndex(4), t0.advance(TimeSpan::minutes(7))).unwrap();
-        let history = e.sessions.history(UserId(1));
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].end, SessionEnd::Surfed { to: ServiceIndex(4) });
-        assert_eq!(history[0].duration(), TimeSpan::minutes(7));
-        assert_eq!(e.sessions.open_session(UserId(1)).unwrap().service, ServiceIndex(4));
-        assert_eq!(e.player(UserId(1)).unwrap().service(), ServiceIndex(4));
-        assert!((e.sessions.surf_propensity(UserId(1)) - 1.0).abs() < 1e-12);
+        let closed = e.sessions.export_closed();
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].end, SessionEnd::Surfed { to: ServiceIndex(4) });
+        assert_eq!(closed[0].duration(), TimeSpan::minutes(7));
+        assert_eq!(e.sessions.export_open()[0].service, ServiceIndex(4));
+        assert_eq!(e.player(UserId(1)).unwrap().service, ServiceIndex(4));
     }
 
     #[test]

@@ -121,20 +121,6 @@ impl FaultProfile {
         }
     }
 
-    /// Sets the drop rate, builder style.
-    #[must_use]
-    pub fn with_drop(mut self, rate: f64) -> Self {
-        self.drop_rate = rate;
-        self
-    }
-
-    /// Caps a topic's per-receive bandwidth, builder style.
-    #[must_use]
-    pub fn with_cap(mut self, topic: Topic, max_per_receive: usize) -> Self {
-        self.bandwidth_caps.insert(topic, max_per_receive);
-        self
-    }
-
     /// True when every fault is disabled and no caps are set.
     #[must_use]
     pub fn is_perfect(&self) -> bool {
@@ -332,12 +318,6 @@ impl FaultyTransport {
         }
     }
 
-    /// The active fault profile.
-    #[must_use]
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
     fn arrival_time(&mut self, now: TimePoint) -> TimePoint {
         if self.profile.delay_rate > 0.0 && self.rng.chance(self.profile.delay_rate) {
             self.stats.delayed += 1;
@@ -460,7 +440,8 @@ mod tests {
     #[test]
     fn drops_are_deterministic_per_seed() {
         let run = |seed| {
-            let mut t = FaultyTransport::new(FaultProfile::none().with_drop(0.5), seed);
+            let mut t =
+                FaultyTransport::new(FaultProfile { drop_rate: 0.5, ..FaultProfile::none() }, seed);
             for i in 0..100 {
                 t.send(Topic::Tracking, env(i), TimePoint(i));
             }
@@ -500,7 +481,8 @@ mod tests {
 
     #[test]
     fn bandwidth_cap_throttles_release() {
-        let profile = FaultProfile::none().with_cap(Topic::Tracking, 3);
+        let mut profile = FaultProfile::none();
+        profile.bandwidth_caps.insert(Topic::Tracking, 3);
         let mut t = FaultyTransport::new(profile, 0);
         for i in 0..10 {
             t.send(Topic::Tracking, env(i), TimePoint(0));

@@ -77,12 +77,6 @@ impl HealthCounts {
         }
         counts
     }
-
-    /// Total listeners across every rung.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.healthy + self.degraded + self.broadcast_only
-    }
 }
 
 /// Per-listener health: ladder position, hysteresis streaks and
@@ -184,7 +178,6 @@ mod tests {
         ];
         let counts = HealthCounts::tally(states.into_iter());
         assert_eq!(counts, HealthCounts { healthy: 2, degraded: 1, broadcast_only: 1 });
-        assert_eq!(counts.total(), 4);
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl InjectionQueue {
         self.queues.get(&user).map_or(&[], Vec::as_slice)
     }
 
-    /// Total pending across all listeners.
-    #[must_use]
-    pub fn pending_total(&self) -> usize {
-        self.queues.values().map(Vec::len).sum()
-    }
-
     /// Counters: (submitted, delivered).
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
@@ -90,7 +84,6 @@ mod tests {
         q.submit(UserId(1), ClipId(11), TimePoint(6), "follow-up");
         q.submit(UserId(2), ClipId(12), TimePoint(7), "other listener");
         assert_eq!(q.pending(UserId(1)).len(), 2);
-        assert_eq!(q.pending_total(), 3);
         let taken = q.take(UserId(1));
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0].clip, ClipId(10));

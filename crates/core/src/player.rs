@@ -98,12 +98,6 @@ impl Player {
         }
     }
 
-    /// The tuned service.
-    #[must_use]
-    pub fn service(&self) -> ServiceIndex {
-        self.service
-    }
-
     /// Current playback mode.
     #[must_use]
     pub fn mode(&self) -> PlaybackMode {
@@ -112,6 +106,7 @@ impl Player {
 
     /// Accumulated displacement behind real time.
     #[must_use]
+    // lint: allow(dead) — tests/failure_injection.rs::queue_underflow_resumes_live checks the shifted resume through it
     pub fn displacement(&self) -> TimeSpan {
         self.displacement
     }
@@ -250,22 +245,6 @@ impl Player {
         events
     }
 
-    /// Explicit like/dislike for the current content.
-    pub fn rate(&mut self, now: TimePoint, epg: &Schedule, liked: bool) -> Option<PlayerEvent> {
-        let category = self.current_category(now, epg)?;
-        let clip = match self.mode {
-            PlaybackMode::Clip { clip, .. } => Some(clip.clip),
-            _ => None,
-        };
-        Some(PlayerEvent::Feedback(FeedbackEvent {
-            user: self.user,
-            clip,
-            category,
-            kind: if liked { FeedbackKind::Like } else { FeedbackKind::Dislike },
-            time: now,
-        }))
-    }
-
     /// Graceful-degradation fallback: personalization is suspended, so
     /// drop the queue and pin to the real-time live stream of the
     /// *current* service. Unlike [`Player::change_service`] this is not
@@ -394,17 +373,6 @@ mod tests {
         // No double emission on a second tick at the same instant.
         let again = p.tick(t0.advance(TimeSpan::minutes(10)), &epg);
         assert!(again.is_empty());
-    }
-
-    #[test]
-    fn rate_emits_explicit_feedback() {
-        let epg = epg();
-        let t0 = TimePoint::at(0, 9, 0, 0);
-        let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
-        let ev = p.rate(t0, &epg, true).unwrap();
-        assert!(matches!(ev, PlayerEvent::Feedback(f) if f.kind == FeedbackKind::Like));
-        let ev = p.rate(t0, &epg, false).unwrap();
-        assert!(matches!(ev, PlayerEvent::Feedback(f) if f.kind == FeedbackKind::Dislike));
     }
 
     #[test]

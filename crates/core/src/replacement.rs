@@ -322,7 +322,6 @@ mod tests {
         let mid_clip = p.clock.sample_at(TimePoint::at(0, 11, 7, 0));
         let clip_local = mid_clip - p.clock.sample_at(TimePoint::at(0, 11, 0, 0));
         assert_eq!(plan.sample_at(mid_clip), clip_src.sample(clip_local));
-        assert_eq!(plan.provenance(mid_clip), Some(clip_src.id()));
     }
 
     #[test]

@@ -122,16 +122,6 @@ impl DeliveryTracker {
         );
     }
 
-    /// Receiver-side duplicate filter: returns `true` the first time a
-    /// sequence number is seen, `false` for wire duplicates.
-    pub fn accept(&mut self, seq: u64) -> bool {
-        let fresh = self.seen.insert(seq);
-        if !fresh {
-            self.duplicates += 1;
-        }
-        fresh
-    }
-
     /// Whether a sequence number has already been applied (read-only;
     /// use [`DeliveryTracker::mark_delivered`] to record one).
     #[must_use]
@@ -151,17 +141,6 @@ impl DeliveryTracker {
     pub fn mark_delivered(&mut self, seq: u64) {
         self.seen.insert(seq);
         self.outstanding.remove(&seq);
-    }
-
-    /// Acknowledges a delivery, removing it from the retry ledger.
-    pub fn ack(&mut self, seq: u64) {
-        self.outstanding.remove(&seq);
-    }
-
-    /// Whether a delivery is still awaiting acknowledgement.
-    #[must_use]
-    pub fn is_outstanding(&self, seq: u64) -> bool {
-        self.outstanding.contains_key(&seq)
     }
 
     /// Unacknowledged deliveries currently in the ledger.
@@ -221,12 +200,6 @@ impl DeliveryTracker {
         self.retries
     }
 
-    /// Deliveries abandoned after exhausting the budget.
-    #[must_use]
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted
-    }
-
     /// Wire duplicates filtered on the receive path.
     #[must_use]
     pub fn duplicates_filtered(&self) -> u64 {
@@ -277,11 +250,13 @@ mod tests {
     }
 
     #[test]
-    fn accept_filters_duplicates() {
+    fn mark_delivered_filters_duplicates() {
         let mut t = DeliveryTracker::new();
-        assert!(t.accept(7));
-        assert!(!t.accept(7));
-        assert!(t.accept(8));
+        assert!(!t.seen(7));
+        t.mark_delivered(7);
+        assert!(t.seen(7));
+        assert!(!t.seen(8));
+        t.note_duplicate();
         assert_eq!(t.duplicates_filtered(), 1);
     }
 
@@ -311,27 +286,28 @@ mod tests {
 
         let (retry, dead) = t.due_retries(TimePoint(30), &policy, &mut rng, &mut obs);
         assert_eq!((retry.len(), dead.len()), (0, 1), "budget of 2 exhausted");
-        assert_eq!(t.exhausted(), 1);
+        assert_eq!(t.exhausted, 1);
         assert_eq!(t.outstanding_count(), 0);
         assert_eq!(t.retries(), 2, "budget never exceeded");
         assert_eq!(obs.counter("retry.registered"), 1);
         assert_eq!(obs.counter("retry.resent"), 2);
         assert_eq!(obs.counter("retry.exhausted"), 1);
-        let waits = obs.histogram("retry.backoff_wait_s").expect("waits observed");
+        let (_, waits) =
+            obs.histograms().find(|(k, _)| *k == "retry.backoff_wait_s").expect("waits observed");
         assert_eq!(waits.count(), 3, "initial arm plus two re-arms");
         assert_eq!(waits.sum(), 30, "constant 10 s backoff, no jitter");
     }
 
     #[test]
-    fn ack_stops_retries() {
+    fn mark_delivered_stops_retries() {
         let policy = BackoffPolicy::default();
         let mut rng = ChaosRng::new(2);
         let mut obs = Registry::new();
         let mut t = DeliveryTracker::new();
         t.register(UserId(1), env(9), TimePoint(0), &policy, &mut rng, &mut obs);
-        assert!(t.is_outstanding(9));
-        t.ack(9);
-        assert!(!t.is_outstanding(9));
+        assert_eq!(t.outstanding_count(), 1);
+        t.mark_delivered(9);
+        assert_eq!(t.outstanding_count(), 0);
         let (retry, dead) = t.due_retries(TimePoint(10_000), &policy, &mut rng, &mut obs);
         assert!(retry.is_empty() && dead.is_empty());
     }

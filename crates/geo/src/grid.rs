@@ -38,12 +38,6 @@ impl<T: Clone> GridIndex<T> {
         GridIndex { cell_m, cells: HashMap::new(), len: 0, occupied: None }
     }
 
-    /// The configured cell side, meters.
-    #[must_use]
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_m
-    }
-
     /// Number of indexed entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -91,16 +85,6 @@ impl<T: Clone> GridIndex<T> {
         (x0 <= x1 && y0 <= y1).then_some(((x0, y0), (x1, y1)))
     }
 
-    /// Collects every entry within `radius_m` of `center` (inclusive).
-    ///
-    /// The result order is unspecified.
-    #[must_use]
-    pub fn query_radius(&self, center: ProjectedPoint, radius_m: f64) -> Vec<(ProjectedPoint, T)> {
-        let mut out = Vec::new();
-        self.for_each_in_radius(center, radius_m, |p, v| out.push((p, v.clone())));
-        out
-    }
-
     /// Visits every entry within `radius_m` of `center` (inclusive)
     /// without allocating a result vector.
     pub fn for_each_in_radius(
@@ -127,14 +111,6 @@ impl<T: Clone> GridIndex<T> {
                 }
             }
         }
-    }
-
-    /// Counts entries within `radius_m` of `center` (inclusive).
-    #[must_use]
-    pub fn count_in_radius(&self, center: ProjectedPoint, radius_m: f64) -> usize {
-        let mut n = 0;
-        self.for_each_in_radius(center, radius_m, |_, _| n += 1);
-        n
     }
 
     /// Collects every entry inside the axis-aligned rectangle
@@ -169,6 +145,16 @@ impl<T: Clone> GridIndex<T> {
 mod tests {
     use super::*;
 
+    fn query_radius<T: Clone>(
+        g: &GridIndex<T>,
+        center: ProjectedPoint,
+        radius_m: f64,
+    ) -> Vec<(ProjectedPoint, T)> {
+        let mut out = Vec::new();
+        g.for_each_in_radius(center, radius_m, |p, v| out.push((p, v.clone())));
+        out
+    }
+
     fn sample_index() -> GridIndex<usize> {
         let mut g = GridIndex::new(100.0);
         let pts = [(0.0, 0.0), (50.0, 50.0), (150.0, 0.0), (-120.0, -30.0), (1_000.0, 1_000.0)];
@@ -185,11 +171,11 @@ mod tests {
         // Distances from (10,10): #0 ≈ 14.1, #1 ≈ 56.6, #2 ≈ 140.4,
         // #3 ≈ 136.0, #4 ≈ 1400. Radius 138 keeps {0, 1, 3}.
         let mut got: Vec<usize> =
-            g.query_radius(center, 138.0).into_iter().map(|(_, v)| v).collect();
+            query_radius(&g, center, 138.0).into_iter().map(|(_, v)| v).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 3]);
         let mut wider: Vec<usize> =
-            g.query_radius(center, 160.0).into_iter().map(|(_, v)| v).collect();
+            query_radius(&g, center, 160.0).into_iter().map(|(_, v)| v).collect();
         wider.sort_unstable();
         assert_eq!(wider, vec![0, 1, 2, 3]);
     }
@@ -198,15 +184,15 @@ mod tests {
     fn radius_query_is_inclusive_at_boundary() {
         let mut g = GridIndex::new(10.0);
         g.insert(ProjectedPoint::new(3.0, 4.0), ());
-        assert_eq!(g.count_in_radius(ProjectedPoint::new(0.0, 0.0), 5.0), 1);
-        assert_eq!(g.count_in_radius(ProjectedPoint::new(0.0, 0.0), 4.999), 0);
+        assert_eq!(query_radius(&g, ProjectedPoint::new(0.0, 0.0), 5.0).len(), 1);
+        assert_eq!(query_radius(&g, ProjectedPoint::new(0.0, 0.0), 4.999).len(), 0);
     }
 
     #[test]
     fn zero_radius_finds_exact_point() {
         let mut g = GridIndex::new(25.0);
         g.insert(ProjectedPoint::new(7.0, 7.0), 42);
-        let hits = g.query_radius(ProjectedPoint::new(7.0, 7.0), 0.0);
+        let hits = query_radius(&g, ProjectedPoint::new(7.0, 7.0), 0.0);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].1, 42);
     }
@@ -218,8 +204,8 @@ mod tests {
         g.insert(ProjectedPoint::new(-99.0, -99.0), 1);
         // Both fall in cell (-1,-1); a query near the origin must find the
         // first without scanning unrelated cells.
-        assert_eq!(g.count_in_radius(ProjectedPoint::new(0.0, 0.0), 2.0), 1);
-        assert_eq!(g.count_in_radius(ProjectedPoint::new(-100.0, -100.0), 2.0), 1);
+        assert_eq!(query_radius(&g, ProjectedPoint::new(0.0, 0.0), 2.0).len(), 1);
+        assert_eq!(query_radius(&g, ProjectedPoint::new(-100.0, -100.0), 2.0).len(), 1);
     }
 
     #[test]
@@ -246,7 +232,7 @@ mod tests {
         assert!(!g.is_empty());
         g.clear();
         assert!(g.is_empty());
-        assert!(g.query_radius(ProjectedPoint::new(0.0, 0.0), 1e9).is_empty());
+        assert!(query_radius(&g, ProjectedPoint::new(0.0, 0.0), 1e9).is_empty());
     }
 
     #[test]
@@ -260,7 +246,7 @@ mod tests {
     #[test]
     fn huge_radius_clamps_to_occupied_cells() {
         let g = sample_index();
-        assert_eq!(g.count_in_radius(ProjectedPoint::new(0.0, 0.0), 1e12), 5);
+        assert_eq!(query_radius(&g, ProjectedPoint::new(0.0, 0.0), 1e12).len(), 5);
         let hits = g.query_rect(ProjectedPoint::new(-1e12, -1e12), ProjectedPoint::new(1e12, 1e12));
         assert_eq!(hits.len(), 5);
     }
@@ -268,7 +254,7 @@ mod tests {
     #[test]
     fn empty_index_queries_return_nothing() {
         let g: GridIndex<u8> = GridIndex::new(10.0);
-        assert!(g.query_radius(ProjectedPoint::new(0.0, 0.0), 1e9).is_empty());
+        assert!(query_radius(&g, ProjectedPoint::new(0.0, 0.0), 1e9).is_empty());
         assert!(g
             .query_rect(ProjectedPoint::new(-1e9, -1e9), ProjectedPoint::new(1e9, 1e9))
             .is_empty());

@@ -6,7 +6,7 @@
 //! provides:
 //!
 //! * [`GeoPoint`] — WGS-84 latitude/longitude with haversine distances and
-//!   bearings,
+//!   destination points,
 //! * [`LocalProjection`] — a metric equirectangular projection used by the
 //!   clustering and simplification algorithms,
 //! * [`Polyline`] — measured paths with along-path interpolation,
@@ -22,14 +22,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bbox;
 pub mod grid;
 pub mod point;
 pub mod polyline;
 pub mod roadnet;
 pub mod time;
 
-pub use bbox::BoundingBox;
 pub use point::{GeoPoint, LocalProjection, ProjectedPoint, EARTH_RADIUS_M};
 pub use polyline::Polyline;
 pub use roadnet::DistractionZone;

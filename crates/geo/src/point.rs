@@ -29,15 +29,6 @@ impl GeoPoint {
         GeoPoint { lat, lon }
     }
 
-    /// Creates a point only when both coordinates are finite and within
-    /// WGS-84 bounds; `None` otherwise (cold-start receivers emit NaN
-    /// and off-ellipsoid coordinates).
-    #[must_use]
-    pub fn try_new(lat: f64, lon: f64) -> Option<Self> {
-        let p = GeoPoint { lat, lon };
-        p.is_valid().then_some(p)
-    }
-
     /// True when both coordinates are finite and within WGS-84 bounds.
     #[must_use]
     pub fn is_valid(self) -> bool {
@@ -58,17 +49,6 @@ impl GeoPoint {
         2.0 * EARTH_RADIUS_M * a.sqrt().min(1.0).asin()
     }
 
-    /// Initial bearing from `self` towards `other`, in degrees `[0, 360)`.
-    #[must_use]
-    pub fn bearing_deg(self, other: GeoPoint) -> f64 {
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlon = lon2 - lon1;
-        let y = dlon.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlon.cos();
-        (y.atan2(x).to_degrees() + 360.0) % 360.0
-    }
-
     /// Destination point after travelling `distance_m` meters on the
     /// initial bearing `bearing_deg`.
     #[must_use]
@@ -81,17 +61,6 @@ impl GeoPoint {
         let lon2 = lon1
             + (theta.sin() * delta.sin() * lat1.cos()).atan2(delta.cos() - lat1.sin() * lat2.sin());
         GeoPoint { lat: lat2.to_degrees(), lon: ((lon2.to_degrees() + 540.0) % 360.0) - 180.0 }
-    }
-
-    /// Midpoint along the great circle between `self` and `other`.
-    ///
-    /// Adequate as an arithmetic blend at city scale.
-    #[must_use]
-    pub fn midpoint(self, other: GeoPoint) -> GeoPoint {
-        GeoPoint {
-            lat: f64::midpoint(self.lat, other.lat),
-            lon: f64::midpoint(self.lon, other.lon),
-        }
     }
 }
 
@@ -163,12 +132,6 @@ impl LocalProjection {
         LocalProjection { origin, cos_lat: origin.lat.to_radians().cos() }
     }
 
-    /// The projection's reference point.
-    #[must_use]
-    pub fn origin(&self) -> GeoPoint {
-        self.origin
-    }
-
     /// Projects a geographic point into the local metric frame.
     #[must_use]
     pub fn project(&self, p: GeoPoint) -> ProjectedPoint {
@@ -211,14 +174,6 @@ mod tests {
         let a = GeoPoint::new(45.0, 7.0);
         let b = GeoPoint::new(45.1, 7.2);
         assert!((a.haversine_m(b) - b.haversine_m(a)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let north = TORINO.destination(0.0, 1_000.0);
-        let east = TORINO.destination(90.0, 1_000.0);
-        assert!((TORINO.bearing_deg(north) - 0.0).abs() < 0.5);
-        assert!((TORINO.bearing_deg(east) - 90.0).abs() < 0.5);
     }
 
     #[test]
@@ -265,14 +220,5 @@ mod tests {
         assert!((ProjectedPoint::new(14.0, 3.0).distance_to_segment_m(a, b) - 5.0).abs() < 1e-12);
         // Degenerate segment.
         assert!((ProjectedPoint::new(3.0, 4.0).distance_to_segment_m(a, a) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn midpoint_is_between() {
-        let a = GeoPoint::new(45.0, 7.0);
-        let b = GeoPoint::new(45.2, 7.4);
-        let m = a.midpoint(b);
-        assert!((m.lat - 45.1).abs() < 1e-12);
-        assert!((m.lon - 7.2).abs() < 1e-12);
     }
 }

@@ -123,18 +123,6 @@ impl Polyline {
     pub fn distance_to(&self, p: ProjectedPoint) -> Option<f64> {
         self.project_point(p).map(|pr| pr.distance_m)
     }
-
-    /// Concatenates `other` onto the end of `self`, skipping `other`'s
-    /// first vertex when it coincides with our last (shared junction).
-    #[must_use]
-    pub fn concat(mut self, other: &Polyline) -> Polyline {
-        let skip_first = match (self.points.last(), other.points.first()) {
-            (Some(a), Some(b)) => a.distance_m(*b) < 1e-9,
-            _ => false,
-        };
-        self.points.extend(other.points.iter().skip(usize::from(skip_first)).copied());
-        Polyline::new(self.points)
-    }
 }
 
 /// The result of projecting a point onto a [`Polyline`].
@@ -221,23 +209,5 @@ mod tests {
         assert!((pl.length_m() - 10.0).abs() < 1e-12);
         let p = pl.point_at(5.0).unwrap();
         assert!((p.x - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concat_merges_shared_junction() {
-        let a = Polyline::new(vec![ProjectedPoint::new(0.0, 0.0), ProjectedPoint::new(10.0, 0.0)]);
-        let b = Polyline::new(vec![ProjectedPoint::new(10.0, 0.0), ProjectedPoint::new(10.0, 5.0)]);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 3);
-        assert!((c.length_m() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concat_without_shared_junction_keeps_gap_segment() {
-        let a = Polyline::new(vec![ProjectedPoint::new(0.0, 0.0), ProjectedPoint::new(10.0, 0.0)]);
-        let b = Polyline::new(vec![ProjectedPoint::new(20.0, 0.0), ProjectedPoint::new(30.0, 0.0)]);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 4);
-        assert!((c.length_m() - 30.0).abs() < 1e-12);
     }
 }

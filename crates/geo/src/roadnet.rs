@@ -45,16 +45,6 @@ impl NodeKind {
             NodeKind::Roundabout => 60.0,
         }
     }
-
-    /// Relative distraction weight used by the scheduler's cost model.
-    #[must_use]
-    pub fn distraction_weight(self) -> f64 {
-        match self {
-            NodeKind::Plain => 0.0,
-            NodeKind::Intersection => 1.0,
-            NodeKind::Roundabout => 1.5,
-        }
-    }
 }
 
 /// A node of the road graph.
@@ -160,18 +150,6 @@ impl RoadNetwork {
         (self.add_edge(a, b, speed_mps), self.add_edge(b, a, speed_mps))
     }
 
-    /// Number of nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of directed edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Looks up a node.
     ///
     /// # Panics
@@ -200,15 +178,6 @@ impl RoadNetwork {
     #[must_use]
     pub fn edges(&self) -> &[RoadEdge] {
         &self.edges
-    }
-
-    /// The node closest to `p`, or `None` for an empty network.
-    #[must_use]
-    pub fn nearest_node(&self, p: ProjectedPoint) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .min_by(|a, b| a.pos.distance_sq(p).total_cmp(&b.pos.distance_sq(p)))
-            .map(|n| n.id)
     }
 
     /// Time-optimal route from `from` to `to` (Dijkstra over free-flow
@@ -419,24 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn nearest_node_picks_closest() {
-        let (net, a, b, _) = diamond();
-        assert_eq!(net.nearest_node(ProjectedPoint::new(1.0, 1.0)), Some(a));
-        assert_eq!(net.nearest_node(ProjectedPoint::new(499.0, 499.0)), Some(b));
-        assert_eq!(RoadNetwork::new().nearest_node(ProjectedPoint::new(0.0, 0.0)), None);
-    }
-
-    #[test]
-    fn kind_radii_and_weights_are_ordered() {
+    fn kind_radii_are_ordered() {
         assert!(
             NodeKind::Roundabout.distraction_radius_m()
                 > NodeKind::Intersection.distraction_radius_m()
         );
         assert!(NodeKind::Intersection.distraction_radius_m() > 0.0);
         assert_eq!(NodeKind::Plain.distraction_radius_m(), 0.0);
-        assert!(
-            NodeKind::Roundabout.distraction_weight() > NodeKind::Intersection.distraction_weight()
-        );
     }
 
     #[test]

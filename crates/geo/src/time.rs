@@ -190,18 +190,6 @@ impl TimeInterval {
         TimeInterval { start, end: end.max(start) }
     }
 
-    /// Builds an interval from a start and a length.
-    #[must_use]
-    pub fn starting_at(start: TimePoint, length: TimeSpan) -> Self {
-        TimeInterval { start, end: start.advance(length) }
-    }
-
-    /// The interval's length.
-    #[must_use]
-    pub fn length(self) -> TimeSpan {
-        self.end.since(self.start)
-    }
-
     /// True when `t` lies inside `[start, end)`.
     #[must_use]
     pub fn contains(self, t: TimePoint) -> bool {
@@ -212,14 +200,6 @@ impl TimeInterval {
     #[must_use]
     pub fn overlaps(self, other: TimeInterval) -> bool {
         self.start < other.end && other.start < self.end
-    }
-
-    /// The overlap of two intervals, if non-empty.
-    #[must_use]
-    pub fn intersection(self, other: TimeInterval) -> Option<TimeInterval> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        (start < end).then_some(TimeInterval { start, end })
     }
 
     /// True for zero-length intervals.
@@ -270,31 +250,25 @@ mod tests {
 
     #[test]
     fn interval_contains_is_half_open() {
-        let i = TimeInterval::starting_at(TimePoint(100), TimeSpan::seconds(50));
+        let i = TimeInterval::new(TimePoint(100), TimePoint(150));
         assert!(i.contains(TimePoint(100)));
         assert!(i.contains(TimePoint(149)));
         assert!(!i.contains(TimePoint(150)));
-        assert_eq!(i.length(), TimeSpan::seconds(50));
     }
 
     #[test]
-    fn interval_overlap_and_intersection() {
+    fn interval_overlap() {
         let a = TimeInterval::new(TimePoint(0), TimePoint(100));
         let b = TimeInterval::new(TimePoint(50), TimePoint(150));
         let c = TimeInterval::new(TimePoint(100), TimePoint(200));
         assert!(a.overlaps(b));
         assert!(!a.overlaps(c), "half-open intervals touching at 100 do not overlap");
-        let inter = a.intersection(b).unwrap();
-        assert_eq!(inter.start, TimePoint(50));
-        assert_eq!(inter.end, TimePoint(100));
-        assert!(a.intersection(c).is_none());
     }
 
     #[test]
     fn negative_interval_is_clamped_empty() {
         let i = TimeInterval::new(TimePoint(10), TimePoint(5));
         assert!(i.is_empty());
-        assert_eq!(i.length(), TimeSpan::ZERO);
     }
 
     #[test]

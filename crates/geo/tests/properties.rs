@@ -1,6 +1,6 @@
 //! Property-based tests for the spatial foundation.
 
-use pphcr_geo::{BoundingBox, GeoPoint, LocalProjection, Polyline, ProjectedPoint};
+use pphcr_geo::{GeoPoint, LocalProjection, Polyline, ProjectedPoint};
 use proptest::prelude::*;
 
 /// Points within ~40 km of Torino — the deployment scale the local
@@ -48,33 +48,6 @@ proptest! {
     fn destination_distance_exact(p in arb_city_point(), bearing in 0.0f64..360.0, d in 1.0f64..20_000.0) {
         let q = p.destination(bearing, d);
         prop_assert!((p.haversine_m(q) - d).abs() < 1.0);
-    }
-
-    /// A bbox built from points contains all of them, and its center.
-    #[test]
-    fn bbox_contains_its_points(pts in prop::collection::vec(arb_city_point(), 1..30)) {
-        let b = BoundingBox::from_points(&pts).unwrap();
-        for p in &pts {
-            prop_assert!(b.contains(*p));
-        }
-        prop_assert!(b.contains(b.center()));
-    }
-
-    /// Polyline length is additive under concat (shared-junction form).
-    #[test]
-    fn polyline_concat_additive(
-        xs in prop::collection::vec((-5_000.0f64..5_000.0, -5_000.0f64..5_000.0), 2..20),
-        ys in prop::collection::vec((-5_000.0f64..5_000.0, -5_000.0f64..5_000.0), 2..20),
-    ) {
-        let a: Vec<ProjectedPoint> = xs.iter().map(|&(x, y)| ProjectedPoint::new(x, y)).collect();
-        let mut b: Vec<ProjectedPoint> = ys.iter().map(|&(x, y)| ProjectedPoint::new(x, y)).collect();
-        // Join b onto a's end.
-        b[0] = *a.last().unwrap();
-        let pa = Polyline::new(a.clone());
-        let pb = Polyline::new(b.clone());
-        let joined = pa.clone().concat(&pb);
-        let total = pa.length_m() + pb.length_m();
-        prop_assert!((joined.length_m() - total).abs() < 1e-6);
     }
 
     /// `point_at` is monotone along the path: larger arc length never

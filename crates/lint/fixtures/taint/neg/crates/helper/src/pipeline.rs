@@ -14,7 +14,7 @@ pub fn excused(xs: &[u32]) -> u64 {
 }
 
 /// Reachable from nothing in the root set.
-pub fn lurking(s: &str) -> u64 {
+fn lurking(s: &str) -> u64 {
     s.parse().unwrap()
 }
 

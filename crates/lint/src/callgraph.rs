@@ -10,12 +10,21 @@
 //!   map, the current module, and `crate`/`super`/`self`/`Self`
 //!   prefixes, with a `Owner::name` suffix fallback that absorbs
 //!   crate-root re-exports (`use pphcr_geo::Polyline` →
-//!   `geo::polyline::Polyline`);
+//!   `geo::polyline::Polyline`). A qualified path to a free function
+//!   the exact lookup misses (`pphcr_shard::serve`, re-exported from
+//!   `shard::agent`) resolves to every free function of that name under
+//!   the path's module;
 //! * **dot calls** (`x.method(…)`) resolve by method name to *every*
 //!   first-party impl method with that name — a deliberate
 //!   over-approximation that keeps the taint pass sound (a missed
 //!   edge could hide a panic; a spurious edge at worst asks for a
-//!   pragma with a written reason).
+//!   pragma with a written reason). `..` is a range or struct-update
+//!   base, never a dot call: `..Registry::new()` is a path call;
+//! * **value references** (`put_map(w, m, put_entry)`,
+//!   `.map(UserHealth::state)`) — a path in argument, element or
+//!   assignment position that is not called — resolve like path calls.
+//!   A bare name resolves only in its own module or through a `use`:
+//!   the name fallback would match every local variable.
 //!
 //! Standard-library and vendored-dependency calls resolve to nothing
 //! and simply drop out. Edges are deduplicated per (caller, callee)
@@ -69,7 +78,8 @@ impl CallGraph {
                     continue;
                 }
                 let owner = index.fns[caller].owner.clone();
-                for call in extract_calls(&line.code) {
+                let code = &line.code;
+                for call in extract_calls(code).into_iter().chain(extract_value_refs(code)) {
                     for (callee, name_match) in resolve(index, fs, owner.as_deref(), &call) {
                         if callee != caller {
                             edges.push(CallEdge {
@@ -104,13 +114,15 @@ impl CallGraph {
 }
 
 /// One syntactic call site: the path segments before the `(`, and
-/// whether it was a `.method(` dot call.
+/// how they are written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
     /// Path segments, e.g. `["Engine", "run_tick"]` or `["helper"]`.
     pub segments: Vec<String>,
     /// True for `receiver.method(…)`.
     pub dot: bool,
+    /// True for a function named as a value rather than called.
+    pub value: bool,
 }
 
 /// Extracts syntactic call sites from one blanked code line.
@@ -212,7 +224,7 @@ pub fn extract_calls(code: &str) -> Vec<CallSite> {
         if bt.ends_with("fn") {
             continue;
         }
-        let dot = k >= 1 && chars[k - 1] == '.';
+        let dot = k >= 1 && chars[k - 1] == '.' && !(k >= 2 && chars[k - 2] == '.');
         if dot && segments.len() > 1 {
             // `x.module::f(` is not Rust; treat conservatively as the
             // final segment only.
@@ -220,7 +232,51 @@ pub fn extract_calls(code: &str) -> Vec<CallSite> {
         }
         // Field-access closure call `self.callback(` vs method call is
         // indistinguishable here; both are dot calls by name.
-        out.push(CallSite { segments, dot });
+        out.push(CallSite { segments, dot, value: false });
+    }
+    out
+}
+
+/// Extracts paths named as values from one blanked code line: a path
+/// that starts the line or follows `(`, `,`, `[` or `=`, and ends the
+/// line or precedes `)`, `,`, `]` or `;`.
+#[must_use]
+pub fn extract_value_refs(code: &str) -> Vec<CallSite> {
+    let chars: Vec<char> = code.chars().collect();
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        if !is_ident(chars[i]) || (i > 0 && is_ident(chars[i - 1])) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut segments: Vec<String> = Vec::new();
+        loop {
+            let seg_start = i;
+            while i < chars.len() && is_ident(chars[i]) {
+                i += 1;
+            }
+            segments.push(chars[seg_start..i].iter().collect());
+            let joins = i + 2 < chars.len()
+                && chars[i] == ':'
+                && chars[i + 1] == ':'
+                && is_ident(chars[i + 2]);
+            if !joins {
+                break;
+            }
+            i += 2;
+        }
+        let before = chars[..start].iter().rev().find(|c| !c.is_whitespace());
+        let after = chars[i..].iter().find(|c| !c.is_whitespace());
+        let opens = before.is_none_or(|c| matches!(c, '(' | ',' | '[' | '='));
+        let closes = after.is_none_or(|c| matches!(c, ')' | ',' | ']' | ';'));
+        let first = &segments[0];
+        if opens && closes && !first.starts_with(|c: char| c.is_ascii_digit()) && !is_keyword(first)
+        {
+            out.push(CallSite { segments, dot: false, value: true });
+        }
     }
     out
 }
@@ -291,6 +347,7 @@ fn resolve(
     if segs.is_empty() {
         return out;
     }
+    let mut module_prefixes: Vec<String> = Vec::new();
     // Build candidate fully-qualified paths, most specific first.
     let mut candidates: Vec<Vec<String>> = Vec::new();
     if segs.len() == 1 {
@@ -345,6 +402,7 @@ fn resolve(
         }
         for mut h in heads {
             h.extend(tail.iter().cloned());
+            module_prefixes.push(h[..h.len() - 1].join("::"));
             candidates.push(h);
         }
     }
@@ -358,6 +416,12 @@ fn resolve(
                 out.push((h, false));
             }
         }
+    }
+    // A bare value name resolves exactly or not at all.
+    if call.value && segs.len() == 1 {
+        out.sort_unstable();
+        out.dedup();
+        return out;
     }
     // Re-export fallback: `Owner::name` (or bare `name` for free fns
     // imported through a crate-root re-export) suffix match.
@@ -378,6 +442,18 @@ fn resolve(
                 for &h in hits {
                     out.push((h, false));
                 }
+            }
+        }
+    }
+    // A free fn re-exported from a submodule: `pphcr_shard::serve`
+    // names `shard::agent::serve`.
+    if out.is_empty() {
+        let name = &segs[segs.len() - 1];
+        for &h in index.by_owner_name.get(name).map_or(&[][..], Vec::as_slice) {
+            let def = &index.fns[h];
+            let under = |p: &String| def.qualified.starts_with(&format!("{p}::"));
+            if def.owner.is_none() && module_prefixes.iter().any(under) {
+                out.push((h, false));
             }
         }
     }
@@ -492,6 +568,21 @@ mod tests {
             ),
         ]);
         assert!(has_edge(&idx, &g, "core::engine::f", "geo::polyline::Polyline::from_points"));
+    }
+
+    #[test]
+    fn struct_update_base_is_a_path_call() {
+        let (idx, g) = graph_of(&[(
+            "crates/obs/src/registry.rs",
+            "impl Registry {\n    pub fn new() -> Self {\n        Registry\n    }\n    pub fn disabled() -> Self {\n        Registry { ..Registry::new() }\n    }\n}\nimpl Other {\n    pub fn new() -> Self {\n        Other\n    }\n}\n",
+        )]);
+        let callees: Vec<&str> = g
+            .edges
+            .iter()
+            .filter(|e| idx.fns[e.caller].name == "disabled")
+            .map(|e| idx.fns[e.callee].qualified.as_str())
+            .collect();
+        assert_eq!(callees, ["obs::registry::Registry::new"]);
     }
 
     #[test]

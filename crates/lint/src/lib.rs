@@ -20,7 +20,11 @@
 //!   snapshot/restore, bus delivery, recommender scoring)
 //!   transitively reaches a wall-clock read (T1), unseeded RNG (T2),
 //!   hash-order iteration (T3) or panic (P4) — each finding carries a
-//!   full `root → callee → … → offending line` witness chain.
+//!   full `root → callee → … → offending line` witness chain;
+//! * **the dead rule** ([`dead`]): over the same graph, every `pub fn`
+//!   must be reachable from a `fn main`, an `examples/` or
+//!   `perfbench/src` file, or a trait method (U1). Those two
+//!   directories are read for roots only and never linted.
 //!
 //! Pragma usage is shared between the passes: a pragma consumed by
 //! either pass is live; one consumed by neither is a hard
@@ -39,6 +43,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod callgraph;
+pub mod dead;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -73,6 +78,18 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(files)
 }
 
+/// Collects the `.rs` files of `root/examples` and `root/perfbench/src`,
+/// sorted: the dead rule's root-only sources. Missing directories
+/// contribute nothing.
+#[must_use]
+pub fn root_only_sources(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    collect_rs(&root.join("examples"), &mut files);
+    collect_rs(&root.join("perfbench/src"), &mut files);
+    files.sort();
+    files
+}
+
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     for entry in entries.filter_map(Result::ok) {
@@ -86,53 +103,62 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Lints the workspace rooted at `root`: line rules, then the
-/// interprocedural taint pass, then shared stale-pragma accounting.
-/// Returns the report; IO failures surface as printable errors.
+/// interprocedural taint and dead passes, then shared stale-pragma
+/// accounting. Returns the report; IO failures surface as printable
+/// errors.
 ///
 /// # Errors
 /// When the crates directory or a source file cannot be read.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let files = workspace_sources(root)?;
+    let root_files = root_only_sources(root);
 
-    // Read and lex everything once; both passes share the result.
-    let mut rel_paths: Vec<String> = Vec::with_capacity(files.len());
-    let mut lexed: Vec<Vec<LexedLine>> = Vec::with_capacity(files.len());
-    for path in &files {
+    // Read and lex everything once; every pass shares the result. The
+    // root-only files come last and feed the call graph only.
+    let mut rel_paths: Vec<String> = Vec::with_capacity(files.len() + root_files.len());
+    let mut lexed: Vec<Vec<LexedLine>> = Vec::with_capacity(files.len() + root_files.len());
+    for path in files.iter().chain(&root_files) {
         let source = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let rel = path.strip_prefix(root).unwrap_or(path);
         rel_paths.push(rel.to_string_lossy().replace('\\', "/"));
         lexed.push(lexer::lex(&source));
     }
+    let linted = files.len();
     let masks: Vec<Vec<bool>> = lexed.iter().map(|l| rules::test_line_mask(l)).collect();
     let mut pragmas: Vec<Vec<rules::Pragma>> =
-        lexed.iter().map(|l| rules::collect_pragmas(l)).collect();
+        lexed[..linted].iter().map(|l| rules::collect_pragmas(l)).collect();
 
     // Pass 1: line rules (marks consumed pragmas used).
     let mut all: Vec<Violation> = Vec::new();
-    for i in 0..lexed.len() {
+    for i in 0..linted {
         all.extend(rules::line_pass(&rel_paths[i], &lexed[i], &masks[i], &mut pragmas[i]));
     }
 
-    // Pass 2: symbol index, call graph, taint propagation.
+    // Pass 2: symbol index, call graph, taint propagation, dead code.
     let mut index = symbols::SymbolIndex::default();
     for i in 0..lexed.len() {
-        index.add_file(&rel_paths[i], &lexed[i], &masks[i]);
+        if i < linted {
+            index.add_file(&rel_paths[i], &lexed[i], &masks[i]);
+        } else {
+            index.add_root_file(&rel_paths[i], &lexed[i], &masks[i]);
+        }
     }
     index.finish();
     let sources: Vec<&[LexedLine]> = lexed.iter().map(Vec::as_slice).collect();
     let graph = callgraph::CallGraph::build(&index, &sources);
     all.extend(taint::taint_pass(&index, &graph, &sources, &mut pragmas));
+    all.extend(dead::dead_pass(&index, &graph, &mut pragmas));
 
-    // Staleness: a pragma neither pass consumed is an error.
-    for i in 0..lexed.len() {
+    // Staleness: a pragma no pass consumed is an error.
+    for i in 0..linted {
         all.extend(rules::stale_pass(&rel_paths[i], &pragmas[i]));
     }
 
     all.sort_by(|a, b| {
         a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule_id.cmp(&b.rule_id))
     });
-    let mut report = LintReport::from_violations(files.len(), all);
+    let mut report = LintReport::from_violations(linted, all);
     report.functions_indexed = index.fns.len();
     report.call_edges = graph.edges.len();
     Ok(report)

@@ -21,8 +21,10 @@
 //!   [`crate::taint`]) proves the same invariants *through calls*: a
 //!   commit root must not reach a wall-clock read, unseeded RNG,
 //!   hash-order iteration, or panic anywhere in the workspace, however
-//!   many crates away. The rule metadata lives here so pragmas,
-//!   reports, and `--rules` output share one table.
+//!   many crates away.
+//! * **U1 — dead code** (implemented in [`crate::dead`]): every `pub fn`
+//!   must be reachable from a production root. The rule metadata lives
+//!   here so pragmas, reports, and `--rules` output share one table.
 
 use crate::lexer::{lex, LexedLine};
 
@@ -113,6 +115,12 @@ pub const RULES: &[RuleMeta] = &[
         name: "reach-panic",
         rationale: "a commit root transitively reaches unwrap/expect/panic; \
                     one bad input aborts the unattended engine loop",
+    },
+    RuleMeta {
+        id: "U1",
+        name: "dead",
+        rationale: "a pub fn that no fn main, example, perfbench file or trait method \
+                    reaches is dead code; delete it",
     },
 ];
 
@@ -208,6 +216,13 @@ impl Pragma {
     pub fn covers(&self, line: usize) -> bool {
         self.line == line || (self.comment_only && self.line + 1 == line)
     }
+
+    /// Whether this function-granularity pragma names `rule` and sits
+    /// on the `fn` line `fn_line` or alone on the line above it.
+    #[must_use]
+    pub fn covers_fn(&self, rule: &str, fn_line: usize) -> bool {
+        self.rule == rule && self.covers(fn_line)
+    }
 }
 
 /// Which rule families apply to a workspace-relative path.
@@ -277,6 +292,7 @@ fn scope_for(path: &str) -> Scope {
 /// pragma usage between this pass and the taint pass before deciding
 /// staleness.
 #[must_use]
+// lint: allow(dead) — tests/fixtures.rs and tests/pragmas.rs check every line rule and pragma form through it
 pub fn lint_source(path: &str, source: &str) -> Vec<Violation> {
     let lines = lex(source);
     let test_mask = test_line_mask(&lines);

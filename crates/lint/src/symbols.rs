@@ -77,6 +77,11 @@ pub struct FnDef {
     pub line: usize,
     /// Index of the file in [`SymbolIndex::files`].
     pub file_idx: usize,
+    /// Declared plain `pub` (not `pub(crate)` or another restriction).
+    pub is_pub: bool,
+    /// Defined in a `trait` body or an `impl Trait for Type` block, so
+    /// callers may reach it through a trait object or generic bound.
+    pub trait_item: bool,
 }
 
 /// Per-file parse results kept for pass 1b and pass 2.
@@ -95,6 +100,9 @@ pub struct FileSymbols {
     pub fn_of_line: Vec<Option<usize>>,
     /// Test-code mask from the line pass (`#[cfg(test)]` items).
     pub test_mask: Vec<bool>,
+    /// Read for call-graph roots only (`examples/`, `perfbench/src`):
+    /// its functions call into the workspace but are never callees.
+    pub root_only: bool,
 }
 
 /// The workspace-wide symbol table.
@@ -117,15 +125,15 @@ pub struct SymbolIndex {
 enum Pending {
     None,
     Mod(String),
-    Owner(String),
-    Fn { name: String, line: usize },
+    Owner { name: String, trait_item: bool },
+    Fn { name: String, line: usize, is_pub: bool },
 }
 
 /// One entry per open brace that introduced a named scope.
 #[derive(Debug, Clone)]
 enum Scope {
     Mod(String),
-    Owner(String),
+    Owner { name: String, trait_item: bool },
     Fn(usize),
     Block,
 }
@@ -144,6 +152,7 @@ impl SymbolIndex {
             globs: Vec::new(),
             fn_of_line: vec![None; lines.len()],
             test_mask: test_mask.to_vec(),
+            root_only: false,
         };
 
         let mut scopes: Vec<Scope> = Vec::new();
@@ -204,14 +213,17 @@ impl SymbolIndex {
                         let scope = match std::mem::replace(&mut pending, Pending::None) {
                             Pending::None => Scope::Block,
                             Pending::Mod(name) => Scope::Mod(name),
-                            Pending::Owner(name) => Scope::Owner(name),
-                            Pending::Fn { name, line } => {
+                            Pending::Owner { name, trait_item } => {
+                                Scope::Owner { name, trait_item }
+                            }
+                            Pending::Fn { name, line, is_pub } => {
                                 if in_test {
                                     Scope::Block
                                 } else {
-                                    let def = self.make_def(
+                                    let mut def = self.make_def(
                                         &name, &module, &scopes, rel_path, line, file_idx,
                                     );
+                                    def.is_pub = is_pub;
                                     self.fns.push(def);
                                     let fn_idx = self.fns.len() - 1;
                                     // The def line itself maps to the fn.
@@ -241,12 +253,25 @@ impl SymbolIndex {
         self.files.push(fs);
     }
 
+    /// Indexes a file read for call-graph roots only: its functions
+    /// get outgoing edges but no lookup entries, so nothing resolves to
+    /// them.
+    pub fn add_root_file(&mut self, rel_path: &str, lines: &[LexedLine], test_mask: &[bool]) {
+        self.add_file(rel_path, lines, test_mask);
+        if let Some(fs) = self.files.last_mut() {
+            fs.root_only = true;
+        }
+    }
+
     /// Rebuilds the lookup maps; call once after all files are added.
     pub fn finish(&mut self) {
         self.by_qualified.clear();
         self.by_owner_name.clear();
         self.by_method.clear();
         for (i, def) in self.fns.iter().enumerate() {
+            if self.files.get(def.file_idx).is_some_and(|f| f.root_only) {
+                continue;
+            }
             self.by_qualified.entry(def.qualified.clone()).or_default().push(i);
             if let Some(owner) = &def.owner {
                 self.by_owner_name.entry(format!("{owner}::{}", def.name)).or_default().push(i);
@@ -268,10 +293,14 @@ impl SymbolIndex {
     ) -> FnDef {
         let mut path: Vec<String> = module.to_vec();
         let mut owner = None;
+        let mut in_trait = false;
         for s in scopes {
             match s {
                 Scope::Mod(m) => path.push(m.clone()),
-                Scope::Owner(t) => owner = Some(t.clone()),
+                Scope::Owner { name, trait_item } => {
+                    owner = Some(name.clone());
+                    in_trait = *trait_item;
+                }
                 _ => {}
             }
         }
@@ -286,6 +315,8 @@ impl SymbolIndex {
             file: rel_path.to_string(),
             line,
             file_idx,
+            is_pub: false,
+            trait_item: in_trait,
         }
     }
 }
@@ -304,7 +335,8 @@ fn detect_declaration(code: &str, _idx: usize, in_test: bool) -> Option<Pending>
     }
     if let Some(rest) = strip_impl_or_trait(trimmed) {
         if let Some(target) = impl_target(rest) {
-            return Some(Pending::Owner(target));
+            let trait_item = strip_keyword(trimmed, "trait").is_some() || rest.contains(" for ");
+            return Some(Pending::Owner { name: target, trait_item });
         }
     }
     if let Some(pos) = find_fn_keyword(code) {
@@ -312,10 +344,18 @@ fn detect_declaration(code: &str, _idx: usize, in_test: bool) -> Option<Pending>
         let rest = rest.trim_start();
         let name: String = ident_prefix(rest);
         if !name.is_empty() {
-            return Some(Pending::Fn { name, line: _idx + 1 });
+            let is_pub = is_plain_pub(&code[..pos]);
+            return Some(Pending::Fn { name, line: _idx + 1, is_pub });
         }
     }
     None
+}
+
+/// Whether the text before a `fn` keyword declares it plain `pub`:
+/// `pub`, then only `const` / `async` / `unsafe` qualifiers.
+fn is_plain_pub(before_fn: &str) -> bool {
+    let mut words = before_fn.split_whitespace();
+    words.next() == Some("pub") && words.all(|w| matches!(w, "const" | "async" | "unsafe"))
 }
 
 /// Strips a leading keyword (after visibility modifiers) returning the

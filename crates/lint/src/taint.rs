@@ -86,7 +86,6 @@ pub const ROOTS: &[(&str, &str)] = &[
     ("core::persist::types::get_obs_snapshot", "observability snapshot decode"),
     ("core::bus::Bus::publish", "bus delivery"),
     ("core::bus::Bus::publish_checked", "bus delivery"),
-    ("core::bus::Bus::forward", "bus delivery"),
     ("core::bus::Bus::resend", "bus delivery"),
     ("core::bus::Bus::drain", "bus delivery"),
     ("core::bus::Bus::dead_letter_exhausted", "bus delivery"),
@@ -279,6 +278,9 @@ fn collect_sins(
     let mut sins: Vec<Sin> = Vec::new();
     for (file_idx, fs) in index.files.iter().enumerate() {
         let Some(lines) = sources.get(file_idx) else { continue };
+        if fs.root_only {
+            continue;
+        }
         let timing_allowed = TIMING_ALLOWLIST.iter().any(|f| fs.path.ends_with(f));
         let hash_names = collect_hash_names(lines);
         for (line_idx, line) in lines.iter().enumerate() {
@@ -343,9 +345,7 @@ fn suppressed(
     for p in file_pragmas.iter_mut() {
         let line_level =
             p.covers(line_no) && p.rule == slug && kind.base_slugs().contains(&p.rule.as_str());
-        let fn_level = p.rule == reach_slug
-            && (p.line == fn_def_line || (p.comment_only && p.line + 1 == fn_def_line));
-        if line_level || fn_level {
+        if line_level || p.covers_fn(reach_slug, fn_def_line) {
             p.used = true;
             hit = true;
         }

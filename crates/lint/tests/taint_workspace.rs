@@ -78,6 +78,33 @@ fn stale_fn_pragma_is_a_hard_error() {
     assert!(v.file.ends_with("crates/helper/src/lib.rs"));
 }
 
+/// The P4 witness chain of a fixture tree whose root reaches `unwrap`
+/// through exactly one edge.
+fn p4_chain(tree: &str) -> Vec<String> {
+    let report = lint_workspace(&fixture_root(tree)).expect("fixture tree lints");
+    let p4 = report.violations.iter().find(|v| v.rule_id == "P4");
+    let p4 = p4.unwrap_or_else(|| panic!("{tree}: expected P4, got {:?}", report.violations));
+    p4.chain.iter().map(|h| h.symbol.clone()).collect()
+}
+
+#[test]
+fn function_passed_by_value_carries_taint() {
+    // `.map(pipeline::parse)` calls `parse` without a `(` at the site.
+    assert_eq!(
+        p4_chain("value_ref"),
+        ["core::engine::Engine::run_tick", "helper::pipeline::parse", ".unwrap()"]
+    );
+}
+
+#[test]
+fn reexported_path_carries_taint() {
+    // `pphcr_helper::parse` names `helper::pipeline::parse`.
+    assert_eq!(
+        p4_chain("reexport"),
+        ["core::engine::Engine::run_tick", "helper::pipeline::parse", ".unwrap()"]
+    );
+}
+
 #[test]
 fn every_taint_root_resolves_in_the_real_workspace() {
     // A root that no longer names an indexed function is silently

@@ -108,6 +108,7 @@ impl SimulatedAsr {
 /// Word error rate between a reference script and a hypothesis:
 /// `(S + D + I) / N` via Levenshtein alignment on tokens.
 #[must_use]
+// lint: allow(dead) — tests/properties.rs::asr_wer_calibrated checks SimulatedAsr's WER through it
 pub fn word_error_rate(reference: &[String], hypothesis: &[String]) -> f64 {
     if reference.is_empty() {
         return if hypothesis.is_empty() { 0.0 } else { 1.0 };

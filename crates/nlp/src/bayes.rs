@@ -62,12 +62,6 @@ impl NaiveBayes {
         self.n_categories
     }
 
-    /// Number of training documents seen.
-    #[must_use]
-    pub fn total_docs(&self) -> u64 {
-        self.total_docs
-    }
-
     /// Adds one training document.
     ///
     /// # Panics
@@ -178,7 +172,10 @@ impl NaiveBayes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize::tokenize;
+
+    fn tokenize(text: &str) -> Vec<String> {
+        text.split_whitespace().map(str::to_string).collect()
+    }
 
     /// Three tiny categories: football, wine, markets.
     fn trained() -> (NaiveBayes, Vocabulary) {

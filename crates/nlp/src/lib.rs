@@ -1,5 +1,5 @@
-//! Text analytics for PPHCR: tokenization, TF-IDF, naive Bayes
-//! classification and a simulated speech recognizer.
+//! Text analytics for PPHCR: naive Bayes classification and a
+//! simulated speech recognizer.
 //!
 //! Paper §1.2: *"News programs, including large parts of speech, are
 //! analyzed using an automatic speech recognizer trained with the
@@ -16,12 +16,8 @@
 
 pub mod asr;
 pub mod bayes;
-pub mod tfidf;
-pub mod tokenize;
 pub mod vocab;
 
 pub use asr::{word_error_rate, AsrConfig, SimulatedAsr};
 pub use bayes::{NaiveBayes, Prediction};
-pub use tfidf::{SparseVector, TfIdf};
-pub use tokenize::{is_stopword, tokenize};
 pub use vocab::Vocabulary;

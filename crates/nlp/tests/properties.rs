@@ -1,8 +1,6 @@
 //! Property-based tests for the text pipeline.
 
-use pphcr_nlp::{
-    tokenize, word_error_rate, AsrConfig, NaiveBayes, SimulatedAsr, TfIdf, Vocabulary,
-};
+use pphcr_nlp::{word_error_rate, AsrConfig, NaiveBayes, SimulatedAsr, Vocabulary};
 use proptest::prelude::*;
 
 fn arb_words(max: usize) -> impl Strategy<Value = Vec<String>> {
@@ -10,26 +8,6 @@ fn arb_words(max: usize) -> impl Strategy<Value = Vec<String>> {
 }
 
 proptest! {
-    /// Tokenization is idempotent: tokenizing the joined tokens yields
-    /// the same tokens.
-    #[test]
-    fn tokenize_idempotent(text in "[a-zA-Z0-9 ,.!?;:]{0,200}") {
-        let once = tokenize(&text);
-        let again = tokenize(&once.join(" "));
-        prop_assert_eq!(once, again);
-    }
-
-    /// Tokens are lowercase, at least two characters, and contain no
-    /// separators.
-    #[test]
-    fn tokens_are_clean(text in ".{0,200}") {
-        for t in tokenize(&text) {
-            prop_assert!(t.chars().count() >= 2);
-            prop_assert!(t.chars().all(|c| c.is_alphanumeric()));
-            prop_assert_eq!(t.to_lowercase(), t.clone());
-        }
-    }
-
     /// Interning assigns stable dense ids.
     #[test]
     fn vocabulary_ids_dense_and_stable(words in arb_words(60)) {
@@ -84,22 +62,5 @@ proptest! {
         prop_assert!((sum - 1.0).abs() < 1e-9);
         prop_assert!(pred.posterior.iter().all(|&p| (0.0..=1.0).contains(&p)));
         prop_assert!(pred.category < 5);
-    }
-
-    /// TF-IDF cosine similarity is symmetric and bounded, and every
-    /// document has similarity ~1 with itself.
-    #[test]
-    fn tfidf_similarity_properties(
-        a in prop::collection::vec(0u32..30, 1..40),
-        b in prop::collection::vec(0u32..30, 1..40),
-    ) {
-        let mut m = TfIdf::new();
-        m.fit_doc(&a);
-        m.fit_doc(&b);
-        let sab = m.doc_similarity(&a, &b);
-        let sba = m.doc_similarity(&b, &a);
-        prop_assert!((sab - sba).abs() < 1e-9);
-        prop_assert!((0.0..=1.0).contains(&sab));
-        prop_assert!((m.doc_similarity(&a, &a) - 1.0).abs() < 1e-9);
     }
 }

@@ -65,16 +65,6 @@ impl Histogram {
         self.buckets.iter().enumerate().filter(|(_, c)| **c > 0).map(|(i, c)| (i, *c))
     }
 
-    /// Smallest value a bucket can hold: 0 for bucket 0, else
-    /// `2^(i-1)`. Out-of-range indexes clamp to the last bucket.
-    #[must_use]
-    pub fn bucket_lower_bound(index: usize) -> u64 {
-        match index.min(HISTOGRAM_BUCKETS - 1) {
-            0 => 0,
-            i => 1u64 << (i - 1),
-        }
-    }
-
     /// Largest value a bucket can hold: 0 for bucket 0, `2^i - 1` for
     /// bucket `i`, saturating at `u64::MAX` for the final bucket.
     #[must_use]
@@ -90,9 +80,10 @@ impl Histogram {
     ///
     /// The rank is `ceil(q * count)` clamped to `[1, count]`, so
     /// `q = 0.5` is the median and `q = 1.0` the maximum's bucket.
-    /// Because buckets are log₂-sized the true observation lies in
-    /// `[bucket_lower_bound, bucket_upper_bound]` — the reported value
-    /// overstates it by at most 2x (the harness documents this bound).
+    /// Because buckets are log₂-sized the true observation lies between
+    /// about half the reported value and the value itself — the
+    /// reported value overstates it by at most 2x (the harness
+    /// documents this bound).
     /// `None` when the histogram is empty or `q` is outside `[0, 1]`
     /// or NaN.
     #[must_use]
@@ -253,18 +244,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge, if ever set.
-    #[must_use]
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A histogram by name, if any observation was recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Accumulated span timing for a stage, if any span completed.
     #[must_use]
     pub fn timing(&self, stage: &str) -> Option<TimingStat> {
@@ -284,11 +263,6 @@ impl Registry {
     /// All histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// All span timings in stage order (reported only).
-    pub fn timings(&self) -> impl Iterator<Item = (&'static str, TimingStat)> + '_ {
-        self.timings.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Overwrites one counter with a persisted value (set, not add).
@@ -413,26 +387,23 @@ mod tests {
         }
         for q in [0.1, 0.5, 0.9, 0.99] {
             let ub = h.quantile_upper_bound(q).unwrap();
-            let i = Histogram::bucket_index(ub);
-            assert!(Histogram::bucket_lower_bound(i) <= ub);
-            assert_eq!(Histogram::bucket_upper_bound(i), ub);
+            assert_eq!(Histogram::bucket_upper_bound(Histogram::bucket_index(ub)), ub);
         }
     }
 
     #[test]
     fn bucket_bounds_cover_the_domain() {
-        assert_eq!(Histogram::bucket_lower_bound(0), 0);
         assert_eq!(Histogram::bucket_upper_bound(0), 0);
-        assert_eq!(Histogram::bucket_lower_bound(1), 1);
         assert_eq!(Histogram::bucket_upper_bound(1), 1);
-        assert_eq!(Histogram::bucket_lower_bound(11), 1024);
+        assert_eq!(Histogram::bucket_upper_bound(10), 1023);
         assert_eq!(Histogram::bucket_upper_bound(11), 2047);
         assert_eq!(Histogram::bucket_upper_bound(64), u64::MAX);
         // Out-of-range indexes clamp instead of shifting past the word.
         assert_eq!(Histogram::bucket_upper_bound(400), u64::MAX);
         for v in [0u64, 1, 2, 3, 1023, 1024, u64::MAX] {
             let i = Histogram::bucket_index(v);
-            assert!(Histogram::bucket_lower_bound(i) <= v && v <= Histogram::bucket_upper_bound(i));
+            assert!(v <= Histogram::bucket_upper_bound(i));
+            assert!(i == 0 || v > Histogram::bucket_upper_bound(i - 1));
         }
     }
 
@@ -460,8 +431,8 @@ mod tests {
         r.observe("h", 3);
         r.record_span("s", 10);
         assert_eq!(r.counter("a"), 0);
-        assert_eq!(r.gauge_value("g"), None);
-        assert!(r.histogram("h").is_none());
+        assert_eq!(r.gauges().count(), 0);
+        assert_eq!(r.histograms().count(), 0);
         assert!(r.timing("s").is_none());
     }
 
@@ -484,6 +455,6 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.counter("x"), 5);
         assert_eq!(ab.counter("y"), 1);
-        assert_eq!(ab.histogram("h").map(Histogram::count), Some(2));
+        assert_eq!(ab.histograms().map(|(_, h)| h.count()).collect::<Vec<_>>(), vec![2]);
     }
 }

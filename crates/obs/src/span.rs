@@ -29,12 +29,6 @@ impl Span {
         Span { stage, watch: stopwatch() }
     }
 
-    /// The stage name this span was entered with.
-    #[must_use]
-    pub fn stage(&self) -> &'static str {
-        self.stage
-    }
-
     /// Stops the span and records its wall time into `registry`.
     pub fn finish(self, registry: &mut Registry) {
         registry.record_span(self.stage, self.watch.elapsed_ns());
@@ -49,7 +43,6 @@ mod tests {
     fn finished_span_lands_in_the_timing_table() {
         let mut reg = Registry::new();
         let span = Span::enter("tick.commit");
-        assert_eq!(span.stage(), "tick.commit");
         span.finish(&mut reg);
         let stat = reg.timing("tick.commit").unwrap();
         assert_eq!(stat.count, 1);

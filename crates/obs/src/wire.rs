@@ -22,7 +22,7 @@
 //! is exact integer addition — commutative and associative — which is
 //! what makes per-agent histograms safe to combine in any order.
 
-use crate::json::{self, JsonValue};
+use crate::json::JsonValue;
 use crate::registry::Histogram;
 use std::fmt::Write as _;
 
@@ -41,16 +41,6 @@ impl Histogram {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Decodes a histogram from [`Self::to_wire_json`] output.
-    ///
-    /// Tolerates whitespace between tokens but nothing else: unknown
-    /// keys, reordered fields, non-integer numbers and inconsistent
-    /// bucket totals all return `None`.
-    #[must_use]
-    pub fn from_wire_json(input: &str) -> Option<Histogram> {
-        Self::from_wire_value(&json::parse(input).ok()?)
     }
 
     /// Decodes a histogram from an already-parsed wire object, as
@@ -73,6 +63,11 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+
+    fn from_wire_json(input: &str) -> Option<Histogram> {
+        Histogram::from_wire_value(&json::parse(input).ok()?)
+    }
 
     #[test]
     fn round_trip_preserves_everything() {
@@ -82,7 +77,7 @@ mod tests {
         }
         let line = h.to_wire_json();
         assert!(!line.contains('\n'), "wire format is single-line: {line}");
-        let back = Histogram::from_wire_json(&line).expect("round trip");
+        let back = from_wire_json(&line).expect("round trip");
         assert_eq!(back, h);
     }
 
@@ -90,7 +85,7 @@ mod tests {
     fn empty_histogram_round_trips() {
         let h = Histogram::default();
         assert_eq!(h.to_wire_json(), "{\"count\":0,\"sum\":0,\"buckets\":[]}");
-        assert_eq!(Histogram::from_wire_json(&h.to_wire_json()), Some(h));
+        assert_eq!(from_wire_json(&h.to_wire_json()), Some(h));
     }
 
     #[test]
@@ -111,7 +106,7 @@ mod tests {
         h.record(u64::MAX);
         h.record(u64::MAX);
         assert_eq!(h.sum(), u64::MAX, "sum saturates");
-        let back = Histogram::from_wire_json(&h.to_wire_json()).expect("round trip");
+        let back = from_wire_json(&h.to_wire_json()).expect("round trip");
         assert_eq!(back.sum(), u64::MAX);
         assert_eq!(back.count(), 2);
         assert_eq!(back.quantile_upper_bound(0.99), Some(u64::MAX));
@@ -129,14 +124,14 @@ mod tests {
             "{\"count\":-1,\"sum\":0,\"buckets\":[]}", // negative
             "{\"count\":1.5,\"sum\":0,\"buckets\":[]}", // non-integer
         ] {
-            assert_eq!(Histogram::from_wire_json(bad), None, "should reject: {bad}");
+            assert_eq!(from_wire_json(bad), None, "should reject: {bad}");
         }
     }
 
     #[test]
     fn whitespace_is_tolerated() {
         let line = " { \"count\" : 1 , \"sum\" : 7 , \"buckets\" : [ [ 3 , 1 ] ] } ";
-        let h = Histogram::from_wire_json(line).expect("whitespace ok");
+        let h = from_wire_json(line).expect("whitespace ok");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 7);
     }

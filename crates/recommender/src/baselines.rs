@@ -2,15 +2,12 @@
 //!
 //! The paper has no open-source comparator, so the benches compare the
 //! compound context-aware recommender against the standard internal
-//! baselines: global popularity, content-only (the compound score with
-//! `w_c = 1`, i.e. context ignored), and seeded random.
+//! baselines: global popularity and seeded random.
 
 use crate::candidates::ScoredClip;
-use crate::context::ListenerContext;
-use crate::score::ScoringWeights;
 use pphcr_audio::ClipId;
 use pphcr_catalog::ContentRepository;
-use pphcr_userdata::{FeedbackStore, PreferenceVector, UserId};
+use pphcr_userdata::FeedbackStore;
 use std::collections::HashMap;
 
 /// Ranks all repository clips by global like/listen counts — what a
@@ -51,22 +48,6 @@ pub fn popularity_ranking(repo: &ContentRepository, feedback: &FeedbackStore) ->
     out
 }
 
-/// Content-only ranking: the compound recommender with the context term
-/// switched off (`w_c = 1`). The ablation arm of experiment E9.
-#[must_use]
-pub fn content_only_ranking(
-    repo: &ContentRepository,
-    feedback: &FeedbackStore,
-    user: UserId,
-    ctx: &ListenerContext,
-    base: &ScoringWeights,
-) -> Vec<ScoredClip> {
-    let weights = ScoringWeights { content_weight: 1.0, ..*base };
-    let filter = crate::candidates::CandidateFilter::default();
-    let prefs = feedback.preferences(user, ctx.now);
-    filter.candidates(repo, &prefs, ctx, &weights)
-}
-
 /// Seeded pseudo-random ranking (uniform shuffle) — the floor any
 /// learned method must clear.
 #[must_use]
@@ -94,34 +75,12 @@ pub fn random_ranking(repo: &ContentRepository, seed: u64) -> Vec<ScoredClip> {
     out
 }
 
-/// Utility for evaluation: mean preference alignment of the top-k of a
-/// ranking, i.e. how much the listener actually likes what a strategy
-/// would play. Shared by E9's harness.
-#[must_use]
-pub fn mean_pref_at_k(
-    ranking: &[ScoredClip],
-    repo: &ContentRepository,
-    prefs: &PreferenceVector,
-    k: usize,
-) -> f64 {
-    let top: Vec<f64> = ranking
-        .iter()
-        .take(k)
-        .filter_map(|c| repo.get(c.clip))
-        .map(|meta| prefs.score(meta.category))
-        .collect();
-    if top.is_empty() {
-        return 0.0;
-    }
-    top.iter().sum::<f64>() / top.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pphcr_catalog::{CategoryId, ClipKind, ClipMetadata};
     use pphcr_geo::{GeoPoint, LocalProjection, TimePoint, TimeSpan};
-    use pphcr_userdata::{FeedbackEvent, FeedbackKind};
+    use pphcr_userdata::{FeedbackEvent, FeedbackKind, UserId};
 
     const TORINO: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
 
@@ -191,55 +150,10 @@ mod tests {
     }
 
     #[test]
-    fn content_only_ignores_context_weighting() {
-        let r = repo(30);
-        let mut fb = FeedbackStore::default();
-        let t = TimePoint::at(0, 9, 0, 0);
-        for _ in 0..3 {
-            fb.record(FeedbackEvent {
-                user: UserId(1),
-                clip: None,
-                category: CategoryId::new(8),
-                kind: FeedbackKind::Like,
-                time: t,
-            });
-        }
-        let ctx = ListenerContext::stationary(t);
-        let ranking = content_only_ranking(&r, &fb, UserId(1), &ctx, &ScoringWeights::default());
-        let top_meta = r.get(ranking[0].clip).unwrap();
-        assert_eq!(top_meta.category, CategoryId::new(8));
-    }
-
-    #[test]
-    fn mean_pref_at_k_reflects_alignment() {
-        let r = repo(30);
-        let mut fb = FeedbackStore::default();
-        let t = TimePoint::at(0, 9, 0, 0);
-        for _ in 0..3 {
-            fb.record(FeedbackEvent {
-                user: UserId(1),
-                clip: None,
-                category: CategoryId::new(8),
-                kind: FeedbackKind::Like,
-                time: t,
-            });
-        }
-        let prefs = fb.preferences(UserId(1), t);
-        let ctx = ListenerContext::stationary(t);
-        let personalized =
-            content_only_ranking(&r, &fb, UserId(1), &ctx, &ScoringWeights::default());
-        let random = random_ranking(&r, 99);
-        let p = mean_pref_at_k(&personalized, &r, &prefs, 3);
-        let q = mean_pref_at_k(&random, &r, &prefs, 3);
-        assert!(p > q, "personalized {p} vs random {q}");
-    }
-
-    #[test]
     fn empty_world_degrades_gracefully() {
         let r = repo(0);
         let fb = FeedbackStore::default();
         assert!(popularity_ranking(&r, &fb).is_empty());
         assert!(random_ranking(&r, 5).is_empty());
-        assert_eq!(mean_pref_at_k(&[], &r, &PreferenceVector::neutral(), 10), 0.0);
     }
 }

@@ -26,7 +26,7 @@ use crate::context::ListenerContext;
 use crate::score::ScoringWeights;
 use pphcr_audio::ClipId;
 use pphcr_catalog::{ClipMetadata, ContentRepository};
-use pphcr_geo::{TimePoint, TimeSpan};
+use pphcr_geo::TimeSpan;
 use pphcr_userdata::PreferenceVector;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -49,13 +49,15 @@ pub fn sanitize_score(score: f64) -> f64 {
 /// looked at and why the rest never reached scoring. The engine copies
 /// these into its decision trace.
 ///
-/// The counts are *path diagnostics*, deterministic for a given
-/// retrieval path but attributed differently between them: the linear
-/// scan tests every clip against the predicate in order
-/// (freshness before preference), while the indexed path cuts
-/// structurally — a skipped category charges its whole posting list to
-/// `cut_preference`, and a posting list's stale prefix is charged to
-/// `cut_freshness` without visiting the clips.
+/// On both retrieval paths every clip lands in exactly one of
+/// `cut_freshness`, `cut_preference`, `cut_heard` and `scored`, so
+/// those four sum to the catalog size. Which cut a clip lands in can
+/// differ between the paths: the linear scan tests every clip against
+/// the predicate in order (heard, then freshness, then preference),
+/// while the indexed path cuts structurally — a skipped category
+/// charges its whole posting list to `cut_preference`, and a posting
+/// list's stale prefix is charged to `cut_freshness` without visiting
+/// the clips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetrievalStats {
     /// Clips the retrieval stage examined individually.
@@ -339,28 +341,35 @@ impl CandidateFilter {
             for meta in repo.fresh_in_category(category, cutoff) {
                 fresh += 1;
                 stats.considered += 1;
+                seen.insert(meta.id);
                 if exclude.contains(&meta.id) {
                     stats.cut_heard += 1;
                     continue;
                 }
-                seen.insert(meta.id);
                 out.push(self.score_one(meta, prefs, ctx, weights, &geo_hits));
             }
             stats.cut_freshness += posted - fresh;
         }
         // Geo hits ride along regardless of freshness or preference;
-        // skip the ones the category pass already scored.
+        // skip the ones the category pass already visited. Every other
+        // hit was charged to the cut of its category above: credit that
+        // cut back before counting the clip once more.
         // lint: allow(hash-iter) — finalize() re-sorts by (score desc, clip id); visit order cannot reach the output
         for &id in geo_hits.keys() {
             if seen.contains(&id) {
                 continue;
+            }
+            let Some(meta) = repo.get(id) else { continue };
+            if prefs.score(meta.category) < self.min_category_pref {
+                stats.cut_preference -= 1;
+            } else {
+                stats.cut_freshness -= 1;
             }
             stats.considered += 1;
             if exclude.contains(&id) {
                 stats.cut_heard += 1;
                 continue;
             }
-            let Some(meta) = repo.get(id) else { continue };
             out.push(self.score_one(meta, prefs, ctx, weights, &geo_hits));
         }
         (self.finalize(out, &mut stats), stats)
@@ -448,19 +457,12 @@ impl CandidateFilter {
     }
 }
 
-/// Convenience for tests and benches: the earliest publication instant
-/// still inside the filter window at `now`.
-#[must_use]
-pub fn freshness_cutoff(filter: &CandidateFilter, now: TimePoint) -> TimePoint {
-    now.rewind(filter.max_age)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::{Ambient, DriveContext};
     use pphcr_catalog::{CategoryId, ClipKind, GeoTag};
-    use pphcr_geo::{GeoPoint, LocalProjection, ProjectedPoint};
+    use pphcr_geo::{GeoPoint, LocalProjection, ProjectedPoint, TimePoint};
     use pphcr_trajectory::TripPrediction;
     use pphcr_userdata::{FeedbackEvent, FeedbackKind, FeedbackStore, UserId};
 

@@ -22,8 +22,8 @@
 //!   selection under temporal and distraction constraints, Fig. 2),
 //! * [`proactive`] — the two-phase proactivity model (decide *when*,
 //!   then *what*),
-//! * [`baselines`] — popularity / content-only / random baselines used
-//!   by the evaluation harness.
+//! * [`baselines`] — popularity / random baselines used by the
+//!   evaluation harness.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,7 +46,9 @@ pub use score::ScoringWeights;
 use pphcr_catalog::ContentRepository;
 use pphcr_userdata::{FeedbackStore, UserId};
 
-/// The full recommender pipeline: filter → score → schedule.
+/// The recommender's configuration (weights, filter, scheduler) and its
+/// ranking step: filter → score. Callers pack the ranked list with
+/// [`SchedulerConfig::pack`].
 #[derive(Debug, Clone, Default)]
 pub struct Recommender {
     /// Relevance weights.
@@ -70,25 +72,5 @@ impl Recommender {
     ) -> Vec<ScoredClip> {
         let prefs = feedback.preferences(user, ctx.now);
         self.filter.candidates(repo, &prefs, ctx, &self.weights)
-    }
-
-    /// The full proactive pipeline for a driving listener: rank, then
-    /// pack the predicted ΔT with the relevance-maximizing schedule
-    /// (Fig. 2). Returns `None` when there is nothing to schedule.
-    #[must_use]
-    pub fn recommend_for_trip(
-        &self,
-        repo: &ContentRepository,
-        feedback: &FeedbackStore,
-        user: UserId,
-        ctx: &ListenerContext,
-    ) -> Option<SlotSchedule> {
-        let drive = ctx.drive.as_ref()?;
-        let ranked = self.rank(repo, feedback, user, ctx);
-        if ranked.is_empty() {
-            return None;
-        }
-        let schedule = self.scheduler.pack(&ranked, drive, ctx.now);
-        (!schedule.items.is_empty()).then_some(schedule)
     }
 }

@@ -119,6 +119,7 @@ impl SlotSchedule {
     /// True when no item interval overlaps another and items are in
     /// start order (schedule invariant).
     #[must_use]
+    // lint: allow(dead) — tests/properties.rs::pack_invariants and tests/scenarios.rs::lilly_proactive_morning check every packed schedule with it
     pub fn is_well_formed(&self) -> bool {
         self.items.windows(2).all(|w| w[0].end_s() <= w[1].start_s)
     }

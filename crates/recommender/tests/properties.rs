@@ -151,7 +151,8 @@ proptest! {
 
     /// Differential: index-backed retrieval is bit-identical to the
     /// reference linear scan over random repositories, preferences,
-    /// routes and exclusion sets.
+    /// routes and exclusion sets, and on both walks every clip is
+    /// counted exactly once as cut or scored.
     #[test]
     fn indexed_retrieval_equals_linear_scan(
         clip_specs in prop::collection::vec((0u16..30, 0u64..400, 1u64..30), 1..60),
@@ -210,9 +211,18 @@ proptest! {
         // property exercises it even on small generated catalogs.
         let filter = CandidateFilter { max_candidates, scan_below: 0, ..Default::default() };
         let weights = ScoringWeights::default();
-        let scan = filter.candidates_excluding(&repo, &prefs, &ctx, &weights, &exclude);
-        let indexed = filter.candidates_indexed_excluding(&repo, &prefs, &ctx, &weights, &exclude);
+        let (scan, scan_stats) =
+            filter.candidates_excluding_stats(&repo, &prefs, &ctx, &weights, &exclude);
+        let (indexed, indexed_stats) =
+            filter.candidates_indexed_excluding_stats(&repo, &prefs, &ctx, &weights, &exclude);
         prop_assert_eq!(scan, indexed);
+        for s in [scan_stats, indexed_stats] {
+            prop_assert_eq!(
+                s.cut_freshness + s.cut_preference + s.cut_heard + s.scored,
+                repo.len() as u64,
+                "{:?}", s
+            );
+        }
     }
 
     /// `sanitize_score` always lands in [0, 1] and never passes a NaN

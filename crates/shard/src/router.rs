@@ -305,12 +305,6 @@ impl<T: ShardTransport> Router<T> {
         Ok(Router { shards, applied: 0, ingest_broadcasts: 0, tick_log: Vec::new() })
     }
 
-    /// Number of shards behind this router.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The owning shard index of a user under this router's partition.
     #[must_use]
     pub fn owner(&self, user: UserId) -> usize {

@@ -11,6 +11,7 @@ use crate::population::{Commuter, GpsNoise, Population};
 use crate::world::SyntheticCity;
 use pphcr_audio::source::{ClipSource, LiveSource};
 use pphcr_audio::splice::{PlannedSegment, SegmentSource, SplicePlan};
+use pphcr_audio::SampleClock;
 use pphcr_catalog::ServiceIndex;
 use pphcr_catalog::{CategoryId, ClipKind, ContentRepository, CATEGORY_COUNT};
 use pphcr_core::{
@@ -58,10 +59,10 @@ impl fmt::Display for E1Row {
 /// Builds the Fig. 1 replacement plan at `rate_hz` for one clip length.
 #[must_use]
 pub fn e1_replacement_plan(rate_hz: u32, clip_s: u64, fade_samples: u32) -> SplicePlan {
-    let rate = u64::from(rate_hz);
+    let clock = SampleClock::new(rate_hz);
     let live = LiveSource::new(1);
-    let lead = 30 * rate;
-    let clip_len = clip_s * rate;
+    let lead = clock.samples_in(TimeSpan::seconds(30));
+    let clip_len = clock.samples_in(TimeSpan::seconds(clip_s));
     let clip = ClipSource::new(7, clip_len);
     SplicePlan::new(
         vec![
@@ -73,7 +74,7 @@ pub fn e1_replacement_plan(rate_hz: u32, clip_s: u64, fade_samples: u32) -> Spli
             },
             PlannedSegment {
                 start: lead + clip_len,
-                end: lead + clip_len + 30 * rate,
+                end: lead + clip_len + lead,
                 source: SegmentSource::Live(live),
             },
         ],
@@ -2074,7 +2075,12 @@ mod tests {
             lossy.delivered + lossy.dead_lettered <= lossy.submitted,
             "nothing applied twice: {lossy}"
         );
-        assert_eq!(lossy.health.total(), 3, "every listener has an explicit health state: {lossy}");
+        let h = lossy.health;
+        assert_eq!(
+            h.healthy + h.degraded + h.broadcast_only,
+            3,
+            "every listener has an explicit health state: {lossy}"
+        );
     }
 
     #[test]

@@ -28,14 +28,6 @@ pub enum ListeningOutcome {
     Surfed,
 }
 
-impl ListeningOutcome {
-    /// True for outcomes where the listener stayed to the end.
-    #[must_use]
-    pub fn finished(self) -> bool {
-        matches!(self, ListeningOutcome::LikedIt | ListeningOutcome::ListenedThrough)
-    }
-}
-
 /// The behaviour model.
 #[derive(Debug, Clone)]
 pub struct ListenerModel {
@@ -60,12 +52,6 @@ impl ListenerModel {
             consecutive_skips: 0,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Consecutive skips so far.
-    #[must_use]
-    pub fn frustration(&self) -> u32 {
-        self.consecutive_skips
     }
 
     /// Simulates the commuter hearing an item of category `category`.
@@ -198,7 +184,7 @@ mod tests {
         // A good item in between resets frustration.
         model.outcome(&c, 5);
         model.outcome(&c, 8);
-        assert_eq!(model.frustration(), 0);
+        assert_eq!(model.consecutive_skips, 0);
     }
 
     #[test]

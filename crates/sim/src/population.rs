@@ -38,12 +38,6 @@ impl Commuter {
     pub fn taste(&self, category: u16) -> f64 {
         self.tastes[category as usize % self.tastes.len()]
     }
-
-    /// Categories this commuter genuinely likes (taste > 0.5).
-    #[must_use]
-    pub fn liked_categories(&self) -> Vec<u16> {
-        self.tastes.iter().enumerate().filter(|(_, &t)| t > 0.5).map(|(i, _)| i as u16).collect()
-    }
 }
 
 /// GPS noise model parameters.
@@ -294,7 +288,7 @@ mod tests {
     fn tastes_have_likes_and_dislikes() {
         let (_, pop) = setup();
         for c in &pop.commuters {
-            assert!(!c.liked_categories().is_empty(), "commuter {} has no likes", c.index);
+            assert!(c.tastes.iter().any(|&t| t > 0.5), "commuter {} has no likes", c.index);
             assert!(c.tastes.iter().any(|&t| t < -0.5), "commuter {} has no dislikes", c.index);
             assert!(c.tastes.iter().all(|&t| (-1.0..=1.0).contains(&t)));
         }

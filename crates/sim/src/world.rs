@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn city_is_connected_grid() {
         let city = SyntheticCity::generate(8, 400.0, 1);
-        assert_eq!(city.network.node_count(), 64);
+        assert_eq!(city.network.nodes().len(), 64);
         // Every corner reaches every other corner.
         let a = city.node_at(0, 0);
         let b = city.node_at(7, 7);

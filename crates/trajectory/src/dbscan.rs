@@ -135,14 +135,6 @@ pub struct StayPoint {
     pub hour_histogram: [u32; 24],
 }
 
-impl StayPoint {
-    /// The hour of day at which visits most often start.
-    #[must_use]
-    pub fn peak_hour(&self) -> u64 {
-        self.hour_histogram.iter().enumerate().max_by_key(|(_, &c)| c).map_or(0, |(h, _)| h as u64)
-    }
-}
-
 /// Extracts staying points from a trace.
 ///
 /// Only fixes slower than `max_speed_mps` participate (the paper's
@@ -350,7 +342,7 @@ mod tests {
         assert_eq!(sps[0].visit_count, 5);
         assert_eq!(sps[1].visit_count, 5);
         // Work visits start at 09:00.
-        assert_eq!(sps[1].peak_hour(), 9);
+        assert_eq!(sps[1].hour_histogram[9], 5);
     }
 
     #[test]

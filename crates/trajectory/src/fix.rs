@@ -6,7 +6,7 @@
 //! parked). Dwell detection is the first, cheapest compaction step the
 //! paper's periodic batch job performs.
 
-use pphcr_geo::{GeoPoint, LocalProjection, Polyline, TimePoint, TimeSpan};
+use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use serde::{Deserialize, Serialize};
 
 /// Why a GPS fix failed validation.
@@ -56,16 +56,6 @@ impl GpsFix {
         GpsFix { point, time, speed_mps }
     }
 
-    /// Creates a fix, rejecting invalid coordinates or speed.
-    ///
-    /// # Errors
-    /// The specific [`InvalidFix`] reason.
-    pub fn try_new(point: GeoPoint, time: TimePoint, speed_mps: f64) -> Result<Self, InvalidFix> {
-        let fix = GpsFix { point, time, speed_mps };
-        fix.validate()?;
-        Ok(fix)
-    }
-
     /// Checks coordinates and speed, naming the first problem found.
     ///
     /// # Errors
@@ -91,12 +81,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
     /// Builds a trace from fixes, sorting them by time.
     #[must_use]
     pub fn from_fixes(mut fixes: Vec<GpsFix>) -> Self {
@@ -156,21 +140,6 @@ impl Trace {
             return 0.0;
         }
         self.fixes.iter().map(|f| f.speed_mps).sum::<f64>() / self.fixes.len() as f64
-    }
-
-    /// Projects the trace into a metric polyline.
-    #[must_use]
-    pub fn to_polyline(&self, proj: &LocalProjection) -> Polyline {
-        Polyline::new(self.fixes.iter().map(|f| proj.project(f.point)).collect())
-    }
-
-    /// Drops fixes with invalid coordinates or non-finite speed,
-    /// returning how many were removed. GPS receivers emit such fixes on
-    /// cold start; the paper's pipeline must tolerate them.
-    pub fn sanitize(&mut self) -> usize {
-        let before = self.fixes.len();
-        self.fixes.retain(|f| f.validate().is_ok());
-        before - self.fixes.len()
     }
 }
 
@@ -271,7 +240,7 @@ mod tests {
 
     #[test]
     fn push_keeps_time_order() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.push(GpsFix::new(HOME, TimePoint(100), 0.0));
         t.push(GpsFix::new(HOME, TimePoint(50), 0.0));
         t.push(GpsFix::new(HOME, TimePoint(75), 0.0));
@@ -298,22 +267,21 @@ mod tests {
 
     #[test]
     fn empty_trace_metrics_are_zero() {
-        let t = Trace::new();
+        let t = Trace::default();
         assert_eq!(t.duration(), TimeSpan::ZERO);
         assert_eq!(t.length_m(), 0.0);
         assert_eq!(t.mean_speed_mps(), 0.0);
     }
 
     #[test]
-    fn sanitize_drops_garbage() {
-        let mut t = Trace::from_fixes(vec![
-            GpsFix::new(HOME, TimePoint(0), 1.0),
-            GpsFix::new(GeoPoint::new(f64::NAN, 7.0), TimePoint(1), 1.0),
-            GpsFix::new(HOME, TimePoint(2), f64::INFINITY),
-            GpsFix::new(HOME, TimePoint(3), -2.0),
-        ]);
-        assert_eq!(t.sanitize(), 3);
-        assert_eq!(t.len(), 1);
+    fn validate_rejects_garbage() {
+        assert_eq!(GpsFix::new(HOME, TimePoint(0), 1.0).validate(), Ok(()));
+        let nan = GpsFix::new(GeoPoint::new(f64::NAN, 7.0), TimePoint(1), 1.0);
+        assert_eq!(nan.validate(), Err(InvalidFix::BadCoordinates));
+        let inf = GpsFix::new(HOME, TimePoint(2), f64::INFINITY);
+        assert_eq!(inf.validate(), Err(InvalidFix::NonFiniteSpeed));
+        let negative = GpsFix::new(HOME, TimePoint(3), -2.0);
+        assert_eq!(negative.validate(), Err(InvalidFix::NegativeSpeed));
     }
 
     /// Drive 15 min, park 10 min, drive 15 min: two trips.
@@ -365,7 +333,7 @@ mod tests {
 
     #[test]
     fn segmenter_empty_trace() {
-        assert!(TripSegmenter::default().segment(&Trace::new()).is_empty());
+        assert!(TripSegmenter::default().segment(&Trace::default()).is_empty());
     }
 
     #[test]

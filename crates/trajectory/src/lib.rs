@@ -28,11 +28,9 @@ pub mod fix;
 pub mod model;
 pub mod predict;
 pub mod rdp;
-pub mod smoothing;
 
 pub use dbscan::{dbscan, stay_points, ClusterLabel, DbscanParams, StayPoint};
 pub use fix::{GpsFix, InvalidFix, Trace, TripSegmenter};
 pub use model::{MobilityModel, RouteProfile, TripSummary};
-pub use predict::{MarkovRoutePredictor, TripPrediction, TripPredictor};
+pub use predict::{TripPrediction, TripPredictor};
 pub use rdp::{rdp_indices, simplify, trajectory_complexity};
-pub use smoothing::{clean, reject_outliers, smooth};

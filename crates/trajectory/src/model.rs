@@ -14,7 +14,7 @@
 use crate::dbscan::{stay_points, DbscanParams, StayPoint};
 use crate::fix::{Trace, TripSegmenter};
 use crate::rdp::{simplify, trajectory_complexity};
-use pphcr_geo::{LocalProjection, Polyline, ProjectedPoint, TimePoint, TimeSpan};
+use pphcr_geo::{LocalProjection, ProjectedPoint, TimePoint, TimeSpan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -53,12 +53,6 @@ impl TripSummary {
     #[must_use]
     pub fn departure_hour(&self) -> u64 {
         self.start.hour_of_day()
-    }
-
-    /// The simplified geometry as a measured polyline.
-    #[must_use]
-    pub fn polyline(&self) -> Polyline {
-        Polyline::new(self.geometry.clone())
     }
 }
 
@@ -212,16 +206,6 @@ impl MobilityModel {
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(s, _)| s)
     }
-
-    /// Compression summary: raw fix count vs retained geometry vertices.
-    #[must_use]
-    pub fn compression_ratio(&self, raw_fix_count: usize) -> f64 {
-        let kept: usize = self.trips.iter().map(|t| t.geometry.len()).sum();
-        if kept == 0 {
-            return f64::INFINITY;
-        }
-        raw_fix_count as f64 / kept as f64
-    }
 }
 
 // lint: allow(reach-hash-iter) — output is keyed by (origin, destination); per-group stats come from slice order
@@ -269,7 +253,7 @@ fn aggregate_profiles(trips: &[TripSummary]) -> HashMap<(u32, u32), RouteProfile
 pub(crate) mod tests {
     use super::*;
     use crate::fix::GpsFix;
-    use pphcr_geo::GeoPoint;
+    use pphcr_geo::{GeoPoint, Polyline};
 
     /// Builds `days` days of a home→work (08:00) / work→home (18:00)
     /// commute with overnight home dwell and workday office dwell.
@@ -355,15 +339,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn compression_is_substantial() {
-        let (trace, proj, _, _) = commuter_trace(5);
-        let raw = trace.len();
-        let model = MobilityModel::build(&trace, &proj, &ModelConfig::default());
-        let ratio = model.compression_ratio(raw);
-        assert!(ratio > 10.0, "straight commutes compress well, got {ratio}");
-    }
-
-    #[test]
     fn stay_near_finds_and_respects_radius() {
         let (trace, proj, home, _) = commuter_trace(3);
         let model = MobilityModel::build(&trace, &proj, &ModelConfig::default());
@@ -374,9 +349,19 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn compression_is_substantial() {
+        let (trace, proj, _, _) = commuter_trace(5);
+        let model = MobilityModel::build(&trace, &proj, &ModelConfig::default());
+        let kept: usize = model.trips.iter().map(|t| t.geometry.len()).sum();
+        assert!(kept > 0);
+        let ratio = trace.len() as f64 / kept as f64;
+        assert!(ratio > 10.0, "straight commutes compress well, got {ratio}");
+    }
+
+    #[test]
     fn empty_trace_builds_empty_model() {
         let proj = LocalProjection::new(GeoPoint::new(45.0, 7.0));
-        let model = MobilityModel::build(&Trace::new(), &proj, &ModelConfig::default());
+        let model = MobilityModel::build(&Trace::default(), &proj, &ModelConfig::default());
         assert!(model.stay_points.is_empty());
         assert!(model.trips.is_empty());
         assert!(model.profiles.is_empty());
@@ -389,8 +374,8 @@ pub(crate) mod tests {
         let t = &model.trips[0];
         assert_eq!(t.departure_hour(), 8);
         assert!(t.duration().as_seconds() > 600);
-        assert!(t.polyline().length_m() > 8_000.0);
         assert!(t.mean_speed_mps > 5.0);
+        assert!(Polyline::new(t.geometry.clone()).length_m() > 8_000.0);
     }
 
     #[test]

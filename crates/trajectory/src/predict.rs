@@ -2,22 +2,16 @@
 //!
 //! Paper Fig. 2: *"When the user's car starts moving, the system
 //! predicts a travel duration ΔT, and tries to allocate the most
-//! relevant content for the available time ΔT."* Two predictors feed
-//! that step:
-//!
-//! * [`TripPredictor`] — matches an in-progress trip against the
-//!   listener's [`MobilityModel`]: a Bayesian posterior over known
-//!   destinations combining route frequency (prior), departure-hour
-//!   affinity and geometric agreement of the driven prefix. Yields the
-//!   destination, remaining ΔT and the projected route geometry.
-//! * [`MarkovRoutePredictor`] — an order-2 Markov model over grid cells
-//!   for short-horizon movement when no profile matches (cold start or
-//!   a novel route).
+//! relevant content for the available time ΔT."* [`TripPredictor`]
+//! feeds that step: it matches an in-progress trip against the
+//! listener's [`MobilityModel`] with a Bayesian posterior over known
+//! destinations combining route frequency (prior), departure-hour
+//! affinity and geometric agreement of the driven prefix. It yields the
+//! destination, remaining ΔT and the projected route geometry.
 
 use crate::model::{MobilityModel, RouteProfile};
 use pphcr_geo::{Polyline, ProjectedPoint, TimePoint, TimeSpan};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Prediction for an in-progress trip.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,129 +159,11 @@ impl TripPredictor {
     }
 }
 
-/// A grid cell coordinate.
-pub type Cell = (i32, i32);
-
-/// Order-2 Markov model over uniform grid cells.
-///
-/// Trained on projected position sequences; predicts the next cell from
-/// the last two. Used for short-horizon look-ahead on novel routes where
-/// no [`RouteProfile`] matches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MarkovRoutePredictor {
-    cell_m: f64,
-    /// (prev, cur) → next → count.
-    transitions: HashMap<(Cell, Cell), HashMap<Cell, u32>>,
-    observations: u64,
-}
-
-impl MarkovRoutePredictor {
-    /// Creates a predictor with square cells of side `cell_m` meters.
-    ///
-    /// # Panics
-    /// Panics if `cell_m` is not strictly positive.
-    #[must_use]
-    pub fn new(cell_m: f64) -> Self {
-        assert!(cell_m > 0.0, "cell size must be positive");
-        MarkovRoutePredictor { cell_m, transitions: HashMap::new(), observations: 0 }
-    }
-
-    /// The configured cell side, meters.
-    #[must_use]
-    pub fn cell_size_m(&self) -> f64 {
-        self.cell_m
-    }
-
-    /// Number of observed transitions.
-    #[must_use]
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Maps a position to its cell.
-    #[must_use]
-    pub fn cell_of(&self, p: ProjectedPoint) -> (i32, i32) {
-        ((p.x / self.cell_m).floor() as i32, (p.y / self.cell_m).floor() as i32)
-    }
-
-    /// Trains on one trip's positions (oldest first). Consecutive
-    /// duplicate cells are collapsed so dwell does not dominate.
-    pub fn train(&mut self, path: &[ProjectedPoint]) {
-        let cells = self.dedup_cells(path);
-        for w in cells.windows(3) {
-            *self.transitions.entry((w[0], w[1])).or_default().entry(w[2]).or_insert(0) += 1;
-            self.observations += 1;
-        }
-    }
-
-    /// Distribution over next cells given the last two positions, or an
-    /// empty vector for unseen contexts. Sorted by descending
-    /// probability.
-    #[must_use]
-    pub fn next_cell_distribution(
-        &self,
-        prev: ProjectedPoint,
-        cur: ProjectedPoint,
-    ) -> Vec<((i32, i32), f64)> {
-        let key = (self.cell_of(prev), self.cell_of(cur));
-        let Some(counts) = self.transitions.get(&key) else { return Vec::new() };
-        let total: u32 = counts.values().sum();
-        let mut out: Vec<((i32, i32), f64)> =
-            counts.iter().map(|(c, &n)| (*c, f64::from(n) / f64::from(total))).collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Greedy most-likely continuation of `steps` cells, as cell-centre
-    /// positions. Stops early at unseen contexts.
-    #[must_use]
-    pub fn predict_path(
-        &self,
-        prev: ProjectedPoint,
-        cur: ProjectedPoint,
-        steps: usize,
-    ) -> Vec<ProjectedPoint> {
-        let mut out = Vec::with_capacity(steps);
-        let mut a = self.cell_of(prev);
-        let mut b = self.cell_of(cur);
-        for _ in 0..steps {
-            let Some(counts) = self.transitions.get(&(a, b)) else { break };
-            let Some((&next, _)) =
-                counts.iter().max_by(|(c1, n1), (c2, n2)| n1.cmp(n2).then_with(|| c2.cmp(c1)))
-            else {
-                break;
-            };
-            out.push(self.cell_center(next));
-            a = b;
-            b = next;
-        }
-        out
-    }
-
-    fn cell_center(&self, c: (i32, i32)) -> ProjectedPoint {
-        ProjectedPoint::new(
-            (f64::from(c.0) + 0.5) * self.cell_m,
-            (f64::from(c.1) + 0.5) * self.cell_m,
-        )
-    }
-
-    fn dedup_cells(&self, path: &[ProjectedPoint]) -> Vec<(i32, i32)> {
-        let mut cells: Vec<(i32, i32)> = Vec::with_capacity(path.len());
-        for p in path {
-            let c = self.cell_of(*p);
-            if cells.last() != Some(&c) {
-                cells.push(c);
-            }
-        }
-        cells
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{MobilityModel, ModelConfig};
-    use pphcr_geo::{GeoPoint, LocalProjection};
+    use pphcr_geo::LocalProjection;
 
     fn commuter_model() -> (MobilityModel, LocalProjection) {
         let (trace, proj, _, _) = crate::model::tests::commuter_trace(7);
@@ -372,101 +248,10 @@ mod tests {
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
-    // --- Markov predictor ---
-
-    fn l_path() -> Vec<ProjectedPoint> {
-        // East 10 cells then north 10 cells, cell = 100 m.
-        let mut path = Vec::new();
-        for i in 0..=10 {
-            path.push(ProjectedPoint::new(f64::from(i) * 100.0 + 50.0, 50.0));
-        }
-        for j in 1..=10 {
-            path.push(ProjectedPoint::new(1_050.0, f64::from(j) * 100.0 + 50.0));
-        }
-        path
-    }
-
     #[test]
-    fn markov_learns_the_turn() {
-        let mut m = MarkovRoutePredictor::new(100.0);
-        for _ in 0..5 {
-            m.train(&l_path());
-        }
-        // Approaching the corner heading east: next cell must be north of
-        // the corner once past it.
-        let dist = m.next_cell_distribution(
-            ProjectedPoint::new(950.0, 50.0),
-            ProjectedPoint::new(1_050.0, 50.0),
-        );
-        assert_eq!(dist.len(), 1);
-        assert_eq!(dist[0].0, (10, 1), "turns north at the corner");
-        assert!((dist[0].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn markov_unseen_context_is_empty() {
-        let m = MarkovRoutePredictor::new(100.0);
-        assert!(m
-            .next_cell_distribution(ProjectedPoint::new(0.0, 0.0), ProjectedPoint::new(100.0, 0.0))
-            .is_empty());
-    }
-
-    #[test]
-    fn markov_predict_path_follows_training() {
-        let mut m = MarkovRoutePredictor::new(100.0);
-        m.train(&l_path());
-        let path =
-            m.predict_path(ProjectedPoint::new(150.0, 50.0), ProjectedPoint::new(250.0, 50.0), 5);
-        assert_eq!(path.len(), 5);
-        // All predicted cells continue east along y-cell 0.
-        for (i, p) in path.iter().enumerate() {
-            assert!((p.y - 50.0).abs() < 1e-9);
-            assert!((p.x - (350.0 + i as f64 * 100.0)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn markov_mixed_routes_split_probability() {
-        let mut m = MarkovRoutePredictor::new(100.0);
-        // From the same two-cell context, 3 trips go east, 1 goes north.
-        let ctx = [ProjectedPoint::new(50.0, 50.0), ProjectedPoint::new(150.0, 50.0)];
-        let east = [ctx[0], ctx[1], ProjectedPoint::new(250.0, 50.0)];
-        let north = [ctx[0], ctx[1], ProjectedPoint::new(150.0, 150.0)];
-        for _ in 0..3 {
-            m.train(&east);
-        }
-        m.train(&north);
-        let dist = m.next_cell_distribution(ctx[0], ctx[1]);
-        assert_eq!(dist.len(), 2);
-        assert_eq!(dist[0].0, (2, 0));
-        assert!((dist[0].1 - 0.75).abs() < 1e-12);
-        assert!((dist[1].1 - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn markov_dwell_does_not_inflate_counts() {
-        let mut m = MarkovRoutePredictor::new(100.0);
-        // Many samples inside the same cells must collapse.
-        let mut path = Vec::new();
-        for _ in 0..50 {
-            path.push(ProjectedPoint::new(50.0, 50.0));
-        }
-        for _ in 0..50 {
-            path.push(ProjectedPoint::new(150.0, 50.0));
-        }
-        for _ in 0..50 {
-            path.push(ProjectedPoint::new(250.0, 50.0));
-        }
-        m.train(&path);
-        assert_eq!(m.observations(), 1, "one deduped transition triple");
-    }
-
-    #[test]
-    fn cold_start_no_profiles_predicts_none_but_markov_works() {
-        let proj = LocalProjection::new(GeoPoint::new(45.0, 7.0));
+    fn cold_start_no_profiles_predicts_none() {
         let empty = MobilityModel::default();
         let predictor = TripPredictor::default();
         assert!(predictor.predict(&empty, 0, TimePoint(0), TimePoint(0), &[]).is_none());
-        let _ = proj; // projection unused in cold start, kept for symmetry
     }
 }

@@ -47,13 +47,6 @@ impl FeedbackKind {
             FeedbackKind::PartialListen(fraction) => 0.1 * fraction.clamp(0.0, 1.0),
         }
     }
-
-    /// True for events the listener caused on purpose (buttons), as
-    /// opposed to behavioural signals.
-    #[must_use]
-    pub fn is_explicit(self) -> bool {
-        matches!(self, FeedbackKind::Like | FeedbackKind::Dislike)
-    }
 }
 
 /// One entry of the navigation log.
@@ -100,12 +93,6 @@ impl PreferenceVector {
             (0..CATEGORY_COUNT).map(|c| (CategoryId(c), self.scores[c as usize])).collect();
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out
-    }
-
-    /// True when every category is exactly neutral.
-    #[must_use]
-    pub fn is_neutral(&self) -> bool {
-        self.scores.iter().all(|&s| s == 0.0)
     }
 }
 
@@ -226,7 +213,8 @@ mod tests {
     #[test]
     fn cold_start_is_neutral() {
         let store = FeedbackStore::default();
-        assert!(store.preferences(UserId(99), TimePoint::EPOCH).is_neutral());
+        let prefs = store.preferences(UserId(99), TimePoint::EPOCH);
+        assert!(prefs.scores.iter().all(|&s| s == 0.0));
     }
 
     #[test]
@@ -315,7 +303,5 @@ mod tests {
         assert!(FeedbackKind::ListenedThrough.weight() > 0.0);
         assert!(FeedbackKind::Skip.weight() < 0.0);
         assert!(FeedbackKind::Dislike.weight() < 0.0);
-        assert!(FeedbackKind::Like.is_explicit());
-        assert!(!FeedbackKind::Skip.is_explicit());
     }
 }

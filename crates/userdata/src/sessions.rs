@@ -123,18 +123,6 @@ impl SessionStore {
         }
     }
 
-    /// The user's open session, if any.
-    #[must_use]
-    pub fn open_session(&self, user: UserId) -> Option<&ListeningSession> {
-        self.open.get(&user)
-    }
-
-    /// Closed sessions of one user, oldest first.
-    #[must_use]
-    pub fn history(&self, user: UserId) -> Vec<&ListeningSession> {
-        self.closed.iter().filter(|s| s.user == user).collect()
-    }
-
     /// Total closed sessions.
     #[must_use]
     pub fn closed_count(&self) -> usize {
@@ -164,19 +152,6 @@ impl SessionStore {
     pub fn restore(open: Vec<ListeningSession>, closed: Vec<ListeningSession>) -> Self {
         SessionStore { open: open.into_iter().map(|s| (s.user, s)).collect(), closed }
     }
-
-    /// The fraction of a user's closed sessions that ended in a surf —
-    /// the paper's "propensity to channel-surf" as a per-listener
-    /// statistic.
-    #[must_use]
-    pub fn surf_propensity(&self, user: UserId) -> f64 {
-        let hist = self.history(user);
-        if hist.is_empty() {
-            return 0.0;
-        }
-        let surfed = hist.iter().filter(|s| matches!(s.end, SessionEnd::Surfed { .. })).count();
-        surfed as f64 / hist.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +170,7 @@ mod tests {
         store.clip_played(U, ClipId(2), t0.advance(TimeSpan::minutes(3)));
         store.like(U, t0.advance(TimeSpan::minutes(5)));
         store.close(U, t0.advance(TimeSpan::minutes(20)), SessionEnd::Stopped);
-        let hist = store.history(U);
+        let hist = store.closed.iter().filter(|s| s.user == U).collect::<Vec<_>>();
         assert_eq!(hist.len(), 1);
         let s = hist[0];
         assert_eq!(s.clips_played, vec![ClipId(1), ClipId(2)]);
@@ -203,7 +178,7 @@ mod tests {
         assert_eq!(s.likes, 1);
         assert_eq!(s.duration(), TimeSpan::minutes(20));
         assert_eq!(s.end, SessionEnd::Stopped);
-        assert!(store.open_session(U).is_none());
+        assert!(!store.open.contains_key(&U));
     }
 
     #[test]
@@ -213,26 +188,11 @@ mod tests {
         store.start(U, ServiceIndex(0), t0);
         store.start(U, ServiceIndex(2), t0.advance(TimeSpan::minutes(10)));
         assert_eq!(store.closed_count(), 1);
-        assert_eq!(store.history(U)[0].end, SessionEnd::Stopped);
-        assert_eq!(store.open_session(U).unwrap().service, ServiceIndex(2));
-    }
-
-    #[test]
-    fn surf_propensity_statistic() {
-        let mut store = SessionStore::new();
-        let t0 = TimePoint::at(0, 8, 0, 0);
-        for i in 0..4u64 {
-            let start = t0.advance(TimeSpan::hours(i));
-            store.start(U, ServiceIndex(0), start);
-            let end = start.advance(TimeSpan::minutes(30));
-            if i == 0 {
-                store.close(U, end, SessionEnd::Surfed { to: ServiceIndex(3) });
-            } else {
-                store.close(U, end, SessionEnd::Stopped);
-            }
-        }
-        assert!((store.surf_propensity(U) - 0.25).abs() < 1e-12);
-        assert_eq!(store.surf_propensity(UserId(99)), 0.0);
+        assert_eq!(
+            store.closed.iter().filter(|s| s.user == U).collect::<Vec<_>>()[0].end,
+            SessionEnd::Stopped
+        );
+        assert_eq!(store.open.get(&U).unwrap().service, ServiceIndex(2));
     }
 
     #[test]
@@ -244,6 +204,6 @@ mod tests {
         store.like(U, t);
         store.close(U, t, SessionEnd::Stopped);
         assert_eq!(store.closed_count(), 0);
-        assert!(store.history(U).is_empty());
+        assert!(store.closed.iter().filter(|s| s.user == U).collect::<Vec<_>>().is_empty());
     }
 }

@@ -1,14 +1,12 @@
 //! The tracking data DB.
 //!
 //! Stand-in for the paper's "`PostGIS` based spatial DB with the
-//! listener's geographical information": per-user GPS traces plus a
-//! grid spatial index for the dashboard's map queries (Fig. 5), and the
+//! listener's geographical information": per-user GPS traces and the
 //! periodic compaction job that turns raw fixes into each user's
 //! [`MobilityModel`].
 
 use crate::profile::UserId;
-use pphcr_geo::grid::GridIndex;
-use pphcr_geo::{BoundingBox, GeoPoint, LocalProjection, TimePoint};
+use pphcr_geo::{GeoPoint, LocalProjection};
 use pphcr_trajectory::fix::{GpsFix, Trace};
 use pphcr_trajectory::model::{MobilityModel, ModelConfig};
 use std::collections::HashMap;
@@ -37,8 +35,6 @@ impl std::error::Error for TrackingError {}
 pub struct TrackingStore {
     projection: LocalProjection,
     traces: HashMap<UserId, Trace>,
-    /// All fixes of all users, for dashboard map windows.
-    index: GridIndex<(UserId, TimePoint)>,
     /// Cached compact models, invalidated by new fixes.
     models: HashMap<UserId, (usize, MobilityModel)>,
     config: ModelConfig,
@@ -59,7 +55,6 @@ impl TrackingStore {
         TrackingStore {
             projection: LocalProjection::new(origin),
             traces: HashMap::new(),
-            index: GridIndex::new(500.0),
             models: HashMap::new(),
             config,
             dropped_invalid: 0,
@@ -81,7 +76,6 @@ impl TrackingStore {
             return;
         }
         self.traces.entry(user).or_default().push(fix);
-        self.index.insert(self.projection.project(fix.point), (user, fix.time));
         self.models.remove(&user);
     }
 
@@ -130,20 +124,6 @@ impl TrackingStore {
                 fixes[fixes.len().saturating_sub(n)..].to_vec()
             })
             .unwrap_or_default()
-    }
-
-    /// Fixes of any user inside a map window — the dashboard's Fig. 5
-    /// query. Returns `(user, time, position)` tuples.
-    #[must_use]
-    pub fn fixes_in(&self, window: BoundingBox) -> Vec<(UserId, TimePoint, GeoPoint)> {
-        let min = self.projection.project(GeoPoint::new(window.min_lat, window.min_lon));
-        let max = self.projection.project(GeoPoint::new(window.max_lat, window.max_lon));
-        self.index
-            .query_rect(min, max)
-            .into_iter()
-            .map(|(pos, (user, time))| (user, time, self.projection.unproject(pos)))
-            .filter(|(_, _, p)| window.contains(*p))
-            .collect()
     }
 
     /// The user's compact mobility model, rebuilt only when new fixes
@@ -222,7 +202,7 @@ impl TrackingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pphcr_geo::TimeSpan;
+    use pphcr_geo::{TimePoint, TimeSpan};
 
     const TORINO: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
 
@@ -266,24 +246,6 @@ mod tests {
         // Asking for more than stored returns all.
         assert_eq!(s.recent_fixes(UserId(1), 500).len(), 60);
         assert!(s.recent_fixes(UserId(9), 5).is_empty());
-    }
-
-    #[test]
-    fn map_window_query_finds_users() {
-        let s = store_with_drive();
-        // Window around the first kilometre of the drive.
-        let window = BoundingBox::from_points(&[
-            TORINO.destination(90.0, -100.0),
-            TORINO.destination(90.0, 1_000.0),
-        ])
-        .unwrap()
-        .padded(0.001);
-        let hits = s.fixes_in(window);
-        assert!(!hits.is_empty());
-        assert!(hits.iter().all(|(u, _, p)| *u == UserId(1) && window.contains(*p)));
-        // A window over the sea finds nothing.
-        let empty = BoundingBox::from_point(GeoPoint::new(40.0, 10.0)).padded(0.01);
-        assert!(s.fixes_in(empty).is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`trajectory`] — DBSCAN staying points, RDP simplification,
 //!   destination & ΔT prediction,
 //! * [`audio`] — deterministic PCM substrate: splicing, time-shift,
-//! * [`nlp`] — tokenizer, naive Bayes classifier, simulated ASR,
+//! * [`nlp`] — naive Bayes classifier, simulated ASR,
 //! * [`catalog`] — services, EPG, clip metadata, content repository,
 //! * [`userdata`] — profiles, feedback learning, tracking store,
 //! * [`recommender`] — compound scoring, the proactivity model, the ΔT

@@ -112,8 +112,9 @@ fn lossy_mobile_never_panics_and_health_converges() {
             "listener {u} must have an explicit health state"
         );
     }
+    let h = engine.health_counts();
     assert_eq!(
-        engine.health_counts().total(),
+        h.healthy + h.degraded + h.broadcast_only,
         USERS,
         "health covers exactly the registered listeners"
     );
@@ -242,8 +243,9 @@ fn chaos_invariants_hold_for_env_seed() {
         "no delivery invented out of thin air under seed {seed}"
     );
     assert_eq!(engine.delivery.outstanding_count(), 0, "ledger did not settle under seed {seed}");
+    let h = engine.health_counts();
     assert_eq!(
-        engine.health_counts().total(),
+        h.healthy + h.degraded + h.broadcast_only,
         USERS,
         "health must cover all listeners under seed {seed}"
     );

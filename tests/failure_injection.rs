@@ -243,7 +243,6 @@ fn unregistered_user_is_total_at_every_entry_point() {
     assert!(engine.heard(ghost).is_empty());
     assert!(engine.player(ghost).is_none());
     assert!(matches!(engine.advance_player(ghost, now), Err(EngineError::UnknownUser(_))));
-    assert!(engine.bearer_for(ghost).is_none());
     assert!(engine.health_of(ghost).is_none());
     assert!(engine.user_health(ghost).is_none());
     engine.record_fix(ghost, GpsFix::new(GeoPoint::new(45.07, 7.69), now, 1.0));

@@ -70,8 +70,8 @@ proptest! {
             index.insert(*p, i);
         }
         let center = ProjectedPoint::new(cx, cy);
-        let mut got: Vec<usize> =
-            index.query_radius(center, radius).into_iter().map(|(_, i)| i).collect();
+        let mut got: Vec<usize> = Vec::new();
+        index.for_each_in_radius(center, radius, |_, &i| got.push(i));
         got.sort_unstable();
         let mut expected: Vec<usize> = points
             .iter()
@@ -529,13 +529,14 @@ mod resilience {
             prop_assert_eq!(dead, 1);
             prop_assert_eq!(tracker.outstanding_count(), 0);
             prop_assert_eq!(tracker.retries(), u64::from(budget));
-            prop_assert_eq!(tracker.exhausted(), 1);
+            prop_assert_eq!(obs.counter("retry.exhausted"), 1);
         }
 
         /// Duplication and reordering on the wire never defeat the
-        /// seq-based duplicate filter: with no loss, every published
-        /// message is applied exactly once and every wire duplicate is
-        /// filtered.
+        /// seq-based duplicate filter of the engine's receive path
+        /// (`seen`, `note_duplicate`, `mark_delivered`): with no loss,
+        /// every published message is applied exactly once and every
+        /// wire duplicate is filtered.
         #[test]
         fn bus_exactly_once_under_reorder_and_duplication(
             n in 1u64..40,
@@ -548,7 +549,8 @@ mod resilience {
                 reorder_rate: reorder,
                 ..FaultProfile::none()
             };
-            let mut bus = Bus::with_transport(Box::new(FaultyTransport::new(profile, seed)));
+            let mut bus = Bus::new();
+            bus.set_transport(Box::new(FaultyTransport::new(profile, seed)));
             let mut tracker = DeliveryTracker::new();
             let t0 = TimePoint::at(0, 9, 0, 0);
             for u in 0..n {
@@ -562,9 +564,12 @@ mod resilience {
             for round in 0..4u64 {
                 bus.advance_clock(t0.advance(TimeSpan::minutes(1 + round)));
                 for env in bus.drain(Topic::Recommendation) {
-                    if tracker.accept(env.seq) {
-                        prop_assert!(applied.insert(env.seq), "seq {} applied twice", env.seq);
+                    if tracker.seen(env.seq) {
+                        tracker.note_duplicate();
+                        continue;
                     }
+                    prop_assert!(applied.insert(env.seq), "seq {} applied twice", env.seq);
+                    tracker.mark_delivered(env.seq);
                 }
             }
             prop_assert_eq!(applied.len() as u64, n, "a message was lost without a drop fault");
