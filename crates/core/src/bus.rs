@@ -119,7 +119,7 @@ pub enum OverflowPolicy {
 
 /// Capacity and overflow behaviour of one topic queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuePolicy {
+pub(crate) struct QueuePolicy {
     /// Maximum queued messages.
     pub capacity: usize,
     /// What happens beyond `capacity`.
@@ -127,7 +127,7 @@ pub struct QueuePolicy {
 }
 
 impl QueuePolicy {
-    fn default_for(topic: Topic) -> Self {
+    fn for_topic(topic: Topic) -> Self {
         match topic {
             Topic::Tracking | Topic::Feedback | Topic::Ingest => {
                 QueuePolicy { capacity: 65_536, overflow: OverflowPolicy::DropOldest }
@@ -205,7 +205,6 @@ impl std::error::Error for PublishError {}
 pub struct Bus {
     pub(crate) transport: Box<dyn Transport>,
     pub(crate) queues: HashMap<Topic, VecDeque<Envelope>>,
-    pub(crate) policies: HashMap<Topic, QueuePolicy>,
     pub(crate) dead_letters: Vec<DeadLetter>,
     pub(crate) published: u64,
     pub(crate) delivered: u64,
@@ -220,7 +219,6 @@ impl Default for Bus {
         Bus {
             transport: Box::new(PerfectTransport::new()),
             queues: HashMap::new(),
-            policies: HashMap::new(),
             dead_letters: Vec::new(),
             published: 0,
             delivered: 0,
@@ -243,12 +241,6 @@ impl Bus {
     /// the old transport are discarded.
     pub fn set_transport(&mut self, transport: Box<dyn Transport>) {
         self.transport = transport;
-    }
-
-    /// The effective policy of a topic.
-    #[must_use]
-    pub fn policy(&self, topic: Topic) -> QueuePolicy {
-        self.policies.get(&topic).copied().unwrap_or_else(|| QueuePolicy::default_for(topic))
     }
 
     /// Advances the bus clock (monotonic; earlier instants are
@@ -288,7 +280,7 @@ impl Bus {
         let seq = self.next_seq;
         self.next_seq += 1;
         let envelope = Envelope { message, published_at: now, hops: 1, seq };
-        let policy = self.policy(topic);
+        let policy = QueuePolicy::for_topic(topic);
         if policy.overflow == OverflowPolicy::Reject && self.pending(topic) >= policy.capacity {
             self.rejected += 1;
             self.dead_letters.push(DeadLetter {
@@ -318,7 +310,7 @@ impl Bus {
         if arrived.is_empty() {
             return;
         }
-        let policy = self.policy(topic);
+        let policy = QueuePolicy::for_topic(topic);
         let queue = self.queues.entry(topic).or_default();
         for envelope in arrived {
             if queue.len() >= policy.capacity {
@@ -468,15 +460,11 @@ mod tests {
     #[test]
     fn drop_oldest_topic_sheds_load_into_dead_letters() {
         let mut bus = Bus::new();
-        bus.policies.insert(
-            Topic::Tracking,
-            QueuePolicy { capacity: 3, overflow: OverflowPolicy::DropOldest },
-        );
-        for i in 0..5 {
+        for i in 0..65_538 {
             bus.publish(Topic::Tracking, tuned(i), TimePoint(i));
         }
         let msgs = bus.drain(Topic::Tracking);
-        assert_eq!(msgs.len(), 3, "queue bounded at capacity");
+        assert_eq!(msgs.len(), 65_536, "queue bounded at capacity");
         assert!(
             matches!(msgs[0].message, BusMessage::Tuned { user: UserId(2), .. }),
             "oldest messages were evicted"
@@ -492,19 +480,16 @@ mod tests {
     #[test]
     fn editorial_topic_rejects_when_full() {
         let mut bus = Bus::new();
-        bus.policies.insert(
-            Topic::Editorial,
-            QueuePolicy { capacity: 2, overflow: OverflowPolicy::Reject },
-        );
-        assert!(bus.publish_checked(Topic::Editorial, tuned(1), TimePoint(0)).is_ok());
-        assert!(bus.publish_checked(Topic::Editorial, tuned(2), TimePoint(0)).is_ok());
-        let err = bus.publish_checked(Topic::Editorial, tuned(3), TimePoint(1));
-        assert_eq!(err, Err(PublishError::QueueFull { topic: Topic::Editorial, capacity: 2 }));
+        for i in 0..256 {
+            assert!(bus.publish_checked(Topic::Editorial, tuned(i), TimePoint(0)).is_ok());
+        }
+        let err = bus.publish_checked(Topic::Editorial, tuned(256), TimePoint(1));
+        assert_eq!(err, Err(PublishError::QueueFull { topic: Topic::Editorial, capacity: 256 }));
         assert_eq!(bus.rejected(), 1);
         assert_eq!(bus.dead_letters().len(), 1);
         assert_eq!(bus.dead_letters()[0].reason, DeadLetterReason::Rejected);
-        // The two accepted messages are intact.
-        assert_eq!(bus.drain(Topic::Editorial).len(), 2);
+        // The accepted messages are intact.
+        assert_eq!(bus.drain(Topic::Editorial).len(), 256);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! engine bit-for-bit, which is what the crash-recovery sweep and the
 //! shard differential test both pin.
 
-use crate::bearer::CoverageMap;
 use pphcr_audio::ClipId;
 use pphcr_catalog::{CategoryId, ClipKind, Gazetteer, GeoTag, ServiceIndex};
 use pphcr_geo::{RoadNetwork, TimePoint, TimeSpan};
@@ -133,11 +132,6 @@ pub enum EngineCommand {
         /// Logical time the player advances to.
         now: TimePoint,
     },
-    /// `Engine::set_coverage` — attaches the broadcast coverage map.
-    SetCoverage {
-        /// The transmitter footprint map.
-        coverage: CoverageMap,
-    },
     /// `Engine::set_road_network` — attaches the road network used for
     /// distraction zones.
     SetRoadNetwork {
@@ -172,7 +166,6 @@ impl EngineCommand {
             EngineCommand::TrainClassifier { .. }
             | EngineCommand::IngestClip { .. }
             | EngineCommand::Tick { .. }
-            | EngineCommand::SetCoverage { .. }
             | EngineCommand::SetRoadNetwork { .. }
             | EngineCommand::SetGazetteer { .. } => None,
         }
@@ -209,7 +202,6 @@ mod tests {
         let broadcast = [
             EngineCommand::TrainClassifier { category: CategoryId(1), tokens: vec![] },
             EngineCommand::Tick { users: vec![u], now: TimePoint(0), batch: true, workers: None },
-            EngineCommand::SetCoverage { coverage: CoverageMap::new() },
             EngineCommand::SetRoadNetwork { network: RoadNetwork::new() },
             EngineCommand::SetGazetteer { gazetteer: Gazetteer::new() },
         ];

@@ -7,7 +7,6 @@
 //! clips are queued on the listener's player (editorial injections
 //! first). All state is in-process and deterministic.
 
-use crate::bearer::{BearerSelector, CoverageMap};
 use crate::bus::{Bus, BusMessage, PublishError, Topic};
 use crate::command::EngineCommand;
 use crate::fault::ChaosRng;
@@ -17,7 +16,7 @@ use crate::injection::InjectionQueue;
 use crate::netcost::UnicastLink;
 use crate::player::{Player, PlayerEvent, QueuedClip};
 use crate::retry::{BackoffPolicy, DeliveryTracker};
-use pphcr_audio::{AudioClip, Bitrate, ClipId, ClipStore};
+use pphcr_audio::ClipId;
 use pphcr_catalog::{
     CategoryId, ClipKind, ClipMetadata, ContentRepository, Gazetteer, GeoTag, Schedule, Service,
     CATEGORY_COUNT,
@@ -37,8 +36,7 @@ use pphcr_recommender::{
 use pphcr_trajectory::model::ModelConfig;
 use pphcr_trajectory::{GpsFix, MobilityModel, Trace, TripPredictor};
 use pphcr_userdata::{
-    FeedbackEvent, FeedbackKind, FeedbackStore, ProfileStore, SessionEnd, SessionStore,
-    TrackingStore, UserId, UserProfile,
+    FeedbackEvent, FeedbackStore, ProfileStore, TrackingStore, UserId, UserProfile,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -611,16 +609,15 @@ pub struct Engine {
     pub epg: Schedule,
     /// Clip metadata repository.
     pub repo: ContentRepository,
-    /// Clip audio store.
-    pub clip_audio: ClipStore,
     /// Profiles DB.
     pub profiles: ProfileStore,
     /// Feedbacks DB.
     pub feedback: FeedbackStore,
     /// Tracking DB.
     pub tracking: TrackingStore,
-    /// Listening-session log.
-    pub sessions: SessionStore,
+    /// Listening sessions closed so far: one per channel surf and one
+    /// per re-registration of a listener already registered.
+    pub(crate) sessions_closed: u64,
     /// The recommender.
     pub recommender: Recommender,
     /// Editorial injections.
@@ -650,8 +647,6 @@ pub struct Engine {
     pub(crate) chaos_rng: ChaosRng,
     pub(crate) health: HashMap<UserId, UserHealth>,
     pub(crate) last_acked: HashMap<UserId, SlotSchedule>,
-    pub(crate) coverage: Option<CoverageMap>,
-    pub(crate) bearers: HashMap<UserId, BearerSelector>,
     /// Monotonic count of completed [`Engine::run_tick`] calls; cache
     /// entries stamp it at fill time to classify later hits as same-
     /// tick serves vs cross-tick reuse. Persisted, so recovery replays
@@ -676,11 +671,10 @@ impl Engine {
             services: Service::rai_lineup(),
             epg: Schedule::new(),
             repo: ContentRepository::new(pphcr_geo::LocalProjection::new(config.origin)),
-            clip_audio: ClipStore::new(),
             profiles: ProfileStore::new(),
             feedback: FeedbackStore::default(),
             tracking: TrackingStore::new(config.origin),
-            sessions: SessionStore::new(),
+            sessions_closed: 0,
             recommender: config.recommender.clone(),
             injections: InjectionQueue::new(),
             bus: Bus::new(),
@@ -700,8 +694,6 @@ impl Engine {
             chaos_rng: ChaosRng::new(config.chaos_seed),
             health: HashMap::new(),
             last_acked: HashMap::new(),
-            coverage: None,
-            bearers: HashMap::new(),
             tick_seq: 0,
             obs: if config.obs_enabled { Registry::new() } else { Registry::disabled() },
             obs_trace: DecisionTrace::with_capacity(config.trace_capacity),
@@ -716,20 +708,6 @@ impl Engine {
     #[must_use]
     pub fn recovery_banner(&self) -> Option<&str> {
         self.recovery_banner.as_deref()
-    }
-
-    /// Starts a fluent [`EngineBuilder`] — the consolidated way to
-    /// attach coverage, road network and gazetteer at construction
-    /// time instead of through the post-hoc setters.
-    #[must_use]
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::new()
-    }
-
-    /// Attaches the broadcast coverage map; every listener then gets a
-    /// hysteretic bearer selector fed by their arriving fixes.
-    pub fn set_coverage(&mut self, coverage: CoverageMap) {
-        self.coverage = Some(coverage);
     }
 
     /// The listener's position on the degradation ladder (`None` for
@@ -844,10 +822,6 @@ impl Engine {
                 self.advance_player(*user, *now)?;
                 Ok(Vec::new())
             }
-            EngineCommand::SetCoverage { coverage } => {
-                self.set_coverage(coverage.clone());
-                Ok(Vec::new())
-            }
             EngineCommand::SetRoadNetwork { network } => {
                 self.set_road_network(network.clone());
                 Ok(Vec::new())
@@ -859,23 +833,23 @@ impl Engine {
         }
     }
 
-    /// Registers a listener and creates their player session.
+    /// Registers a listener and creates their player session. A
+    /// listener who is already registered gets a fresh player, which
+    /// closes their listening session.
     pub fn register_user(&mut self, profile: UserProfile, now: TimePoint) {
         let user = profile.id;
         let service = profile.favourite_service;
         self.profiles.upsert(profile);
-        self.players.insert(user, Player::new(user, service, now));
+        if self.players.insert(user, Player::new(user, service, now)).is_some() {
+            self.sessions_closed += 1;
+        }
         self.proactivity.insert(user, ProactivityModel::default());
         self.health.insert(user, UserHealth::new(now));
-        if let Some(coverage) = &self.coverage {
-            self.bearers.insert(user, BearerSelector::new(coverage.clone()));
-        }
-        self.sessions.start(user, service, now);
         self.bus.publish(Topic::Tracking, BusMessage::Tuned { user, service }, now);
     }
 
-    /// Channel surf: tune the listener to another service, closing the
-    /// current listening session as surfed and opening a new one.
+    /// Channel surf: tune the listener to another service, which closes
+    /// their listening session.
     ///
     /// # Errors
     /// [`EngineError::UnknownUser`] when the listener was never
@@ -890,8 +864,7 @@ impl Engine {
             return Err(EngineError::UnknownUser(user));
         };
         player.change_service(service);
-        self.sessions.close(user, now, SessionEnd::Surfed { to: service });
-        self.sessions.start(user, service, now);
+        self.sessions_closed += 1;
         self.bus.publish(Topic::Tracking, BusMessage::Tuned { user, service }, now);
         Ok(())
     }
@@ -904,8 +877,8 @@ impl Engine {
     // every other input.
 
     /// Advances a listener's player to `now` against the broadcast
-    /// schedule and feeds the resulting player events (feedback,
-    /// heard-set and session bookkeeping) back into the engine.
+    /// schedule and feeds the resulting player events (feedback and
+    /// heard-set bookkeeping) back into the engine.
     ///
     /// This is the command-shaped replacement for handing out `&mut
     /// Player`: the same step a tick performs for the player, available
@@ -949,8 +922,8 @@ impl Engine {
     }
 
     /// Ingests a clip: classify the transcript (unless an editorial
-    /// label is supplied), store metadata and audio, announce on the
-    /// bus. Returns the clip id and the category it was filed under.
+    /// label is supplied), store its metadata, announce on the bus.
+    /// Returns the clip id and the category it was filed under.
     #[allow(clippy::too_many_arguments)]
     pub fn ingest_clip(
         &mut self,
@@ -987,7 +960,6 @@ impl Engine {
             geo,
             transcript: token_ids,
         });
-        self.clip_audio.insert(AudioClip { id, duration, bitrate: Bitrate::LIVE_STREAM });
         self.bus.publish(Topic::Ingest, BusMessage::Ingested { clip: id, confidence }, published);
         (id, category)
     }
@@ -1014,21 +986,17 @@ impl Engine {
         }
     }
 
-    /// Applies one arrived fix: tracking store, bearer selector, trip
-    /// tracker.
+    /// Applies one arrived fix: tracking store, then trip tracker. A
+    /// fix the tracking store drops as invalid stops there.
     fn apply_fix(&mut self, user: UserId, fix: GpsFix) {
         self.tracking.record(user, fix);
         // Keep the hot-state revision mirror in sync (reading the count
         // back rather than incrementing: invalid fixes are dropped).
         self.hot.note_fix_count(user, self.tracking.fix_count(user));
-        let proj = *self.tracking.projection();
-        let pos = proj.project(fix.point);
-        if fix.validate().is_ok() {
-            if let Some(selector) = self.bearers.get_mut(&user) {
-                selector.observe(pos);
-            }
+        if fix.validate().is_err() {
+            return;
         }
-        // Update the trip tracker.
+        let pos = self.tracking.projection().project(fix.point);
         let tracker = self.trips.entry(user).or_default();
         if fix.speed_mps > 2.5 {
             if tracker.driving_since.is_none() {
@@ -1131,21 +1099,8 @@ impl Engine {
     pub fn apply_player_events(&mut self, user: UserId, events: &[PlayerEvent]) {
         for ev in events {
             match ev {
-                PlayerEvent::Feedback(f) => {
-                    match f.kind {
-                        FeedbackKind::Skip => self.sessions.skip(user, f.time),
-                        FeedbackKind::Like => self.sessions.like(user, f.time),
-                        _ => {}
-                    }
-                    self.record_feedback(*f);
-                }
-                PlayerEvent::ClipStarted(clip) => {
-                    self.hot.heard_insert(user, *clip);
-                    // Player events carry no timestamp of their own; the
-                    // epoch is a no-op for the session's end marker
-                    // (which advances on timestamped feedback instead).
-                    self.sessions.clip_played(user, *clip, TimePoint::EPOCH);
-                }
+                PlayerEvent::Feedback(f) => self.record_feedback(*f),
+                PlayerEvent::ClipStarted(clip) => self.hot.heard_insert(user, *clip),
                 _ => {}
             }
         }
@@ -1949,64 +1904,11 @@ impl Engine {
     }
 }
 
-/// Fluent engine construction: a configuration plus an optional
-/// gazetteer (see [`Engine::set_gazetteer`]):
-///
-/// ```
-/// use pphcr_core::{Engine, EngineConfig};
-///
-/// let engine = Engine::builder().config(EngineConfig::default()).build();
-/// assert_eq!(engine.repo.len(), 0);
-/// ```
-pub struct EngineBuilder {
-    config: EngineConfig,
-    gazetteer: Option<Gazetteer>,
-}
-
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder::new()
-    }
-}
-
-impl EngineBuilder {
-    /// A builder starting from [`EngineConfig::default`].
-    #[must_use]
-    pub fn new() -> Self {
-        EngineBuilder { config: EngineConfig::default(), gazetteer: None }
-    }
-
-    /// Replaces the engine configuration.
-    #[must_use]
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Attaches the gazetteer for geo-tagging untagged archive clips
-    /// (see [`Engine::set_gazetteer`]).
-    #[must_use]
-    pub fn gazetteer(mut self, gazetteer: Gazetteer) -> Self {
-        self.gazetteer = Some(gazetteer);
-        self
-    }
-
-    /// Builds the engine and applies every attachment.
-    #[must_use]
-    pub fn build(self) -> Engine {
-        let mut engine = Engine::new(self.config);
-        if let Some(gazetteer) = self.gazetteer {
-            engine.set_gazetteer(gazetteer);
-        }
-        engine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pphcr_catalog::ServiceIndex;
-    use pphcr_userdata::AgeBand;
+    use pphcr_userdata::{AgeBand, FeedbackKind};
 
     fn torino() -> GeoPoint {
         GeoPoint::new(45.0703, 7.6869)
@@ -2100,7 +2002,6 @@ mod tests {
         );
         assert_eq!(cat, CategoryId::new(8));
         assert!(e.repo.get(id).is_some());
-        assert!(e.clip_audio.contains(id));
         assert_eq!(e.bus.pending(Topic::Ingest), 1);
     }
 
@@ -2236,13 +2137,50 @@ mod tests {
         let mut e = engine();
         let t0 = TimePoint::at(0, 9, 0, 0);
         e.register_user(profile(1), t0);
+        assert_eq!(e.sessions_closed, 0);
         e.change_service(UserId(1), ServiceIndex(4), t0.advance(TimeSpan::minutes(7))).unwrap();
-        let closed = e.sessions.export_closed();
-        assert_eq!(closed.len(), 1);
-        assert_eq!(closed[0].end, SessionEnd::Surfed { to: ServiceIndex(4) });
-        assert_eq!(closed[0].duration(), TimeSpan::minutes(7));
-        assert_eq!(e.sessions.export_open()[0].service, ServiceIndex(4));
         assert_eq!(e.player(UserId(1)).unwrap().service, ServiceIndex(4));
+        assert_eq!(e.sessions_closed, 1, "the surf closes a session");
+        e.register_user(profile(1), t0.advance(TimeSpan::minutes(9)));
+        assert_eq!(e.sessions_closed, 2, "re-registering closes the open session");
+        let ghost =
+            e.change_service(UserId(99), ServiceIndex(2), t0.advance(TimeSpan::minutes(10)));
+        assert_eq!(ghost, Err(EngineError::UnknownUser(UserId(99))));
+        assert_eq!(e.sessions_closed, 2, "an unknown listener has no session to close");
+    }
+
+    #[test]
+    fn invalid_fix_leaves_the_trip_tracker_alone() {
+        let mut e = engine();
+        let t0 = TimePoint::at(0, 8, 0, 0);
+        let (driver, parked) = (UserId(1), UserId(2));
+        e.register_user(profile(1), t0);
+        e.register_user(profile(2), t0);
+        for i in 0..3u64 {
+            let at = t0.advance(TimeSpan::seconds(i * 30));
+            e.record_fix(
+                driver,
+                GpsFix::new(torino().destination(90.0, 400.0 * i as f64), at, 14.0),
+            );
+        }
+        e.record_fix(parked, GpsFix::new(torino(), t0, 0.0));
+        e.proactivity.get_mut(&driver).unwrap().restore_state(Some(t0), None);
+        let later = t0.advance(TimeSpan::minutes(2));
+        // A negative speed mid-drive, a latitude beyond the pole, and a
+        // NaN latitude at motorway speed for a parked listener: none may
+        // end, stretch or start a trip.
+        e.record_fix(driver, GpsFix::new(torino(), later, -1.0));
+        e.record_fix(driver, GpsFix::new(GeoPoint::new(200.0, 7.6869), later, 14.0));
+        e.record_fix(parked, GpsFix::new(GeoPoint::new(f64::NAN, 7.6869), later, 30.0));
+        assert_eq!(e.tracking.dropped_invalid(), 3);
+        let trip = &e.trips[&driver];
+        assert_eq!(trip.driving_since, Some(t0));
+        assert_eq!(trip.path.len(), 3);
+        assert!(trip.path.iter().all(|p| p.distance_m(trip.path[0]) < 1_000.0));
+        assert_eq!(e.proactivity[&driver].driving_since(), Some(t0));
+        let parked_trip = &e.trips[&parked];
+        assert_eq!(parked_trip.driving_since, None);
+        assert!(parked_trip.path.is_empty());
     }
 
     #[test]

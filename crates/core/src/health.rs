@@ -14,10 +14,9 @@
 //!    abandons personalization and pins to the live broadcast until
 //!    the link recovers.
 //!
-//! Transitions are hysteretic, like the bearer selector: one failure
-//! is enough to step down, but several consecutive successes are
-//! required to step back up, so a flapping link cannot make the player
-//! oscillate.
+//! Transitions are hysteretic: one failure is enough to step down, but
+//! several consecutive successes are required to step back up, so a
+//! flapping link cannot make the player oscillate.
 
 use pphcr_geo::TimePoint;
 use serde::{Deserialize, Serialize};

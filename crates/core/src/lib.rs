@@ -5,7 +5,7 @@
 //! * [`replacement`] — the replacement planner: schedule-synchronized
 //!   buffering and time-shift (the Fig. 4 timeline),
 //! * [`player`] — the client session state machine (play / skip / like,
-//!   implicit feedback, bearer switching),
+//!   implicit feedback),
 //! * [`injection`] — editorial recommendation injection (Fig. 6),
 //! * [`netcost`] — the broadcast-vs-Internet delivery cost model,
 //! * [`dashboard`] — the control dashboard's read model (Figs. 5–6),
@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bearer;
 pub mod bus;
 pub mod command;
 pub mod dashboard;
@@ -31,16 +30,12 @@ pub mod replacement;
 pub mod retry;
 pub mod snapshot;
 
-pub use bearer::{BearerClass, BearerSelector, CoverageMap};
 pub use command::EngineCommand;
 
-pub use bus::{
-    Bus, BusMessage, DeadLetter, DeadLetterReason, Envelope, OverflowPolicy, QueuePolicy, Topic,
-};
+pub use bus::{Bus, BusMessage, DeadLetter, DeadLetterReason, Envelope, OverflowPolicy, Topic};
 pub use dashboard::{Dashboard, ObservabilityView};
 pub use engine::{
-    user_shard, CacheQuanta, Engine, EngineBuilder, EngineConfig, EngineError, EngineEvent,
-    TickRequest,
+    user_shard, CacheQuanta, Engine, EngineConfig, EngineError, EngineEvent, TickRequest,
 };
 pub use fault::{
     transport_from_state, ChaosRng, FaultProfile, FaultyTransport, PerfectTransport, Transport,

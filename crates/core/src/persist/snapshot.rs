@@ -16,35 +16,34 @@
 
 use super::codec::{crc32, ByteReader, ByteWriter};
 use super::types::{
-    get_bearer, get_cached, get_clip_meta, get_coverage, get_dead_letter, get_decision,
-    get_envelope, get_feedback_event, get_fix, get_gazetteer, get_geo_point, get_health,
-    get_injection, get_obs_snapshot, get_outstanding, get_player, get_proactivity, get_profile,
-    get_recommender, get_road_network, get_schedule, get_session, get_topic, get_trip, put_bearer,
-    put_cached, put_clip_meta, put_coverage, put_dead_letter, put_decision, put_envelope,
-    put_feedback_event, put_fix, put_gazetteer, put_geo_point, put_health, put_injection,
-    put_obs_snapshot, put_outstanding, put_player, put_proactivity, put_profile, put_recommender,
-    put_road_network, put_schedule, put_session, put_topic, put_trip,
+    get_cached, get_clip_meta, get_dead_letter, get_decision, get_envelope, get_feedback_event,
+    get_fix, get_gazetteer, get_geo_point, get_health, get_injection, get_obs_snapshot,
+    get_outstanding, get_player, get_proactivity, get_profile, get_recommender, get_road_network,
+    get_schedule, get_topic, get_trip, put_cached, put_clip_meta, put_dead_letter, put_decision,
+    put_envelope, put_feedback_event, put_fix, put_gazetteer, put_geo_point, put_health,
+    put_injection, put_obs_snapshot, put_outstanding, put_player, put_proactivity, put_profile,
+    put_recommender, put_road_network, put_schedule, put_topic, put_trip,
 };
 use super::PersistError;
-use crate::bus::{Envelope, OverflowPolicy, QueuePolicy, Topic};
+use crate::bus::{Envelope, Topic};
 use crate::engine::{CacheQuanta, CachedCandidates, Engine, EngineConfig};
 use crate::fault::{transport_from_state, ChaosRng, FaultProfile, TransportState, WireStats};
 use crate::injection::InjectionQueue;
 use crate::netcost::UnicastLink;
 use crate::retry::{BackoffPolicy, OutstandingDelivery};
-use pphcr_audio::{AudioClip, Bitrate, ClipId};
+use pphcr_audio::ClipId;
 use pphcr_catalog::ClipMetadata;
 use pphcr_geo::{TimePoint, TimeSpan};
 use pphcr_nlp::NaiveBayes;
 use pphcr_obs::{DecisionTrace, Histogram, ObsSnapshot};
 use pphcr_trajectory::TripPredictor;
-use pphcr_userdata::{SessionStore, UserId};
+use pphcr_userdata::UserId;
 use std::collections::{HashMap, VecDeque};
 
 /// The four magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPHS";
 /// The current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const SECTION_CONFIG: u16 = 1;
 const SECTION_CATALOG: u16 = 2;
@@ -204,7 +203,6 @@ fn encode_config(engine: &Engine) -> Vec<u8> {
     put_recommender(&mut w, &engine.recommender);
     w.put_opt(engine.road_network.as_ref(), put_road_network);
     w.put_opt(engine.gazetteer.as_ref(), put_gazetteer);
-    w.put_opt(engine.coverage.as_ref(), put_coverage);
     w.into_inner()
 }
 
@@ -264,12 +262,11 @@ fn decode_config(bytes: &[u8]) -> Result<Engine, PersistError> {
     engine.recommender = get_recommender(&mut r)?;
     engine.road_network = r.opt(get_road_network)?;
     engine.gazetteer = r.opt(get_gazetteer)?;
-    engine.coverage = r.opt(get_coverage)?;
     Ok(engine)
 }
 
 // ---------------------------------------------------------------------
-// Section 2: CATALOG — clip metadata, index meta, audio store
+// Section 2: CATALOG — clip metadata and index meta
 // ---------------------------------------------------------------------
 
 fn encode_catalog(engine: &Engine) -> Vec<u8> {
@@ -289,10 +286,7 @@ fn decode_catalog(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError>
     let epoch = r.u64()?;
     let max_tag_radius_m = r.f64()?;
     r.seq(|r| {
-        let clip = get_clip_meta(r)?;
-        let (id, duration) = (clip.id, clip.duration);
-        engine.repo.ingest(clip);
-        engine.clip_audio.insert(AudioClip { id, duration, bitrate: Bitrate::LIVE_STREAM });
+        engine.repo.ingest(get_clip_meta(r)?);
         Ok(())
     })?;
     engine.repo.restore_index_meta(epoch, max_tag_radius_m);
@@ -358,8 +352,7 @@ fn encode_users(engine: &Engine) -> Vec<u8> {
     });
     w.put_u64(engine.tracking.dropped_invalid());
 
-    w.put_seq(engine.sessions.export_open(), put_session);
-    w.put_seq(engine.sessions.export_closed(), put_session);
+    w.put_u64(engine.sessions_closed);
 
     w.put_seq(sorted_by_user(&engine.players), |w, (_, p)| put_player(w, p));
     put_user_map(&mut w, &engine.proactivity, put_proactivity);
@@ -377,7 +370,6 @@ fn encode_users(engine: &Engine) -> Vec<u8> {
 
     put_user_map(&mut w, &engine.health, put_health);
     put_user_map(&mut w, &engine.last_acked, put_schedule);
-    put_user_map(&mut w, &engine.bearers, put_bearer);
 
     let caches: Vec<(UserId, &CachedCandidates)> = engine
         .hot
@@ -419,8 +411,7 @@ fn decode_users(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     })?;
     engine.tracking.restore_dropped_invalid(r.u64()?);
 
-    let open = r.seq(get_session)?;
-    engine.sessions = SessionStore::restore(open, r.seq(get_session)?);
+    engine.sessions_closed = r.u64()?;
 
     for player in r.seq(get_player)? {
         engine.players.insert(player.user, player);
@@ -438,7 +429,6 @@ fn decode_users(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
 
     engine.health = get_user_map(&mut r, get_health)?;
     engine.last_acked = get_user_map(&mut r, get_schedule)?;
-    engine.bearers = get_user_map(&mut r, get_bearer)?;
 
     for (user, cached) in r.seq(|r| Ok((UserId(r.u64()?), get_cached(r)?)))? {
         engine.hot.insert_cache(user, cached);
@@ -504,19 +494,6 @@ fn encode_bus(engine: &Engine, transport: &TransportState) -> Vec<u8> {
     w.put_seq(queues, |w, (topic, envelopes)| {
         put_topic(w, topic);
         w.put_seq(envelopes, put_envelope);
-    });
-
-    let policies: Vec<(Topic, QueuePolicy)> = crate::fault::TOPIC_ORDER
-        .iter()
-        .filter_map(|t| engine.bus.policies.get(t).map(|p| (*t, *p)))
-        .collect();
-    w.put_seq(policies, |w, (topic, policy)| {
-        put_topic(w, topic);
-        w.put_u64(policy.capacity as u64);
-        w.put_u8(match policy.overflow {
-            OverflowPolicy::DropOldest => 0,
-            OverflowPolicy::Reject => 1,
-        });
     });
 
     w.put_seq(&engine.bus.dead_letters, put_dead_letter);
@@ -605,18 +582,6 @@ fn decode_bus(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
     for (topic, envelopes) in get_topic_queues(&mut r)? {
         engine.bus.queues.insert(topic, envelopes.into());
     }
-
-    let policies = r.seq(|r| {
-        let topic = get_topic(r)?;
-        let capacity = r.u64()? as usize;
-        let overflow = match r.u8()? {
-            0 => OverflowPolicy::DropOldest,
-            1 => OverflowPolicy::Reject,
-            _ => return Err(PersistError::Corrupt { what: "overflow policy tag" }),
-        };
-        Ok((topic, QueuePolicy { capacity, overflow }))
-    })?;
-    engine.bus.policies.extend(policies);
 
     engine.bus.dead_letters = r.seq(get_dead_letter)?;
 

@@ -9,7 +9,6 @@
 
 use super::codec::{ByteReader, ByteWriter};
 use super::PersistError;
-use crate::bearer::{BearerClass, BearerSelector, CoverageMap, Transmitter};
 use crate::bus::{BusMessage, DeadLetter, DeadLetterReason, Envelope, Topic};
 use crate::engine::{CachedCandidates, CandidateCacheKey, DecisionRecord, TripTracker};
 use crate::health::{HealthState, UserHealth};
@@ -26,9 +25,7 @@ use pphcr_recommender::{
     ScoredClip, ScoringWeights, SlotSchedule, Trigger,
 };
 use pphcr_trajectory::GpsFix;
-use pphcr_userdata::{
-    AgeBand, FeedbackEvent, FeedbackKind, ListeningSession, SessionEnd, UserId, UserProfile,
-};
+use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
 
 // ---------------------------------------------------------------------
 // Geography
@@ -69,19 +66,6 @@ pub(crate) fn put_fix(w: &mut ByteWriter, fix: &GpsFix) {
 
 pub(crate) fn get_fix(r: &mut ByteReader<'_>) -> Result<GpsFix, PersistError> {
     Ok(GpsFix { point: get_geo_point(r)?, time: TimePoint(r.u64()?), speed_mps: r.f64()? })
-}
-
-pub(crate) fn put_coverage(w: &mut ByteWriter, coverage: &CoverageMap) {
-    w.put_seq(&coverage.transmitters, |w, t| {
-        put_point(w, &t.position);
-        w.put_f64(t.radius_m);
-    });
-}
-
-pub(crate) fn get_coverage(r: &mut ByteReader<'_>) -> Result<CoverageMap, PersistError> {
-    let transmitters =
-        r.seq(|r| Ok(Transmitter { position: get_point(r)?, radius_m: r.f64()? }))?;
-    Ok(CoverageMap { transmitters })
 }
 
 pub(crate) fn put_road_network(w: &mut ByteWriter, net: &RoadNetwork) {
@@ -255,42 +239,6 @@ pub(crate) fn get_profile(r: &mut ByteReader<'_>) -> Result<UserProfile, Persist
     })
 }
 
-pub(crate) fn put_session(w: &mut ByteWriter, s: &ListeningSession) {
-    w.put_u64(s.user.0);
-    w.put_u32(s.service.0);
-    w.put_u64(s.started.0);
-    w.put_u64(s.ended.0);
-    w.put_seq(&s.clips_played, |w, c| w.put_u64(c.0));
-    w.put_u32(s.skips);
-    w.put_u32(s.likes);
-    match s.end {
-        SessionEnd::Stopped => w.put_u8(0),
-        SessionEnd::Surfed { to } => {
-            w.put_u8(1);
-            w.put_u32(to.0);
-        }
-        SessionEnd::Open => w.put_u8(2),
-    }
-}
-
-pub(crate) fn get_session(r: &mut ByteReader<'_>) -> Result<ListeningSession, PersistError> {
-    Ok(ListeningSession {
-        user: UserId(r.u64()?),
-        service: ServiceIndex(r.u32()?),
-        started: TimePoint(r.u64()?),
-        ended: TimePoint(r.u64()?),
-        clips_played: r.seq(|r| Ok(ClipId(r.u64()?)))?,
-        skips: r.u32()?,
-        likes: r.u32()?,
-        end: match r.u8()? {
-            0 => SessionEnd::Stopped,
-            1 => SessionEnd::Surfed { to: ServiceIndex(r.u32()?) },
-            2 => SessionEnd::Open,
-            _ => return Err(PersistError::Corrupt { what: "session end tag" }),
-        },
-    })
-}
-
 fn put_queued(w: &mut ByteWriter, q: &QueuedClip) {
     w.put_u64(q.clip.0);
     w.put_u64(q.duration.0);
@@ -414,27 +362,6 @@ pub(crate) fn get_health(r: &mut ByteReader<'_>) -> Result<UserHealth, PersistEr
         dup_deliveries: r.u64()?,
         transitions: r.u64()?,
     })
-}
-
-pub(crate) fn put_bearer(w: &mut ByteWriter, b: &BearerSelector) {
-    w.put_f64(b.hysteresis_m);
-    w.put_u8(match b.current {
-        BearerClass::Broadcast => 0,
-        BearerClass::Ip => 1,
-    });
-    w.put_u32(b.switches);
-    put_coverage(w, &b.coverage);
-}
-
-pub(crate) fn get_bearer(r: &mut ByteReader<'_>) -> Result<BearerSelector, PersistError> {
-    let hysteresis_m = r.f64()?;
-    let current = match r.u8()? {
-        0 => BearerClass::Broadcast,
-        1 => BearerClass::Ip,
-        _ => return Err(PersistError::Corrupt { what: "bearer class tag" }),
-    };
-    let switches = r.u32()?;
-    Ok(BearerSelector { coverage: get_coverage(r)?, hysteresis_m, current, switches })
 }
 
 // ---------------------------------------------------------------------
@@ -917,10 +844,6 @@ mod tests {
             round_trip(&pos, put_point, get_point)?;
             round_trip(&GeoTag { point, radius_m: x(5) }, put_geo_tag, get_geo_tag)?;
             round_trip(&fix, put_fix, get_fix)?;
-            let transmitters =
-                (0..n).map(|i| Transmitter { position: pos, radius_m: x(i) }).collect();
-            let coverage = CoverageMap { transmitters };
-            round_trip(&coverage, put_coverage, get_coverage)?;
             let mut net = RoadNetwork::new();
             for i in 0..n {
                 let kinds = [NodeKind::Plain, NodeKind::Intersection, NodeKind::Roundabout];
@@ -979,18 +902,6 @@ mod tests {
                 favourite_service: ServiceIndex(pick as u32),
             };
             round_trip(&profile, put_profile, get_profile)?;
-            let session = ListeningSession {
-                user: UserId(id(4)),
-                service: ServiceIndex(1),
-                started: t(1),
-                ended: t(2),
-                clips_played: (0..n).map(|i| ClipId(id(i))).collect(),
-                skips: n as u32,
-                likes: pick as u32,
-                end: [SessionEnd::Stopped, SessionEnd::Surfed { to: ServiceIndex(2) }, SessionEnd::Open]
-                    [pick % 3],
-            };
-            round_trip(&session, put_session, get_session)?;
             let queued =
                 QueuedClip { clip: ClipId(id(5)), duration: TimeSpan(600), category: CategoryId(1) };
             let modes = [
@@ -1034,13 +945,6 @@ mod tests {
                 transitions: 5,
             };
             round_trip(&health, put_health, get_health)?;
-            let bearer = BearerSelector {
-                coverage: coverage.clone(),
-                hysteresis_m: x(2),
-                current: [BearerClass::Broadcast, BearerClass::Ip][pick % 2],
-                switches: 7,
-            };
-            round_trip(&bearer, put_bearer, get_bearer)?;
 
             let items = (0..n)
                 .map(|i| ScheduledItem {

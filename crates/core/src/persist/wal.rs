@@ -14,9 +14,9 @@ use super::codec::{
     check_frame, encode_frame, encode_frame_payload, split_frame_payload, ByteReader, ByteWriter,
 };
 use super::types::{
-    get_clip_kind, get_coverage, get_feedback_event, get_fix, get_gazetteer, get_geo_tag,
-    get_profile, get_road_network, put_clip_kind, put_coverage, put_feedback_event, put_fix,
-    put_gazetteer, put_geo_tag, put_profile, put_road_network,
+    get_clip_kind, get_feedback_event, get_fix, get_gazetteer, get_geo_tag, get_profile,
+    get_road_network, put_clip_kind, put_feedback_event, put_fix, put_gazetteer, put_geo_tag,
+    put_profile, put_road_network,
 };
 use super::PersistError;
 use crate::command::EngineCommand;
@@ -51,7 +51,8 @@ const KIND_INJECT: u8 = 6;
 const KIND_SKIP: u8 = 7;
 const KIND_TICK: u8 = 8;
 const KIND_ADVANCE_PLAYER: u8 = 9;
-const KIND_SET_COVERAGE: u8 = 10;
+// Kind 10 was the retired `SetCoverage` op; it stays unassigned so a
+// log holding one fails as corrupt instead of decoding as another op.
 const KIND_SET_ROAD_NETWORK: u8 = 11;
 const KIND_SET_GAZETTEER: u8 = 12;
 
@@ -67,7 +68,6 @@ fn op_kind(op: &WalOp) -> u8 {
         WalOp::Skip { .. } => KIND_SKIP,
         WalOp::Tick { .. } => KIND_TICK,
         WalOp::AdvancePlayer { .. } => KIND_ADVANCE_PLAYER,
-        WalOp::SetCoverage { .. } => KIND_SET_COVERAGE,
         WalOp::SetRoadNetwork { .. } => KIND_SET_ROAD_NETWORK,
         WalOp::SetGazetteer { .. } => KIND_SET_GAZETTEER,
     }
@@ -119,7 +119,6 @@ fn put_op(w: &mut ByteWriter, op: &WalOp) {
             w.put_bool(*batch);
             w.put_opt(workers.as_ref(), |w, v| w.put_u64(*v));
         }
-        WalOp::SetCoverage { coverage } => put_coverage(w, coverage),
         WalOp::SetRoadNetwork { network } => put_road_network(w, network),
         WalOp::SetGazetteer { gazetteer } => put_gazetteer(w, gazetteer),
     }
@@ -171,7 +170,6 @@ fn decode_op(kind: u8, body: &[u8]) -> Result<WalOp, PersistError> {
         KIND_ADVANCE_PLAYER => {
             WalOp::AdvancePlayer { user: UserId(r.u64()?), now: TimePoint(r.u64()?) }
         }
-        KIND_SET_COVERAGE => WalOp::SetCoverage { coverage: get_coverage(&mut r)? },
         KIND_SET_ROAD_NETWORK => WalOp::SetRoadNetwork { network: get_road_network(&mut r)? },
         KIND_SET_GAZETTEER => WalOp::SetGazetteer { gazetteer: get_gazetteer(&mut r)? },
         _ => return Err(PersistError::Corrupt { what: "WAL op kind tag" }),
@@ -294,7 +292,6 @@ mod tests {
 
     #[test]
     fn new_command_kinds_round_trip() {
-        use crate::bearer::{CoverageMap, Transmitter};
         use pphcr_catalog::{Gazetteer, Place};
         use pphcr_geo::{NodeId, NodeKind, ProjectedPoint, RoadNetwork};
 
@@ -310,17 +307,10 @@ mod tests {
             point: GeoPoint { lat: 45.07, lon: 7.68 },
             radius_m: 5_000.0,
         });
-        let coverage = CoverageMap {
-            transmitters: vec![Transmitter {
-                position: ProjectedPoint { x: 10.0, y: -20.0 },
-                radius_m: 30_000.0,
-            }],
-        };
         let records = vec![
             WalRecord { seq: 1, op: WalOp::AdvancePlayer { user: UserId(7), now: TimePoint(300) } },
-            WalRecord { seq: 2, op: WalOp::SetCoverage { coverage } },
-            WalRecord { seq: 3, op: WalOp::SetRoadNetwork { network } },
-            WalRecord { seq: 4, op: WalOp::SetGazetteer { gazetteer } },
+            WalRecord { seq: 2, op: WalOp::SetRoadNetwork { network } },
+            WalRecord { seq: 3, op: WalOp::SetGazetteer { gazetteer } },
         ];
         let mut log = Vec::new();
         for r in &records {
@@ -392,20 +382,23 @@ mod tests {
 
     #[test]
     fn crc_valid_garbage_is_corrupt_not_torn() {
-        // Hand-frame a payload with an unknown kind tag but a valid CRC.
-        let payload: Vec<u8> = {
-            let mut w = ByteWriter::new();
-            w.put_u64(1);
-            w.put_u8(0xEE);
-            w.into_inner()
-        };
-        let mut log = Vec::new();
-        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        log.extend_from_slice(&crc32(&payload).to_le_bytes());
-        log.extend_from_slice(&payload);
-        assert_eq!(scan(&log), Err(PersistError::Corrupt { what: "WAL op kind tag" }));
-        // The frame builder lays out exactly these bytes.
-        assert_eq!(encode_frame(1, 0xEE, |_| {}), log);
+        // Hand-frame a payload with an unknown kind tag but a valid CRC:
+        // a tag never assigned, and 10, the retired `SetCoverage` op.
+        for kind in [0xEE, 10] {
+            let payload: Vec<u8> = {
+                let mut w = ByteWriter::new();
+                w.put_u64(1);
+                w.put_u8(kind);
+                w.into_inner()
+            };
+            let mut log = Vec::new();
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crc32(&payload).to_le_bytes());
+            log.extend_from_slice(&payload);
+            assert_eq!(scan(&log), Err(PersistError::Corrupt { what: "WAL op kind tag" }));
+            // The frame builder lays out exactly these bytes.
+            assert_eq!(encode_frame(1, kind, |_| {}), log);
+        }
     }
 
     #[test]

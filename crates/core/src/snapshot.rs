@@ -42,7 +42,7 @@ pub struct PlatformSnapshot {
     /// Editorial injections: (submitted, delivered).
     pub injections: (u64, u64),
     /// Closed listening sessions.
-    pub sessions_closed: usize,
+    pub sessions_closed: u64,
     /// Proactive decisions made.
     pub decisions: usize,
     /// Messages in the bus's dead-letter store.
@@ -80,7 +80,7 @@ impl PlatformSnapshot {
             bus_delivered: engine.bus.delivered(),
             pending_recommendations: engine.bus.pending(Topic::Recommendation),
             injections: engine.injections.counters(),
-            sessions_closed: engine.sessions.closed_count(),
+            sessions_closed: engine.sessions_closed,
             decisions: engine.decisions().len(),
             dead_letters: engine.bus.dead_letters().len(),
             bus_overflowed: engine.bus.overflowed(),
@@ -112,7 +112,7 @@ impl PlatformSnapshot {
         w.begin_named_array("injections");
         w.item_u64(self.injections.0).item_u64(self.injections.1);
         w.end_array();
-        w.field_u64("sessions_closed", self.sessions_closed as u64);
+        w.field_u64("sessions_closed", self.sessions_closed);
         w.field_u64("decisions", self.decisions as u64);
         w.field_u64("dead_letters", self.dead_letters as u64);
         w.field_u64("bus_overflowed", self.bus_overflowed);

@@ -19,7 +19,7 @@
 //! byte-for-byte.
 
 use pphcr_catalog::{CategoryId, ClipKind, Gazetteer, GeoTag, ServiceIndex};
-use pphcr_core::{CoverageMap, Engine, EngineCommand, EngineConfig};
+use pphcr_core::{Engine, EngineCommand, EngineConfig};
 use pphcr_geo::{GeoPoint, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -68,11 +68,8 @@ pub fn commands(seed: u64) -> Vec<EngineCommand> {
         tokens: vec!["football".into(), "derby".into(), "goal".into(), "league".into()],
     });
 
-    // Replicated environment: DAB coverage, a toy road network, a
-    // gazetteer — broadcast to every shard by the router.
-    let mut coverage = CoverageMap::new();
-    coverage.add(ProjectedPoint::new(0.0, 0.0), 20_000.0);
-    ops.push(EngineCommand::SetCoverage { coverage });
+    // Replicated environment: a toy road network and a gazetteer,
+    // broadcast to every shard by the router.
     let mut network = RoadNetwork::new();
     let a = network.add_node(ProjectedPoint::new(0.0, 0.0), NodeKind::Intersection);
     let b = network.add_node(ProjectedPoint::new(1_500.0, 400.0), NodeKind::Roundabout);
@@ -412,7 +409,7 @@ mod tests {
         assert_eq!(commands(3), commands(3));
         assert_ne!(commands(1), commands(2));
         let ops = commands(1);
-        let mut seen = [false; 13];
+        let mut seen = [false; 12];
         for cmd in &ops {
             let idx = match cmd {
                 EngineCommand::RegisterUser { .. } => 0,
@@ -425,9 +422,8 @@ mod tests {
                 EngineCommand::Skip { .. } => 7,
                 EngineCommand::Tick { .. } => 8,
                 EngineCommand::AdvancePlayer { .. } => 9,
-                EngineCommand::SetCoverage { .. } => 10,
-                EngineCommand::SetRoadNetwork { .. } => 11,
-                EngineCommand::SetGazetteer { .. } => 12,
+                EngineCommand::SetRoadNetwork { .. } => 10,
+                EngineCommand::SetGazetteer { .. } => 11,
             };
             if let Some(slot) = seen.get_mut(idx) {
                 *slot = true;

@@ -24,7 +24,7 @@ use pphcr_catalog::{CategoryId, ClipKind, Gazetteer, GeoTag, ServiceIndex};
 use pphcr_core::persist::snapshot_engine;
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::{
-    restore_engine, ApplyResult, CoverageMap, DurableEngine, Engine, EngineConfig, FaultProfile,
+    restore_engine, ApplyResult, DurableEngine, Engine, EngineConfig, FaultProfile,
     FaultyTransport, MemWal, PlatformSnapshot, UnicastLink, WalOp, WalRecord,
 };
 use pphcr_geo::{GeoPoint, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
@@ -91,12 +91,8 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
         tokens: vec!["football".into(), "derby".into(), "goal".into(), "league".into()],
     });
 
-    // Environment configuration flows through the WAL too: DAB coverage,
-    // a toy road network and a gazetteer, all replay-relevant state.
-    let mut coverage = CoverageMap::new();
-    coverage.add(ProjectedPoint::new(0.0, 0.0), 15_000.0);
-    coverage.add(ProjectedPoint::new(9_000.0, 2_000.0), 8_000.0);
-    ops.push(WalOp::SetCoverage { coverage });
+    // Environment configuration flows through the WAL too: a toy road
+    // network and a gazetteer, both replay-relevant state.
     let mut network = RoadNetwork::new();
     let a = network.add_node(ProjectedPoint::new(0.0, 0.0), NodeKind::Intersection);
     let b = network.add_node(ProjectedPoint::new(1_200.0, 300.0), NodeKind::Plain);
@@ -463,7 +459,7 @@ mod tests {
     #[test]
     fn script_covers_every_op_kind() {
         let ops = scripted_ops(1);
-        let mut seen = [false; 13];
+        let mut seen = [false; 12];
         for op in &ops {
             let idx = match op {
                 WalOp::RegisterUser { .. } => 0,
@@ -476,9 +472,8 @@ mod tests {
                 WalOp::Skip { .. } => 7,
                 WalOp::Tick { .. } => 8,
                 WalOp::AdvancePlayer { .. } => 9,
-                WalOp::SetCoverage { .. } => 10,
-                WalOp::SetRoadNetwork { .. } => 11,
-                WalOp::SetGazetteer { .. } => 12,
+                WalOp::SetRoadNetwork { .. } => 10,
+                WalOp::SetGazetteer { .. } => 11,
             };
             if let Some(slot) = seen.get_mut(idx) {
                 *slot = true;

@@ -18,10 +18,8 @@
 
 pub mod feedback;
 pub mod profile;
-pub mod sessions;
 pub mod tracking;
 
 pub use feedback::{FeedbackEvent, FeedbackKind, FeedbackStore, PreferenceVector};
 pub use profile::{AgeBand, ProfileStore, UserId, UserProfile};
-pub use sessions::{ListeningSession, SessionEnd, SessionStore};
 pub use tracking::TrackingStore;

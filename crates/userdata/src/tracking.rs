@@ -71,7 +71,7 @@ impl TrackingStore {
     /// negative speed — GPS cold-start garbage) are counted and
     /// dropped.
     pub fn record(&mut self, user: UserId, fix: GpsFix) {
-        if !fix.point.is_valid() || !fix.speed_mps.is_finite() || fix.speed_mps < 0.0 {
+        if fix.validate().is_err() {
             self.dropped_invalid += 1;
             return;
         }

@@ -13,11 +13,11 @@ use pphcr::userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile}
 fn main() {
     let center = GeoPoint::new(45.0703, 7.6869);
     // The gazetteer feeds geo estimation of untagged archive clips
-    // (the paper's future-work feature); it is attached at build time
-    // through the fluent builder.
+    // (the paper's future-work feature).
     let mut gazetteer = Gazetteer::new();
     gazetteer.add_place("fairground", center.destination(45.0, 4_000.0), 1_200.0);
-    let mut engine = Engine::builder().config(EngineConfig::default()).gazetteer(gazetteer).build();
+    let mut engine = Engine::new(EngineConfig::default());
+    engine.set_gazetteer(gazetteer);
     let listener = UserId(42);
     let t0 = TimePoint::at(0, 7, 0, 0);
     engine.register_user(

@@ -9,7 +9,7 @@ use pphcr::geo::{TimePoint, TimeSpan};
 use pphcr::userdata::{AgeBand, FeedbackKind, UserId, UserProfile};
 
 fn main() {
-    let mut engine = Engine::builder().config(EngineConfig::default()).build();
+    let mut engine = Engine::new(EngineConfig::default());
     let now = TimePoint::at(0, 9, 0, 0);
 
     // A listener tunes in to service 0 (its live stream plus metadata
