@@ -63,24 +63,6 @@ impl ClipStore {
         self.clips.get(&id)
     }
 
-    /// True when `id` is registered.
-    #[must_use]
-    pub fn contains(&self, id: ClipId) -> bool {
-        self.clips.contains_key(&id)
-    }
-
-    /// Number of stored clips.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.clips.len()
-    }
-
-    /// True when the store is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.clips.is_empty()
-    }
-
     /// A playable source for the clip at the given sample rate.
     #[must_use]
     pub fn source(&self, id: ClipId, clock: SampleClock) -> Option<ClipSource> {
@@ -97,10 +79,8 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut store = ClipStore::new();
         store.insert_simple(ClipId(7), TimeSpan::minutes(4));
-        assert!(store.contains(ClipId(7)));
         assert_eq!(store.get(ClipId(7)).unwrap().duration, TimeSpan::minutes(4));
         assert!(store.get(ClipId(8)).is_none());
-        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::category::CategoryId;
 use crate::clipmeta::ClipMetadata;
 use crate::index::RepositoryIndex;
 use pphcr_audio::ClipId;
+use pphcr_geo::polyline::PathProjection;
 use pphcr_geo::{LocalProjection, Polyline, TimePoint};
 use std::collections::HashMap;
 
@@ -105,12 +106,17 @@ impl ContentRepository {
     }
 
     /// Geo-tagged clips relevant to a route: tags within `corridor_m`
-    /// of the polyline, each with its along-route position (meters from
-    /// the route start). Sorted by along-route position. This is how
-    /// Fig. 2's item B (relevant to the location `L_B` the user will
-    /// reach) is found.
+    /// of the polyline, each with its tag's projection onto the route
+    /// (along-route position in meters from the route start, and
+    /// distance from the route). Sorted by along-route position. This
+    /// is how Fig. 2's item B (relevant to the location `L_B` the user
+    /// will reach) is found.
     #[must_use]
-    pub fn geo_along_route(&self, route: &Polyline, corridor_m: f64) -> Vec<(&ClipMetadata, f64)> {
+    pub fn geo_along_route(
+        &self,
+        route: &Polyline,
+        corridor_m: f64,
+    ) -> Vec<(&ClipMetadata, PathProjection)> {
         let mut out = Vec::new();
         if route.is_empty() {
             return out;
@@ -136,10 +142,10 @@ impl ContentRepository {
             let Some(projection) = route.project_point(pos) else { continue };
             // Within the corridor, or within the tag's own radius.
             if projection.distance_m <= corridor_m.max(tag.radius_m) {
-                out.push((meta, projection.along_m));
+                out.push((meta, projection));
             }
         }
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
+        out.sort_by(|a, b| a.1.along_m.total_cmp(&b.1.along_m).then(a.0.id.cmp(&b.0.id)));
         out
     }
 
@@ -265,8 +271,10 @@ mod tests {
         let hits = r.geo_along_route(&route, 500.0);
         let ids: Vec<u64> = hits.iter().map(|(m, _)| m.id.0).collect();
         assert_eq!(ids, vec![21, 20]);
-        assert!((hits[0].1 - 2_000.0).abs() < 1.0);
-        assert!((hits[1].1 - 7_000.0).abs() < 1.0);
+        assert!((hits[0].1.along_m - 2_000.0).abs() < 1.0);
+        assert!((hits[1].1.along_m - 7_000.0).abs() < 1.0);
+        assert!(hits[0].1.distance_m < 1.0);
+        assert!((hits[1].1.distance_m - 200.0).abs() < 1.0);
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //!
 //! The two are differentially tested to be bit-identical: both apply
 //! the same inclusion predicate, the same [`score_one`] arithmetic and
-//! the same total-order sort, so the only difference is how the
+//! the same total-order ranking, so the only difference is how the
 //! candidate set is *found*.
 
 use crate::context::ListenerContext;
 use crate::score::ScoringWeights;
 use pphcr_audio::ClipId;
 use pphcr_catalog::{ClipMetadata, ContentRepository};
+use pphcr_geo::polyline::PathProjection;
 use pphcr_geo::TimeSpan;
 use pphcr_userdata::PreferenceVector;
 use serde::{Deserialize, Serialize};
@@ -248,16 +249,16 @@ impl CandidateFilter {
                 stats.cut_heard += 1;
                 continue;
             }
-            let is_geo_hit = geo_hits.contains_key(&meta.id);
-            if meta.published < cutoff && !is_geo_hit {
+            let hit = geo_hit(meta, &geo_hits);
+            if meta.published < cutoff && hit.is_none() {
                 stats.cut_freshness += 1;
                 continue;
             }
-            if prefs.score(meta.category) < self.min_category_pref && !is_geo_hit {
+            if prefs.score(meta.category) < self.min_category_pref && hit.is_none() {
                 stats.cut_preference += 1;
                 continue;
             }
-            out.push(self.score_one(meta, prefs, ctx, weights, &geo_hits));
+            out.push(score_one(meta, prefs, ctx, weights, hit));
         }
         (self.finalize(out, &mut stats), stats)
     }
@@ -330,8 +331,7 @@ impl CandidateFilter {
         let cutoff = ctx.now.rewind(self.max_age);
         let geo_hits = self.geo_hits_for(repo, ctx, &mut stats);
         let mut out: Vec<ScoredClip> = Vec::new();
-        let mut seen: HashSet<ClipId> = HashSet::new();
-        for category in repo.indexed_categories().collect::<Vec<_>>() {
+        for category in repo.indexed_categories() {
             let posted = repo.category_len(category) as u64;
             if prefs.score(category) < self.min_category_pref {
                 stats.cut_preference += posted;
@@ -341,27 +341,27 @@ impl CandidateFilter {
             for meta in repo.fresh_in_category(category, cutoff) {
                 fresh += 1;
                 stats.considered += 1;
-                seen.insert(meta.id);
                 if exclude.contains(&meta.id) {
                     stats.cut_heard += 1;
                     continue;
                 }
-                out.push(self.score_one(meta, prefs, ctx, weights, &geo_hits));
+                out.push(score_one(meta, prefs, ctx, weights, geo_hit(meta, &geo_hits)));
             }
             stats.cut_freshness += posted - fresh;
         }
-        // Geo hits ride along regardless of freshness or preference;
-        // skip the ones the category pass already visited. Every other
-        // hit was charged to the cut of its category above: credit that
-        // cut back before counting the clip once more.
+        // Geo hits ride along regardless of freshness or preference.
+        // The pass above visited exactly the hits published at or after
+        // the cutoff (the posting cut is inclusive) in a category that
+        // clears the preference floor: skip those. Every other hit was
+        // charged to the cut of its category there: credit that cut
+        // back before counting the clip once more.
         // lint: allow(hash-iter) — finalize() re-sorts by (score desc, clip id); visit order cannot reach the output
-        for &id in geo_hits.keys() {
-            if seen.contains(&id) {
-                continue;
-            }
+        for (&id, &hit) in &geo_hits {
             let Some(meta) = repo.get(id) else { continue };
             if prefs.score(meta.category) < self.min_category_pref {
                 stats.cut_preference -= 1;
+            } else if meta.published >= cutoff {
+                continue;
             } else {
                 stats.cut_freshness -= 1;
             }
@@ -370,91 +370,97 @@ impl CandidateFilter {
                 stats.cut_heard += 1;
                 continue;
             }
-            out.push(self.score_one(meta, prefs, ctx, weights, &geo_hits));
+            out.push(score_one(meta, prefs, ctx, weights, Some(hit)));
         }
         (self.finalize(out, &mut stats), stats)
     }
 
-    /// Route geo matches for the drive ahead (id → (distance, along)).
-    /// A tag whose projection onto the route is missing or non-finite
-    /// cannot be placed on the drive, so it is *not* a geo hit — the
-    /// clip falls back to the ordinary freshness/preference predicate
-    /// instead of carrying an infinite distance into scoring.
+    /// Route geo matches for the drive ahead: each hit's projection
+    /// onto the route. A tag whose projection is non-finite cannot be
+    /// placed on the drive, so it is *not* a geo hit — the clip falls
+    /// back to the ordinary freshness/preference predicate instead of
+    /// carrying an infinite distance into scoring.
     fn geo_hits_for(
         &self,
         repo: &ContentRepository,
         ctx: &ListenerContext,
         stats: &mut RetrievalStats,
-    ) -> HashMap<ClipId, (f64, f64)> {
+    ) -> HashMap<ClipId, PathProjection> {
         let mut geo_hits = HashMap::new();
         let Some(drive) = ctx.drive.as_ref() else { return geo_hits };
-        for (meta, along) in repo.geo_along_route(&drive.route_ahead, self.route_corridor_m) {
-            let Some(tag) = meta.geo else {
+        for (meta, hit) in repo.geo_along_route(&drive.route_ahead, self.route_corridor_m) {
+            if hit.distance_m.is_finite() && hit.along_m.is_finite() {
+                geo_hits.insert(meta.id, hit);
+            } else {
                 stats.cut_geo += 1;
-                continue;
-            };
-            match drive.route_ahead.distance_to(repo.projection().project(tag.point)) {
-                Some(dist) if dist.is_finite() && along.is_finite() => {
-                    geo_hits.insert(meta.id, (dist, along));
-                }
-                _ => stats.cut_geo += 1,
             }
         }
         stats.geo_hits = geo_hits.len() as u64;
         geo_hits
     }
 
-    /// Sorts best-first, truncates to `max_candidates`, then re-merges
-    /// geo hits spared from truncation back into descending-score
-    /// order. Route geo matches are never dropped (Fig. 2's item B must
-    /// reach the scheduler even when its compound score is mid-pack —
-    /// the *scheduler* decides whether it fits), but they must not
-    /// break the "best first" contract either: callers such as the
-    /// engine's skip path take a prefix of this list directly.
+    /// Keeps the `max_candidates` best plus every route geo match below
+    /// them, best first. Route geo matches are never dropped (Fig. 2's
+    /// item B must reach the scheduler even when its compound score is
+    /// mid-pack — the *scheduler* decides whether it fits), but they
+    /// must not break the "best first" contract either: callers such
+    /// as the engine's skip path take a prefix of this list directly.
+    ///
+    /// `(score desc, clip id)` is a total order over distinct clips, so
+    /// selecting the best `max_candidates` and then sorting only the
+    /// survivors yields exactly the list a full sort and truncation
+    /// would.
     fn finalize(&self, mut out: Vec<ScoredClip>, stats: &mut RetrievalStats) -> Vec<ScoredClip> {
         stats.scored = out.len() as u64;
         let by_score_desc =
             |a: &ScoredClip, b: &ScoredClip| b.score.total_cmp(&a.score).then(a.clip.cmp(&b.clip));
-        out.sort_by(by_score_desc);
         if out.len() > self.max_candidates {
-            let spared: Vec<ScoredClip> = out
-                .split_off(self.max_candidates)
-                .into_iter()
-                .filter(|c| c.along_route_m.is_some())
-                .collect();
-            if !spared.is_empty() {
-                out.extend(spared);
-                out.sort_by(by_score_desc);
-            }
+            out.select_nth_unstable_by(self.max_candidates, by_score_desc);
+            let mut rank = 0;
+            out.retain(|c| {
+                rank += 1;
+                rank <= self.max_candidates || c.along_route_m.is_some()
+            });
         }
+        out.sort_unstable_by(by_score_desc);
         stats.truncated = stats.scored - out.len() as u64;
         out
     }
+}
 
-    fn score_one(
-        &self,
-        meta: &ClipMetadata,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-        geo_hits: &HashMap<ClipId, (f64, f64)>,
-    ) -> ScoredClip {
-        let hit = geo_hits.get(&meta.id).copied();
-        let geo_distance_m = hit.map(|(d, _)| d);
-        let along_route_m = hit.map(|(_, a)| a);
-        let content_score = weights.content_relevance(prefs, meta);
-        let context_score = weights.context_relevance(meta, ctx, geo_distance_m);
-        let score = weights.compound(prefs, meta, ctx, geo_distance_m);
-        ScoredClip::new(
-            meta.id,
-            meta.duration,
-            score,
-            content_score,
-            context_score,
-            geo_distance_m,
-            along_route_m,
-        )
+/// The route geo match of `meta`, if any. Only tagged clips can match,
+/// so untagged ones skip the lookup.
+fn geo_hit(
+    meta: &ClipMetadata,
+    geo_hits: &HashMap<ClipId, PathProjection>,
+) -> Option<PathProjection> {
+    if meta.geo.is_some() {
+        geo_hits.get(&meta.id).copied()
+    } else {
+        None
     }
+}
+
+/// Scores one candidate, `hit` being its route geo match.
+fn score_one(
+    meta: &ClipMetadata,
+    prefs: &PreferenceVector,
+    ctx: &ListenerContext,
+    weights: &ScoringWeights,
+    hit: Option<PathProjection>,
+) -> ScoredClip {
+    let geo_distance_m = hit.map(|h| h.distance_m);
+    let content_score = weights.content_relevance(prefs, meta);
+    let context_score = weights.context_relevance(meta, ctx, geo_distance_m);
+    ScoredClip::new(
+        meta.id,
+        meta.duration,
+        weights.compound(content_score, context_score),
+        content_score,
+        context_score,
+        geo_distance_m,
+        hit.map(|h| h.along_m),
+    )
 }
 
 #[cfg(test)]
@@ -686,6 +692,106 @@ mod tests {
         assert!((dist - 400.0).abs() < 10.0, "clamped to route end");
         assert!((hit.along_route_m.unwrap() - 10_000.0).abs() < 10.0);
         assert!(hit.score.is_finite() && (0.0..=1.0).contains(&hit.score));
+    }
+
+    /// The ranking `finalize` replaced: sort everything, truncate, then
+    /// merge the spared route geo matches back in score order.
+    fn finalize_by_full_sort(max_candidates: usize, mut out: Vec<ScoredClip>) -> Vec<ScoredClip> {
+        let by_score_desc =
+            |a: &ScoredClip, b: &ScoredClip| b.score.total_cmp(&a.score).then(a.clip.cmp(&b.clip));
+        out.sort_by(by_score_desc);
+        if out.len() > max_candidates {
+            let spared: Vec<ScoredClip> = out
+                .split_off(max_candidates)
+                .into_iter()
+                .filter(|c| c.along_route_m.is_some())
+                .collect();
+            out.extend(spared);
+            out.sort_by(by_score_desc);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn finalize_equals_full_sort(
+            specs in proptest::collection::vec(
+                (0u8..8, 0.0f64..1.0, proptest::option::of(0.0f64..10_000.0)),
+                0..60,
+            ),
+        ) {
+            // Half the scores come from four fixed values, forcing ties
+            // that only the clip id breaks; ids are a bijection of the
+            // index, so input order is not id order.
+            let scored: Vec<ScoredClip> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(tie, score, along))| {
+                    let score = [0.0, 0.25, 0.5, 1.0].get(usize::from(tie)).copied().unwrap_or(score);
+                    ScoredClip {
+                        clip: ClipId((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                        duration: TimeSpan::minutes(5),
+                        score,
+                        content_score: score,
+                        context_score: score,
+                        geo_distance_m: along.map(|_| 10.0),
+                        along_route_m: along,
+                    }
+                })
+                .collect();
+            let n = scored.len();
+            for max_candidates in [0, 1, n / 2, n, n + 1] {
+                let filter = CandidateFilter { max_candidates, ..CandidateFilter::default() };
+                let mut stats = RetrievalStats::default();
+                let got = filter.finalize(scored.clone(), &mut stats);
+                let want = finalize_by_full_sort(max_candidates, scored.clone());
+                proptest::prop_assert_eq!(&got, &want, "max_candidates {}", max_candidates);
+                proptest::prop_assert_eq!(stats.scored, n as u64);
+                proptest::prop_assert_eq!(stats.truncated, (n - want.len()) as u64);
+            }
+        }
+
+        #[test]
+        fn score_one_matches_the_component_triple(
+            cat in 0u16..30,
+            confidence in 0.0f64..1.0,
+            minutes in 1u64..45,
+            age_h in 0u64..400,
+            tagged in 0u8..2,
+            hit in proptest::option::of((0.0f64..2_000.0, 0.0f64..10_000.0)),
+            content_weight in -0.5f64..1.5,
+            liked in 0u16..30,
+        ) {
+            let ctx = driving_ctx(TimePoint::at(20, 8, 0, 0));
+            let mut m = meta(1, cat, ctx.now.rewind(TimeSpan::hours(age_h)), minutes);
+            m.category_confidence = confidence;
+            if tagged == 1 {
+                m.geo = Some(GeoTag { point: TORINO, radius_m: 500.0 });
+            }
+            let p = prefs(1, &[liked], &[(liked + 7) % 30]);
+            let weights = ScoringWeights { content_weight, ..ScoringWeights::default() };
+            let hit = hit.map(|(distance_m, along_m)| PathProjection { along_m, distance_m });
+            let got = score_one(&m, &p, &ctx, &weights, hit);
+            // The compound score as computed before `score_one` reused
+            // the two components: every term evaluated afresh.
+            let geo_distance_m = hit.map(|h| h.distance_m);
+            let w = weights.content_weight.clamp(0.0, 1.0);
+            let score = w * weights.content_relevance(&p, &m)
+                + (1.0 - w) * weights.context_relevance(&m, &ctx, geo_distance_m);
+            let want = ScoredClip::new(
+                m.id,
+                m.duration,
+                score,
+                weights.content_relevance(&p, &m),
+                weights.context_relevance(&m, &ctx, geo_distance_m),
+                geo_distance_m,
+                hit.map(|h| h.along_m),
+            );
+            proptest::prop_assert_eq!(got.score.to_bits(), want.score.to_bits());
+            proptest::prop_assert_eq!(got.content_score.to_bits(), want.content_score.to_bits());
+            proptest::prop_assert_eq!(got.context_score.to_bits(), want.context_score.to_bits());
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

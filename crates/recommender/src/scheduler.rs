@@ -268,51 +268,59 @@ fn knapsack_dp<'a>(
     max_items: usize,
 ) -> Vec<&'a ScoredClip> {
     const QUANTUM: u64 = 10;
+    let weight_of = |it: &ScoredClip| it.duration.as_seconds().div_ceil(QUANTUM) as usize;
     let cap = (budget_s / QUANTUM) as usize;
     let k = max_items.min(items.len());
     if cap == 0 || k == 0 {
         return Vec::new();
     }
-    // dp[count][weight] = best score; parent pointers for reconstruction.
-    let mut dp = vec![vec![f64::NEG_INFINITY; cap + 1]; k + 1];
-    dp[0][0] = 0.0;
-    // choice[i][count][weight] = did item i get taken to reach state.
-    let mut taken = vec![vec![vec![false; cap + 1]; k + 1]; items.len()];
-    for (i, it) in items.iter().enumerate() {
-        let w = (it.duration.as_seconds().div_ceil(QUANTUM)) as usize;
+    // Both tables are flat, row-major blocks of `width`-long rows.
+    // dp row `count`: best score per weight; row 0 is the base case.
+    let width = cap + 1;
+    let mut dp = vec![f64::NEG_INFINITY; (k + 1) * width];
+    dp[0] = 0.0;
+    // taken row `i * (k + 1) + count`: did item i get taken to reach
+    // the state (count, weight).
+    let mut taken = vec![false; items.len() * (k + 1) * width];
+    for (it, taken_rows) in items.iter().zip(taken.chunks_exact_mut((k + 1) * width)) {
+        let w = weight_of(it);
+        if w > cap {
+            continue;
+        }
         for count in (1..=k).rev() {
-            for weight in (w..=cap).rev() {
-                let cand = dp[count - 1][weight - w] + it.score;
-                if cand > dp[count][weight] {
-                    dp[count][weight] = cand;
-                    taken[i][count][weight] = true;
+            // Row `count - 1` still holds the state before this item.
+            let (below, from_row) = dp.split_at_mut(count * width);
+            let prev = &below[(count - 1) * width..][..width - w];
+            let row = &mut from_row[w..width];
+            let taken_row = &mut taken_rows[count * width + w..(count + 1) * width];
+            for ((best, took), &base) in row.iter_mut().zip(taken_row).zip(prev) {
+                let cand = base + it.score;
+                if cand > *best {
+                    *best = cand;
+                    *took = true;
                 }
             }
         }
     }
-    // Best terminal state.
-    let (mut best_count, mut best_weight, mut best) = (0usize, 0usize, 0.0f64);
-    for (count, row) in dp.iter().enumerate() {
-        for (weight, &score) in row.iter().enumerate() {
-            if score > best {
-                best = score;
-                best_count = count;
-                best_weight = weight;
-            }
+    // Best terminal state, scanning rows in count order.
+    let (mut best_state, mut best) = (0usize, 0.0f64);
+    for (state, &score) in dp.iter().enumerate() {
+        if score > best {
+            best = score;
+            best_state = state;
         }
     }
     // Reconstruct by replaying items in reverse.
     let mut out = Vec::new();
-    let (mut count, mut weight) = (best_count, best_weight);
+    let (mut count, mut weight) = (best_state / width, best_state % width);
     for (i, it) in items.iter().enumerate().rev() {
         if count == 0 {
             break;
         }
-        if taken[i][count][weight] {
-            let w = (it.duration.as_seconds().div_ceil(10)) as usize;
+        if taken[(i * (k + 1) + count) * width + weight] {
             out.push(*it);
             count -= 1;
-            weight -= w;
+            weight -= weight_of(it);
         }
     }
     out.reverse();
@@ -455,6 +463,85 @@ mod tests {
             }
         }
         assert!((dp_score - best).abs() < 1e-9, "dp {dp_score} vs brute {best}");
+    }
+
+    /// The nested-vector knapsack the flat tables replaced.
+    fn knapsack_dp_nested<'a>(
+        items: &[&'a ScoredClip],
+        budget_s: u64,
+        max_items: usize,
+    ) -> Vec<&'a ScoredClip> {
+        let cap = (budget_s / 10) as usize;
+        let k = max_items.min(items.len());
+        if cap == 0 || k == 0 {
+            return Vec::new();
+        }
+        let mut dp = vec![vec![f64::NEG_INFINITY; cap + 1]; k + 1];
+        dp[0][0] = 0.0;
+        let mut taken = vec![vec![vec![false; cap + 1]; k + 1]; items.len()];
+        for (i, it) in items.iter().enumerate() {
+            let w = (it.duration.as_seconds().div_ceil(10)) as usize;
+            for count in (1..=k).rev() {
+                for weight in (w..=cap).rev() {
+                    let cand = dp[count - 1][weight - w] + it.score;
+                    if cand > dp[count][weight] {
+                        dp[count][weight] = cand;
+                        taken[i][count][weight] = true;
+                    }
+                }
+            }
+        }
+        let (mut best_count, mut best_weight, mut best) = (0usize, 0usize, 0.0f64);
+        for (count, row) in dp.iter().enumerate() {
+            for (weight, &score) in row.iter().enumerate() {
+                if score > best {
+                    best = score;
+                    best_count = count;
+                    best_weight = weight;
+                }
+            }
+        }
+        let mut out = Vec::new();
+        let (mut count, mut weight) = (best_count, best_weight);
+        for (i, it) in items.iter().enumerate().rev() {
+            if count == 0 {
+                break;
+            }
+            if taken[i][count][weight] {
+                out.push(*it);
+                count -= 1;
+                weight -= (it.duration.as_seconds().div_ceil(10)) as usize;
+            }
+        }
+        out.reverse();
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn flat_knapsack_picks_what_the_nested_one_did(
+            specs in proptest::collection::vec((0u8..6, 0u8..6), 0..40),
+            budget_s in 0u64..2_400,
+            max_items in 0usize..8,
+        ) {
+            // Few distinct scores and durations: equal-valued subsets
+            // abound, so only the same recurrence, the same strict `>`
+            // and the same reconstruction pick the same items.
+            let items: Vec<ScoredClip> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, d))| ScoredClip {
+                    duration: TimeSpan::seconds([15, 60, 95, 180, 300, 2_500][usize::from(d)]),
+                    ..clip(i as u64, 0, [0.1, 0.2, 0.3, 0.25, 0.5, 0.05][usize::from(s)])
+                })
+                .collect();
+            let refs: Vec<&ScoredClip> = items.iter().collect();
+            let ids = |picked: Vec<&ScoredClip>| picked.iter().map(|c| c.clip).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                ids(knapsack_dp(&refs, budget_s, max_items)),
+                ids(knapsack_dp_nested(&refs, budget_s, max_items))
+            );
+        }
     }
 
     #[test]

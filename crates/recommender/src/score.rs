@@ -14,10 +14,54 @@
 //! weight sweeps (experiment E9) are interpretable.
 
 use crate::context::ListenerContext;
-use pphcr_catalog::{CategoryId, ClipKind, ClipMetadata};
+use pphcr_catalog::category::CATEGORY_NAMES;
+use pphcr_catalog::{CategoryId, ClipKind, ClipMetadata, CATEGORY_COUNT};
 use pphcr_geo::TimeSpan;
 use pphcr_userdata::PreferenceVector;
 use serde::{Deserialize, Serialize};
+
+/// A category's editorial time-of-day prior.
+#[derive(Debug, Clone, Copy)]
+enum Daypart {
+    /// News and service content: wanted in commute hours.
+    News,
+    /// Light content: wanted in the evening.
+    Leisure,
+    /// No time-of-day preference.
+    Neutral,
+}
+
+/// A category's editorial priors.
+#[derive(Debug, Clone, Copy)]
+struct Priors {
+    daypart: Daypart,
+    /// Weather and traffic content turns urgent in adverse conditions.
+    weather_topical: bool,
+}
+
+/// The priors of every category, indexed by [`CategoryId`]: resolved
+/// from [`CATEGORY_NAMES`] at compile time so scoring a clip reads one
+/// table entry instead of matching names.
+const PRIORS: [Priors; CATEGORY_COUNT as usize] = {
+    let mut out =
+        [Priors { daypart: Daypart::Neutral, weather_topical: false }; CATEGORY_COUNT as usize];
+    let mut i = 0;
+    while i < out.len() {
+        let name = CATEGORY_NAMES[i].as_bytes();
+        out[i] = Priors {
+            daypart: match name {
+                b"local-news" | b"national-news" | b"world-news" | b"traffic" | b"weather" => {
+                    Daypart::News
+                }
+                b"comedy" | b"entertainment" | b"music" => Daypart::Leisure,
+                _ => Daypart::Neutral,
+            },
+            weather_topical: matches!(name, b"weather" | b"traffic"),
+        };
+        i += 1;
+    }
+    out
+};
 
 /// Weights of the compound relevance score.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -98,12 +142,12 @@ impl ScoringWeights {
     pub fn time_affinity(&self, category: CategoryId, hour: u64) -> f64 {
         let commute = matches!(hour, 7..=9 | 17..=19);
         let evening = matches!(hour, 19..=23);
-        match category.name() {
-            "local-news" | "national-news" | "world-news" | "traffic" | "weather" if commute => 1.0,
-            "local-news" | "national-news" | "world-news" | "traffic" | "weather" => 0.5,
-            "comedy" | "entertainment" | "music" if evening => 1.0,
-            "comedy" | "entertainment" | "music" => 0.6,
-            _ => 0.5,
+        match PRIORS[category.0 as usize].daypart {
+            Daypart::News if commute => 1.0,
+            Daypart::News => 0.5,
+            Daypart::Leisure if evening => 1.0,
+            Daypart::Leisure => 0.6,
+            Daypart::Neutral => 0.5,
         }
     }
 
@@ -112,8 +156,7 @@ impl ScoringWeights {
     /// (the future-work "richer contexts" hook, §3).
     #[must_use]
     pub fn weather_affinity(&self, category: CategoryId, ctx: &ListenerContext) -> f64 {
-        let topical = matches!(category.name(), "weather" | "traffic");
-        if topical && ctx.ambient.weather.is_adverse() {
+        if PRIORS[category.0 as usize].weather_topical && ctx.ambient.weather.is_adverse() {
             1.0
         } else {
             0.5
@@ -177,18 +220,13 @@ impl ScoringWeights {
             / total_w
     }
 
-    /// The compound score of §1.2.
+    /// The compound score of §1.2 from its two components, as
+    /// computed by [`Self::content_relevance`] and
+    /// [`Self::context_relevance`].
     #[must_use]
-    pub fn compound(
-        &self,
-        prefs: &PreferenceVector,
-        meta: &ClipMetadata,
-        ctx: &ListenerContext,
-        geo_distance_m: Option<f64>,
-    ) -> f64 {
+    pub fn compound(&self, content: f64, context: f64) -> f64 {
         let w = self.content_weight.clamp(0.0, 1.0);
-        w * self.content_relevance(prefs, meta)
-            + (1.0 - w) * self.context_relevance(meta, ctx, geo_distance_m)
+        w * content + (1.0 - w) * context
     }
 }
 
@@ -214,6 +252,17 @@ mod tests {
             geo: None,
             transcript: Vec::new(),
         }
+    }
+
+    /// The compound score of one clip, both components computed fresh.
+    fn compound(
+        w: &ScoringWeights,
+        prefs: &PreferenceVector,
+        meta: &ClipMetadata,
+        ctx: &ListenerContext,
+        geo_distance_m: Option<f64>,
+    ) -> f64 {
+        w.compound(w.content_relevance(prefs, meta), w.context_relevance(meta, ctx, geo_distance_m))
     }
 
     fn prefs_liking(cat: u16) -> PreferenceVector {
@@ -299,6 +348,56 @@ mod tests {
     }
 
     #[test]
+    fn category_priors_match_the_names() {
+        use crate::context::Weather;
+        // The name-matching priors the id table replaced.
+        fn time_by_name(category: CategoryId, hour: u64) -> f64 {
+            let commute = matches!(hour, 7..=9 | 17..=19);
+            let evening = matches!(hour, 19..=23);
+            match category.name() {
+                "local-news" | "national-news" | "world-news" | "traffic" | "weather"
+                    if commute =>
+                {
+                    1.0
+                }
+                "local-news" | "national-news" | "world-news" | "traffic" | "weather" => 0.5,
+                "comedy" | "entertainment" | "music" if evening => 1.0,
+                "comedy" | "entertainment" | "music" => 0.6,
+                _ => 0.5,
+            }
+        }
+        fn weather_by_name(category: CategoryId, weather: Weather) -> f64 {
+            let topical = matches!(category.name(), "weather" | "traffic");
+            if topical && weather.is_adverse() {
+                1.0
+            } else {
+                0.5
+            }
+        }
+        let w = ScoringWeights::default();
+        let weathers = [Weather::Clear, Weather::Rain, Weather::Snow, Weather::Fog];
+        for category in CategoryId::all() {
+            for hour in 0..24 {
+                let got = w.time_affinity(category, hour);
+                assert_eq!(
+                    got.to_bits(),
+                    time_by_name(category, hour).to_bits(),
+                    "{category} {hour}h"
+                );
+                for weather in weathers {
+                    let mut ctx = ListenerContext::stationary(TimePoint::at(0, hour, 0, 0));
+                    ctx.ambient.weather = weather;
+                    assert_eq!(
+                        w.weather_affinity(category, &ctx).to_bits(),
+                        weather_by_name(category, weather).to_bits(),
+                        "{category} {weather:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn complexity_penalizes_long_clips_only_when_twisty() {
         let w = ScoringWeights::default();
         let long = meta(1, ClipKind::Podcast, 30);
@@ -319,13 +418,13 @@ mod tests {
         let m = meta(8, ClipKind::Podcast, 10);
         for wc in [0.0, 0.3, 0.7, 1.0] {
             let w = ScoringWeights { content_weight: wc, ..Default::default() };
-            let s = w.compound(&prefs, &m, &ctx, None);
+            let s = compound(&w, &prefs, &m, &ctx, None);
             assert!((0.0..=1.0).contains(&s), "wc={wc}: {s}");
         }
         // Pure content weight: compound equals content relevance.
         let w = ScoringWeights { content_weight: 1.0, ..Default::default() };
         assert!(
-            (w.compound(&prefs, &m, &ctx, None) - w.content_relevance(&prefs, &m)).abs() < 1e-12
+            (compound(&w, &prefs, &m, &ctx, None) - w.content_relevance(&prefs, &m)).abs() < 1e-12
         );
     }
 
@@ -346,7 +445,8 @@ mod tests {
         // And the overall context relevance of the traffic bulletin rises.
         let prefs = PreferenceVector::neutral();
         assert!(
-            w.compound(&prefs, &traffic, &rainy, None) > w.compound(&prefs, &traffic, &clear, None)
+            compound(&w, &prefs, &traffic, &rainy, None)
+                > compound(&w, &prefs, &traffic, &clear, None)
         );
     }
 
@@ -369,9 +469,9 @@ mod tests {
         let ctx = driving_ctx(1.0);
         let mut tagged = meta(13, ClipKind::NewsBulletin, 4);
         tagged.geo = Some(GeoTag { point: GeoPoint::new(45.1, 7.7), radius_m: 1_000.0 });
-        let near = w.compound(&prefs, &tagged, &ctx, Some(200.0));
-        let far = w.compound(&prefs, &tagged, &ctx, Some(30_000.0));
-        let unknown = w.compound(&prefs, &tagged, &ctx, None);
+        let near = compound(&w, &prefs, &tagged, &ctx, Some(200.0));
+        let far = compound(&w, &prefs, &tagged, &ctx, Some(30_000.0));
+        let unknown = compound(&w, &prefs, &tagged, &ctx, None);
         assert!(near > far);
         assert!(far >= unknown - 0.05);
     }

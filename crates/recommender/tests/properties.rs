@@ -82,7 +82,10 @@ proptest! {
         let prefs = fb.preferences(UserId(1), t);
         let m = meta(1, cat, minutes, conf);
         let ctx = ListenerContext::stationary(t);
-        let s = weights.compound(&prefs, &m, &ctx, geo_d);
+        let s = weights.compound(
+            weights.content_relevance(&prefs, &m),
+            weights.context_relevance(&m, &ctx, geo_d),
+        );
         prop_assert!((0.0..=1.0).contains(&s), "score {}", s);
     }
 

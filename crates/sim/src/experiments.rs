@@ -1591,28 +1591,36 @@ impl fmt::Display for E13ObsRow {
 
 /// E13 (observability): times the day-8 commute window with the obs
 /// layer on and off, best-of-`rounds` per variant to damp scheduler
-/// noise. Both variants must emit identical events — instrumentation
-/// is observation, never behaviour — and the instrumented run's
-/// snapshot rides along for the CI artifact.
+/// noise. The rounds interleave ABBA (bare, instrumented, instrumented,
+/// bare, …) so both variants sample the same host phases and host
+/// drift does not read as overhead. Both variants must emit identical
+/// events — instrumentation is observation, never behaviour — and the
+/// instrumented run's snapshot rides along for the CI artifact.
 #[must_use]
 pub fn e13_obs_overhead(users: u64, workers: usize, rounds: usize) -> E13ObsRow {
     let rounds = rounds.max(1);
     let run = |obs_enabled: bool| -> (f64, u64, String) {
-        let mut best = f64::INFINITY;
-        let mut events = 0u64;
-        let mut snapshot = String::new();
-        for _ in 0..rounds {
-            let config = EngineConfig { obs_enabled, ..EngineConfig::default() };
-            let mut engine = e13_commuter_fleet(users, config);
-            let (seconds, ev) = e13_commute_window(&mut engine, users, workers);
-            best = best.min(seconds);
-            events = ev;
-            snapshot = engine.obs_snapshot().to_json();
-        }
-        (best, events, snapshot)
+        let config = EngineConfig { obs_enabled, ..EngineConfig::default() };
+        let mut engine = e13_commuter_fleet(users, config);
+        let (seconds, events) = e13_commute_window(&mut engine, users, workers);
+        (seconds, events, engine.obs_snapshot().to_json())
     };
-    let (bare_s, bare_events, _) = run(false);
-    let (instrumented_s, events, snapshot_json) = run(true);
+    let (mut bare_s, mut instrumented_s) = (f64::INFINITY, f64::INFINITY);
+    let (mut bare_events, mut events, mut snapshot_json) = (0, 0, String::new());
+    for round in 0..rounds {
+        let order = if round % 2 == 0 { [false, true] } else { [true, false] };
+        for obs_enabled in order {
+            let (seconds, ev, snapshot) = run(obs_enabled);
+            if obs_enabled {
+                instrumented_s = instrumented_s.min(seconds);
+                events = ev;
+                snapshot_json = snapshot;
+            } else {
+                bare_s = bare_s.min(seconds);
+                bare_events = ev;
+            }
+        }
+    }
     assert_eq!(events, bare_events, "instrumentation changed engine behaviour");
     E13ObsRow {
         users,
