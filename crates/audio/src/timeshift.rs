@@ -84,12 +84,6 @@ impl TimeShiftBuffer {
         }
     }
 
-    /// Maximum retained samples.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Oldest absolute sample still retained.
     #[must_use]
     // lint: allow(dead) — E1 (DESIGN.md §4) names audio::timeshift; tests/properties.rs::timeshift_reads_are_exact checks it

@@ -76,8 +76,8 @@ impl Gate {
     }
 }
 
-/// E13: at the largest archive the production dispatch must not lose to
-/// the linear scan.
+/// E13: at the largest archive the index walk must not lose to the
+/// reference scan.
 #[must_use]
 pub fn retrieval(speedup: f64) -> Gate {
     Gate::check("speedup", speedup, Cmp::AtLeast, MIN_RETRIEVAL_SPEEDUP)

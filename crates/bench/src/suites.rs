@@ -53,8 +53,7 @@ pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
             .f64("scan_s", r.scan_s)
             .f64("indexed_s", r.indexed_s)
             .f64("speedup", r.speedup)
-            .u64("candidates", r.candidates)
-            .text("dispatch", r.dispatch.label());
+            .u64("candidates", r.candidates);
         let gated = Some(r.clips) == largest;
         entries.push(if gated { entry.gated(gates::retrieval(r.speedup)) } else { entry });
     }

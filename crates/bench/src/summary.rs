@@ -17,8 +17,6 @@ pub enum Value {
     F64(f64),
     /// A yes/no fact.
     Bool(bool),
-    /// A label.
-    Text(&'static str),
 }
 
 /// One result of a run: an A/B cell or suite rollup, an E13 row or an
@@ -60,13 +58,6 @@ impl Entry {
     #[must_use]
     pub fn flag(mut self, key: &'static str, value: bool) -> Self {
         self.metrics.push((key, Value::Bool(value)));
-        self
-    }
-
-    /// Adds a label.
-    #[must_use]
-    pub fn text(mut self, key: &'static str, value: &'static str) -> Self {
-        self.metrics.push((key, Value::Text(value)));
         self
     }
 
@@ -138,7 +129,6 @@ pub fn summary_json(
                 Value::U64(v) => w.field_u64(key, *v),
                 Value::F64(v) => w.field_f64(key, *v),
                 Value::Bool(v) => w.field_bool(key, *v),
-                Value::Text(v) => w.field_str(key, v),
             };
         }
         w.end_object();

@@ -87,8 +87,6 @@ impl Default for CacheQuanta {
 pub struct EngineConfig {
     /// Projection origin (the deployment city).
     pub origin: GeoPoint,
-    /// The recommender (weights, filter, scheduler).
-    pub recommender: Recommender,
     /// Trip predictor parameters.
     pub predictor: TripPredictor,
     /// Naive Bayes smoothing.
@@ -121,7 +119,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             origin: GeoPoint::new(45.0703, 7.6869), // Torino
-            recommender: Recommender::default(),
             predictor: TripPredictor::default(),
             classifier_alpha: 1.0,
             junction_snap_m: 60.0,
@@ -618,7 +615,8 @@ pub struct Engine {
     /// Listening sessions closed so far: one per channel surf and one
     /// per re-registration of a listener already registered.
     pub(crate) sessions_closed: u64,
-    /// The recommender.
+    /// The recommender (weights, filter, scheduler). It starts at its
+    /// defaults; callers may tune it in place, and snapshots carry it.
     pub recommender: Recommender,
     /// Editorial injections.
     pub injections: InjectionQueue,
@@ -675,7 +673,7 @@ impl Engine {
             feedback: FeedbackStore::default(),
             tracking: TrackingStore::new(config.origin),
             sessions_closed: 0,
-            recommender: config.recommender.clone(),
+            recommender: Recommender::default(),
             injections: InjectionQueue::new(),
             bus: Bus::new(),
             vocab: Vocabulary::new(),

@@ -43,7 +43,7 @@ use std::collections::{HashMap, VecDeque};
 /// The four magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PPHS";
 /// The current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const SECTION_CONFIG: u16 = 1;
 const SECTION_CATALOG: u16 = 2;
@@ -171,14 +171,14 @@ fn get_user_map<V>(
 }
 
 // ---------------------------------------------------------------------
-// Section 1: CONFIG — EngineConfig, live recommender, static geography
+// Section 1: CONFIG — EngineConfig, recommender, static geography
 // ---------------------------------------------------------------------
 
 fn encode_config(engine: &Engine) -> Vec<u8> {
     let config = engine.config();
     let mut w = ByteWriter::new();
     put_geo_point(&mut w, &config.origin);
-    put_recommender(&mut w, &config.recommender);
+    put_recommender(&mut w, &engine.recommender);
     w.put_f64(config.predictor.hour_weight);
     w.put_f64(config.predictor.geometry_scale_m);
     w.put_f64(config.predictor.min_confidence);
@@ -198,9 +198,6 @@ fn encode_config(engine: &Engine) -> Vec<u8> {
     w.put_u64(config.cache_quanta.decay.0);
     w.put_u64(config.cache_quanta.phase.0);
     w.put_f64(config.cache_quanta.position_m);
-    // The live recommender: runtime tuning may have diverged from the
-    // configured one.
-    put_recommender(&mut w, &engine.recommender);
     w.put_opt(engine.road_network.as_ref(), put_road_network);
     w.put_opt(engine.gazetteer.as_ref(), put_gazetteer);
     w.into_inner()
@@ -246,7 +243,6 @@ fn decode_config(bytes: &[u8]) -> Result<Engine, PersistError> {
     }
     let config = EngineConfig {
         origin,
-        recommender,
         predictor,
         classifier_alpha,
         junction_snap_m,
@@ -259,7 +255,7 @@ fn decode_config(bytes: &[u8]) -> Result<Engine, PersistError> {
         cache_quanta,
     };
     let mut engine = Engine::new(config);
-    engine.recommender = get_recommender(&mut r)?;
+    engine.recommender = recommender;
     engine.road_network = r.opt(get_road_network)?;
     engine.gazetteer = r.opt(get_gazetteer)?;
     Ok(engine)

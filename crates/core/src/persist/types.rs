@@ -16,10 +16,11 @@ use crate::injection::PendingInjection;
 use crate::player::{PlaybackMode, Player, QueuedClip};
 use crate::retry::OutstandingDelivery;
 use pphcr_audio::ClipId;
-use pphcr_catalog::{CategoryId, ClipKind, ClipMetadata, Gazetteer, GeoTag, Place, ServiceIndex};
+use pphcr_catalog::{
+    CategoryId, ClipKind, ClipMetadata, Gazetteer, GeoTag, Place, ServiceIndex, CATEGORY_COUNT,
+};
 use pphcr_geo::{GeoPoint, NodeId, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
 use pphcr_obs::{DecisionTraceEntry, HistogramSnapshot, ObsSnapshot, Verdict};
-use pphcr_recommender::scheduler::Selection;
 use pphcr_recommender::{
     CandidateFilter, ProactivityModel, Recommender, RetrievalStats, ScheduledItem, SchedulerConfig,
     ScoredClip, ScoringWeights, SlotSchedule, Trigger,
@@ -135,6 +136,18 @@ pub(crate) fn get_gazetteer(r: &mut ByteReader<'_>) -> Result<Gazetteer, Persist
 // Listeners and content
 // ---------------------------------------------------------------------
 
+/// A category id, written as its raw `u16`. Ids at or above
+/// [`CATEGORY_COUNT`] are corruption: every per-category table is
+/// indexed by them.
+pub(crate) fn get_category(r: &mut ByteReader<'_>) -> Result<CategoryId, PersistError> {
+    let id = r.u16()?;
+    if id < CATEGORY_COUNT {
+        Ok(CategoryId(id))
+    } else {
+        Err(PersistError::Corrupt { what: "category id" })
+    }
+}
+
 pub(crate) fn put_clip_kind(w: &mut ByteWriter, kind: ClipKind) {
     w.put_u8(match kind {
         ClipKind::Podcast => 0,
@@ -171,7 +184,7 @@ pub(crate) fn get_clip_meta(r: &mut ByteReader<'_>) -> Result<ClipMetadata, Pers
         id: ClipId(r.u64()?),
         title: r.string()?,
         kind: get_clip_kind(r)?,
-        category: CategoryId(r.u16()?),
+        category: get_category(r)?,
         category_confidence: r.f64()?,
         duration: TimeSpan(r.u64()?),
         published: TimePoint(r.u64()?),
@@ -200,7 +213,7 @@ pub(crate) fn put_feedback_event(w: &mut ByteWriter, e: &FeedbackEvent) {
 pub(crate) fn get_feedback_event(r: &mut ByteReader<'_>) -> Result<FeedbackEvent, PersistError> {
     let user = UserId(r.u64()?);
     let clip = r.opt(|r| Ok(ClipId(r.u64()?)))?;
-    let category = CategoryId(r.u16()?);
+    let category = get_category(r)?;
     let kind = match r.u8()? {
         0 => FeedbackKind::Like,
         1 => FeedbackKind::Dislike,
@@ -249,7 +262,7 @@ fn get_queued(r: &mut ByteReader<'_>) -> Result<QueuedClip, PersistError> {
     Ok(QueuedClip {
         clip: ClipId(r.u64()?),
         duration: TimeSpan(r.u64()?),
-        category: CategoryId(r.u16()?),
+        category: get_category(r)?,
     })
 }
 
@@ -487,16 +500,11 @@ pub(crate) fn put_recommender(w: &mut ByteWriter, rec: &Recommender) {
     w.put_f64(filter.min_category_pref);
     w.put_f64(filter.route_corridor_m);
     w.put_u64(filter.max_candidates as u64);
-    w.put_u64(filter.scan_below as u64);
     let sched = &rec.scheduler;
     w.put_u64(sched.reserve.0);
     w.put_u64(sched.max_items as u64);
     w.put_u64(sched.pin_tolerance_s);
     w.put_bool(sched.avoid_distraction);
-    w.put_u8(match sched.selection {
-        Selection::ExactDp => 0,
-        Selection::Greedy => 1,
-    });
 }
 
 pub(crate) fn get_recommender(r: &mut ByteReader<'_>) -> Result<Recommender, PersistError> {
@@ -515,18 +523,12 @@ pub(crate) fn get_recommender(r: &mut ByteReader<'_>) -> Result<Recommender, Per
         min_category_pref: r.f64()?,
         route_corridor_m: r.f64()?,
         max_candidates: r.u64()? as usize,
-        scan_below: r.u64()? as usize,
     };
     let scheduler = SchedulerConfig {
         reserve: TimeSpan(r.u64()?),
         max_items: r.u64()? as usize,
         pin_tolerance_s: r.u64()?,
         avoid_distraction: r.bool()?,
-        selection: match r.u8()? {
-            0 => Selection::ExactDp,
-            1 => Selection::Greedy,
-            _ => return Err(PersistError::Corrupt { what: "selection tag" }),
-        },
     };
     Ok(Recommender { weights, filter, scheduler })
 }
@@ -872,7 +874,7 @@ mod tests {
                 id: ClipId(id(1)),
                 title: name.clone(),
                 kind,
-                category: CategoryId(pick as u16),
+                category: CategoryId(pick as u16 % CATEGORY_COUNT),
                 category_confidence: x(6),
                 duration: TimeSpan(id(2)),
                 published: t(3),
@@ -983,7 +985,7 @@ mod tests {
             round_trip(&cached, put_cached, get_cached)?;
             let mut rec = Recommender::default();
             rec.weights.geo_weight = x(4);
-            rec.scheduler.selection = [Selection::ExactDp, Selection::Greedy][pick % 2];
+            rec.scheduler.avoid_distraction = pick % 2 == 0;
             round_trip(&rec, put_recommender, get_recommender)?;
             let decision = DecisionRecord {
                 user: UserId(id(7)),
@@ -1060,5 +1062,31 @@ mod tests {
             let snap = ObsSnapshot::capture(&registry, &trace);
             round_trip(&snap, put_obs_snapshot, get_obs_snapshot)?;
         }
+    }
+
+    /// Snapshot clip metadata and queued clips naming a category past
+    /// `CATEGORY_COUNT` decode as corruption.
+    #[test]
+    fn out_of_range_category_is_corrupt() {
+        let corrupt = Some(PersistError::Corrupt { what: "category id" });
+        let clip = ClipMetadata {
+            id: ClipId(1),
+            title: "t".into(),
+            kind: ClipKind::Podcast,
+            category: CategoryId(CATEGORY_COUNT),
+            category_confidence: 1.0,
+            duration: TimeSpan(60),
+            published: TimePoint(0),
+            geo: None,
+            transcript: Vec::new(),
+        };
+        let mut w = ByteWriter::new();
+        put_clip_meta(&mut w, &clip);
+        assert_eq!(get_clip_meta(&mut ByteReader::new(&w.into_inner())).err(), corrupt);
+        let queued =
+            QueuedClip { clip: ClipId(1), duration: TimeSpan(60), category: CategoryId(u16::MAX) };
+        let mut w = ByteWriter::new();
+        put_queued(&mut w, &queued);
+        assert_eq!(get_queued(&mut ByteReader::new(&w.into_inner())).err(), corrupt);
     }
 }

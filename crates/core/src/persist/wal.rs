@@ -14,14 +14,14 @@ use super::codec::{
     check_frame, encode_frame, encode_frame_payload, split_frame_payload, ByteReader, ByteWriter,
 };
 use super::types::{
-    get_clip_kind, get_feedback_event, get_fix, get_gazetteer, get_geo_tag, get_profile,
-    get_road_network, put_clip_kind, put_feedback_event, put_fix, put_gazetteer, put_geo_tag,
-    put_profile, put_road_network,
+    get_category, get_clip_kind, get_feedback_event, get_fix, get_gazetteer, get_geo_tag,
+    get_profile, get_road_network, put_clip_kind, put_feedback_event, put_fix, put_gazetteer,
+    put_geo_tag, put_profile, put_road_network,
 };
 use super::PersistError;
 use crate::command::EngineCommand;
 use pphcr_audio::ClipId;
-use pphcr_catalog::{CategoryId, ServiceIndex};
+use pphcr_catalog::ServiceIndex;
 use pphcr_geo::{TimePoint, TimeSpan};
 use pphcr_userdata::UserId;
 
@@ -140,7 +140,7 @@ fn decode_op(kind: u8, body: &[u8]) -> Result<WalOp, PersistError> {
             now: TimePoint(r.u64()?),
         },
         KIND_TRAIN_CLASSIFIER => {
-            let category = CategoryId(r.u16()?);
+            let category = get_category(&mut r)?;
             WalOp::TrainClassifier { category, tokens: r.seq(ByteReader::string)? }
         }
         KIND_INGEST_CLIP => WalOp::IngestClip {
@@ -150,7 +150,7 @@ fn decode_op(kind: u8, body: &[u8]) -> Result<WalOp, PersistError> {
             published: TimePoint(r.u64()?),
             geo: r.opt(get_geo_tag)?,
             tokens: r.seq(ByteReader::string)?,
-            editorial: r.opt(|r| Ok(CategoryId(r.u16()?)))?,
+            editorial: r.opt(get_category)?,
         },
         KIND_RECORD_FIX => WalOp::RecordFix { user: UserId(r.u64()?), fix: get_fix(&mut r)? },
         KIND_RECORD_FEEDBACK => WalOp::RecordFeedback { event: get_feedback_event(&mut r)? },
@@ -245,7 +245,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, PersistError> {
 mod tests {
     use super::super::codec::crc32;
     use super::*;
-    use pphcr_catalog::{ClipKind, GeoTag};
+    use pphcr_catalog::{CategoryId, ClipKind, GeoTag};
     use pphcr_geo::GeoPoint;
     use pphcr_userdata::{AgeBand, UserProfile};
 
@@ -425,5 +425,38 @@ mod tests {
         assert!(scanned.records.is_empty());
         assert_eq!(scanned.valid_len, 0);
         assert_eq!(scanned.torn_bytes, 0);
+    }
+
+    /// A CRC-valid record naming a category past `CATEGORY_COUNT` is
+    /// corruption; replaying it would index past every per-category
+    /// table.
+    #[test]
+    fn out_of_range_category_is_corrupt() {
+        let category = CategoryId(pphcr_catalog::CATEGORY_COUNT);
+        let ops = [
+            WalOp::TrainClassifier { category, tokens: vec!["goal".into()] },
+            WalOp::IngestClip {
+                title: "derby".into(),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan(90),
+                published: TimePoint(50),
+                geo: None,
+                tokens: vec!["goal".into()],
+                editorial: Some(category),
+            },
+            WalOp::RecordFeedback {
+                event: pphcr_userdata::FeedbackEvent {
+                    user: UserId(7),
+                    clip: None,
+                    category,
+                    kind: pphcr_userdata::FeedbackKind::Like,
+                    time: TimePoint(60),
+                },
+            },
+        ];
+        for op in ops {
+            let frame = encode_record(&WalRecord { seq: 1, op });
+            assert_eq!(scan(&frame), Err(PersistError::Corrupt { what: "category id" }));
+        }
     }
 }

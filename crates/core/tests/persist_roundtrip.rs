@@ -154,6 +154,21 @@ fn snapshot_round_trip_is_identity() {
     assert_eq!(bytes, again, "decode → encode changed the byte stream");
 }
 
+/// The snapshot carries the engine's live recommender: values tuned
+/// after construction come back from a decode, not the defaults.
+#[test]
+fn tuned_recommender_survives_restore() {
+    let mut engine = mini_engine();
+    engine.recommender.filter.max_candidates = 7;
+    engine.recommender.scheduler.avoid_distraction = false;
+    engine.recommender.weights.content_weight = 0.25;
+    let bytes = snapshot_engine(&engine, 42).expect("default engine snapshots");
+    let (restored, _) = decode_engine(&bytes).expect("own snapshot decodes");
+    assert_eq!(restored.recommender.filter, engine.recommender.filter);
+    assert_eq!(restored.recommender.scheduler, engine.recommender.scheduler);
+    assert_eq!(restored.recommender.weights, engine.recommender.weights);
+}
+
 // ------------------------------------------------------- typed failures
 
 /// `unwrap_err` needs `Debug` on the success type, which `Engine`
@@ -181,10 +196,10 @@ fn wrong_magic_is_typed() {
 }
 
 /// A version this build does not read fails typed: the next one, and
-/// 3, the one before it.
+/// 4, the one before it.
 #[test]
 fn future_version_is_typed() {
-    for version in [SNAPSHOT_VERSION + 1, 3] {
+    for version in [SNAPSHOT_VERSION + 1, 4] {
         let mut bytes = mini_snapshot();
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         assert_eq!(decode_err(&bytes), PersistError::UnsupportedVersion { found: version });

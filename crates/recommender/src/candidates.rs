@@ -8,19 +8,19 @@
 //! clip near the route ahead (those may win on context alone — Fig. 2's
 //! item B).
 //!
-//! Two retrieval paths produce the same shortlist:
+//! Retrieval is one walk,
+//! [`CandidateFilter::candidates_indexed_excluding_stats`]: the
+//! repository's per-category posting lists (freshness cutoff by binary
+//! search) unioned with grid-bucketed route geo hits, scoring only that
+//! set. [`CandidateFilter::reference_scan`] tests every clip in the
+//! repository instead; it is the oracle the tests and E13 compare the
+//! walk against, and no production path calls it.
 //!
-//! * [`CandidateFilter::candidates_excluding`] — the reference linear
-//!   scan over every clip in the repository;
-//! * [`CandidateFilter::candidates_indexed_excluding`] — index-backed
-//!   retrieval over the repository's per-category posting lists
-//!   (freshness cutoff by binary search) unioned with grid-bucketed
-//!   route geo hits, then scoring only that set.
-//!
-//! The two are differentially tested to be bit-identical: both apply
-//! the same inclusion predicate, the same [`score_one`] arithmetic and
-//! the same total-order ranking, so the only difference is how the
-//! candidate set is *found*.
+//! The two are differentially tested to be identical, shortlist and
+//! [`RetrievalStats`] alike: both apply the same inclusion predicate in
+//! the same order (category preference, then freshness, then heard),
+//! the same [`score_one`] arithmetic and the same total-order ranking,
+//! so the only difference is how the candidate set is *found*.
 
 use crate::context::ListenerContext;
 use crate::score::ScoringWeights;
@@ -50,20 +50,22 @@ pub fn sanitize_score(score: f64) -> f64 {
 /// looked at and why the rest never reached scoring. The engine copies
 /// these into its decision trace.
 ///
-/// On both retrieval paths every clip lands in exactly one of
-/// `cut_freshness`, `cut_preference`, `cut_heard` and `scored`, so
-/// those four sum to the catalog size. Which cut a clip lands in can
-/// differ between the paths: the linear scan tests every clip against
-/// the predicate in order (heard, then freshness, then preference),
-/// while the indexed path cuts structurally — a skipped category
-/// charges its whole posting list to `cut_preference`, and a posting
-/// list's stale prefix is charged to `cut_freshness` without visiting
-/// the clips.
+/// Every clip lands in exactly one of `cut_preference`,
+/// `cut_freshness`, `cut_heard` and `scored`, so those four sum to the
+/// catalog size. A clip is charged to the first test it fails, in the
+/// order the index walk cuts structurally: first the category
+/// preference (a skipped category charges its whole posting list),
+/// then freshness (a posting list's stale prefix, never visited), then
+/// heard. Route geo hits are exempt from the first two. `considered`
+/// counts the clips that clear the first two, so
+/// `considered = cut_heard + scored`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetrievalStats {
-    /// Clips the retrieval stage examined individually.
+    /// Clips that cleared the preference and freshness tests (or rode
+    /// in as route geo hits) and were examined individually.
     pub considered: u64,
-    /// Clips cut by the freshness window (and not rescued by geo).
+    /// Clips in a category that clears the preference floor, cut by
+    /// the freshness window (and not rescued by geo).
     pub cut_freshness: u64,
     /// Clips cut by the category-preference floor (and not rescued by
     /// geo).
@@ -71,7 +73,8 @@ pub struct RetrievalStats {
     /// Geo-tagged clips inside the corridor whose tag could not be
     /// placed on the route (missing tag or non-finite projection).
     pub cut_geo: u64,
-    /// Clips cut because the exclusion (heard) set already held them.
+    /// Clips that cleared the preference and freshness tests but that
+    /// the exclusion (heard) set already held.
     pub cut_heard: u64,
     /// Route geo matches that entered (or stayed in) the candidate set
     /// on geographic relevance alone.
@@ -143,49 +146,6 @@ pub struct CandidateFilter {
     pub route_corridor_m: f64,
     /// Keep at most this many candidates (by score).
     pub max_candidates: usize,
-    /// Catalog size below which the indexed entry points fall back to
-    /// the linear scan. The index only pays off once posting-list
-    /// pruning skips enough clips to beat the scan's branch-predictable
-    /// sweep — measured at ~0.97x (a net loss) on a 1k-clip catalog —
-    /// so small repositories take the scan path; the shortlist is
-    /// differentially tested identical either way. `0` disables the
-    /// fallback.
-    #[serde(default = "default_scan_below")]
-    pub scan_below: usize,
-}
-
-/// Serde default for [`CandidateFilter::scan_below`] so filters
-/// serialized before the field existed keep deserializing.
-fn default_scan_below() -> usize {
-    2_000
-}
-
-/// Which retrieval walk the indexed entry points will actually run for
-/// a given repository size — the production dispatch decision, exposed
-/// so benchmarks report what they measured instead of guessing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrievalPath {
-    /// Below [`CandidateFilter::scan_below`]: the linear scan.
-    Scan,
-    /// At or above the threshold: the posting-list index walk.
-    Index,
-}
-
-impl RetrievalPath {
-    /// Stable label used in experiment tables and JSON artifacts.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            RetrievalPath::Scan => "scan-fallback",
-            RetrievalPath::Index => "index",
-        }
-    }
-}
-
-impl std::fmt::Display for RetrievalPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 impl Default for CandidateFilter {
@@ -195,126 +155,20 @@ impl Default for CandidateFilter {
             min_category_pref: -0.5,
             route_corridor_m: 2_000.0,
             max_candidates: 50,
-            scan_below: default_scan_below(),
         }
     }
 }
 
 impl CandidateFilter {
-    /// Builds the scored candidate list, best first.
-    #[must_use]
-    pub fn candidates(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-    ) -> Vec<ScoredClip> {
-        self.candidates_excluding(repo, prefs, ctx, weights, &HashSet::new())
-    }
-
-    /// Like [`Self::candidates`], excluding already-played clips.
-    /// Reference linear scan: every clip in the repository is tested
-    /// against the inclusion predicate.
-    #[must_use]
-    pub fn candidates_excluding(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-        exclude: &HashSet<ClipId>,
-    ) -> Vec<ScoredClip> {
-        self.candidates_excluding_stats(repo, prefs, ctx, weights, exclude).0
-    }
-
-    /// [`Self::candidates_excluding`] plus the per-stage
-    /// [`RetrievalStats`] of the scan.
-    #[must_use]
-    pub fn candidates_excluding_stats(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-        exclude: &HashSet<ClipId>,
-    ) -> (Vec<ScoredClip>, RetrievalStats) {
-        let mut stats = RetrievalStats::default();
-        let cutoff = ctx.now.rewind(self.max_age);
-        let geo_hits = self.geo_hits_for(repo, ctx, &mut stats);
-        let mut out: Vec<ScoredClip> = Vec::new();
-        for meta in repo.iter() {
-            stats.considered += 1;
-            if exclude.contains(&meta.id) {
-                stats.cut_heard += 1;
-                continue;
-            }
-            let hit = geo_hit(meta, &geo_hits);
-            if meta.published < cutoff && hit.is_none() {
-                stats.cut_freshness += 1;
-                continue;
-            }
-            if prefs.score(meta.category) < self.min_category_pref && hit.is_none() {
-                stats.cut_preference += 1;
-                continue;
-            }
-            out.push(score_one(meta, prefs, ctx, weights, hit));
-        }
-        (self.finalize(out, &mut stats), stats)
-    }
-
-    /// Index-backed retrieval: the same shortlist as
-    /// [`Self::candidates_excluding`], found without scanning the
-    /// repository. Candidates are the union of (a) posting-list
-    /// suffixes (binary-searched freshness cutoff) of every category
-    /// whose preference clears the threshold, and (b) grid-bucketed
-    /// geo hits along the route ahead. Only that set is scored.
-    #[must_use]
-    pub fn candidates_indexed(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-    ) -> Vec<ScoredClip> {
-        self.candidates_indexed_excluding(repo, prefs, ctx, weights, &HashSet::new())
-    }
-
-    /// Like [`Self::candidates_indexed`], excluding already-played
-    /// clips.
-    #[must_use]
-    pub fn candidates_indexed_excluding(
-        &self,
-        repo: &ContentRepository,
-        prefs: &PreferenceVector,
-        ctx: &ListenerContext,
-        weights: &ScoringWeights,
-        exclude: &HashSet<ClipId>,
-    ) -> Vec<ScoredClip> {
-        self.candidates_indexed_excluding_stats(repo, prefs, ctx, weights, exclude).0
-    }
-
-    /// The walk [`Self::candidates_indexed_excluding_stats`] will run
-    /// for a repository of `repo_len` clips. The dispatch below routes
-    /// through this predicate, so callers that report it (e.g. the e13
-    /// retrieval bench) cannot drift from what actually executed.
-    #[must_use]
-    pub fn retrieval_path(&self, repo_len: usize) -> RetrievalPath {
-        if repo_len < self.scan_below {
-            RetrievalPath::Scan
-        } else {
-            RetrievalPath::Index
-        }
-    }
-
-    /// [`Self::candidates_indexed_excluding`] plus the per-stage
-    /// [`RetrievalStats`] of the index walk. Freshness and preference
-    /// cuts are counted structurally from posting-list lengths, so the
-    /// stats cost O(categories) on top of the clips actually visited.
-    ///
-    /// Below [`Self::scan_below`] clips the call delegates to the
-    /// linear scan, which is faster there; the shortlist is identical,
-    /// though the per-stage stats reflect whichever walk actually ran.
+    /// Index-backed retrieval: the scored shortlist, best first, with
+    /// `exclude` (already-played clips) left out, plus the per-stage
+    /// [`RetrievalStats`]. Candidates are the union of (a)
+    /// posting-list suffixes (binary-searched freshness cutoff) of
+    /// every category whose preference clears the threshold, and (b)
+    /// grid-bucketed geo hits along the route ahead. Only that set is
+    /// scored. Freshness and preference cuts are counted structurally
+    /// from posting-list lengths, so the stats cost O(categories) on
+    /// top of the clips actually visited.
     #[must_use]
     pub fn candidates_indexed_excluding_stats(
         &self,
@@ -324,9 +178,6 @@ impl CandidateFilter {
         weights: &ScoringWeights,
         exclude: &HashSet<ClipId>,
     ) -> (Vec<ScoredClip>, RetrievalStats) {
-        if self.retrieval_path(repo.len()) == RetrievalPath::Scan {
-            return self.candidates_excluding_stats(repo, prefs, ctx, weights, exclude);
-        }
         let mut stats = RetrievalStats::default();
         let cutoff = ctx.now.rewind(self.max_age);
         let geo_hits = self.geo_hits_for(repo, ctx, &mut stats);
@@ -371,6 +222,46 @@ impl CandidateFilter {
                 continue;
             }
             out.push(score_one(meta, prefs, ctx, weights, Some(hit)));
+        }
+        (self.finalize(out, &mut stats), stats)
+    }
+
+    /// The reference linear scan: every clip in the repository is
+    /// tested against the inclusion predicate, in the order
+    /// [`RetrievalStats`] charges cuts. It returns the same shortlist
+    /// and the same stats as
+    /// [`Self::candidates_indexed_excluding_stats`], and is kept as the
+    /// oracle that tests and E13 compare that walk against; no
+    /// production path calls it.
+    #[must_use]
+    pub fn reference_scan(
+        &self,
+        repo: &ContentRepository,
+        prefs: &PreferenceVector,
+        ctx: &ListenerContext,
+        weights: &ScoringWeights,
+        exclude: &HashSet<ClipId>,
+    ) -> (Vec<ScoredClip>, RetrievalStats) {
+        let mut stats = RetrievalStats::default();
+        let cutoff = ctx.now.rewind(self.max_age);
+        let geo_hits = self.geo_hits_for(repo, ctx, &mut stats);
+        let mut out: Vec<ScoredClip> = Vec::new();
+        for meta in repo.iter() {
+            let hit = geo_hit(meta, &geo_hits);
+            if prefs.score(meta.category) < self.min_category_pref && hit.is_none() {
+                stats.cut_preference += 1;
+                continue;
+            }
+            if meta.published < cutoff && hit.is_none() {
+                stats.cut_freshness += 1;
+                continue;
+            }
+            stats.considered += 1;
+            if exclude.contains(&meta.id) {
+                stats.cut_heard += 1;
+                continue;
+            }
+            out.push(score_one(meta, prefs, ctx, weights, hit));
         }
         (self.finalize(out, &mut stats), stats)
     }
@@ -548,12 +439,23 @@ mod tests {
         }
     }
 
+    /// The production walk's shortlist with nothing excluded.
+    fn shortlist(
+        filter: &CandidateFilter,
+        repo: &ContentRepository,
+        prefs: &PreferenceVector,
+        ctx: &ListenerContext,
+        weights: &ScoringWeights,
+    ) -> Vec<ScoredClip> {
+        filter.candidates_indexed_excluding_stats(repo, prefs, ctx, weights, &HashSet::new()).0
+    }
+
     #[test]
     fn liked_category_ranks_first_disliked_is_dropped() {
         let filter = CandidateFilter::default();
         let weights = ScoringWeights::default();
         let p = prefs(1, &[8], &[5]);
-        let cands = filter.candidates(&repo(), &p, &ctx(), &weights);
+        let cands = shortlist(&filter, &repo(), &p, &ctx(), &weights);
         assert_eq!(cands[0].clip, ClipId(1), "wine first");
         assert!(
             cands.iter().all(|c| c.clip != ClipId(2)),
@@ -568,7 +470,8 @@ mod tests {
         let mut late_ctx = ctx();
         late_ctx.now = TimePoint::at(10, 9, 0, 0); // ten days later
         let filter = CandidateFilter::default();
-        let cands = filter.candidates(
+        let cands = shortlist(
+            &filter,
             &r,
             &PreferenceVector::neutral(),
             &late_ctx,
@@ -582,8 +485,13 @@ mod tests {
         let filter = CandidateFilter::default();
         let p = PreferenceVector::neutral();
         let exclude: HashSet<ClipId> = [ClipId(1)].into_iter().collect();
-        let cands =
-            filter.candidates_excluding(&repo(), &p, &ctx(), &ScoringWeights::default(), &exclude);
+        let (cands, _) = filter.candidates_indexed_excluding_stats(
+            &repo(),
+            &p,
+            &ctx(),
+            &ScoringWeights::default(),
+            &exclude,
+        );
         assert!(cands.iter().all(|c| c.clip != ClipId(1)));
         assert_eq!(cands.len(), 2);
     }
@@ -595,8 +503,13 @@ mod tests {
             r.ingest(meta(i, (i % 30) as u16, TimePoint::at(0, 6, 0, 0), 5));
         }
         let filter = CandidateFilter { max_candidates: 10, ..Default::default() };
-        let cands =
-            filter.candidates(&r, &PreferenceVector::neutral(), &ctx(), &ScoringWeights::default());
+        let cands = shortlist(
+            &filter,
+            &r,
+            &PreferenceVector::neutral(),
+            &ctx(),
+            &ScoringWeights::default(),
+        );
         assert_eq!(cands.len(), 10);
     }
 
@@ -604,7 +517,7 @@ mod tests {
     fn scores_sorted_descending() {
         let filter = CandidateFilter::default();
         let p = prefs(1, &[8, 9], &[]);
-        let cands = filter.candidates(&repo(), &p, &ctx(), &ScoringWeights::default());
+        let cands = shortlist(&filter, &repo(), &p, &ctx(), &ScoringWeights::default());
         assert!(cands.windows(2).all(|w| w[0].score >= w[1].score));
     }
 
@@ -622,7 +535,7 @@ mod tests {
         let drive_ctx = driving_ctx(TimePoint::at(10, 8, 0, 0)); // clip is 10 days old
         let p = prefs(1, &[], &[5]);
         let cands =
-            CandidateFilter::default().candidates(&r, &p, &drive_ctx, &ScoringWeights::default());
+            shortlist(&CandidateFilter::default(), &r, &p, &drive_ctx, &ScoringWeights::default());
         let hit = cands.iter().find(|c| c.clip == ClipId(42));
         let hit = hit.expect("geo-pinned clip must remain a candidate");
         assert!(hit.along_route_m.is_some());
@@ -654,7 +567,7 @@ mod tests {
         }
         let filter = CandidateFilter { max_candidates: 10, ..Default::default() };
         let p = prefs(1, &[0, 1, 2, 3], &[5]);
-        let cands = filter.candidates(&r, &p, &drive_ctx, &ScoringWeights::default());
+        let cands = shortlist(&filter, &r, &p, &drive_ctx, &ScoringWeights::default());
         assert!(cands.len() > filter.max_candidates, "geo hits spared");
         for id in [100u64, 101] {
             assert!(cands.iter().any(|c| c.clip == ClipId(id)), "spared {id}");
@@ -680,7 +593,8 @@ mod tests {
         });
         r.ingest(past_end);
         let drive_ctx = driving_ctx(TimePoint::at(10, 8, 0, 0));
-        let cands = CandidateFilter::default().candidates(
+        let cands = shortlist(
+            &CandidateFilter::default(),
             &r,
             &PreferenceVector::neutral(),
             &drive_ctx,
@@ -810,34 +724,23 @@ mod tests {
         r.ingest(meta(9, 8, TimePoint::EPOCH, 5)); // stale wine clip
         let mut late_ctx = ctx();
         late_ctx.now = TimePoint::at(10, 9, 0, 0);
-        // Force the index path: the fixture sits far below the default
-        // scan-fallback threshold.
-        let filter = CandidateFilter { scan_below: 0, ..CandidateFilter::default() };
+        let filter = CandidateFilter::default();
         let weights = ScoringWeights::default();
         let p = prefs(1, &[8], &[5]);
         let exclude: HashSet<ClipId> = [ClipId(3)].into_iter().collect();
-        let (scan, scan_stats) =
-            filter.candidates_excluding_stats(&r, &p, &late_ctx, &weights, &exclude);
-        // Four clips total: 1 survives (wine #1... also stale!), so
-        // derive expectations from the scan semantics directly.
-        assert_eq!(scan_stats.considered, 4, "scan examines the whole repo");
-        assert_eq!(scan_stats.cut_heard, 1, "clip 3 excluded");
-        assert_eq!(
-            scan_stats.cut_freshness + scan_stats.cut_preference + scan_stats.scored,
-            3,
-            "remaining clips are cut or scored: {scan_stats:?}"
-        );
-        assert_eq!(scan.len() as u64, scan_stats.scored - scan_stats.truncated);
-
-        let (indexed, indexed_stats) =
+        let (indexed, stats) =
             filter.candidates_indexed_excluding_stats(&r, &p, &late_ctx, &weights, &exclude);
-        assert_eq!(scan, indexed, "stats ride along without changing the shortlist");
-        assert_eq!(indexed_stats.scored, scan_stats.scored);
-        assert_eq!(indexed_stats.truncated, scan_stats.truncated);
-        assert!(
-            indexed_stats.considered <= scan_stats.considered,
-            "index visits no more clips than the scan"
+        assert_eq!(
+            stats.cut_preference + stats.cut_freshness + stats.cut_heard + stats.scored,
+            r.len() as u64,
+            "every clip is cut or scored: {stats:?}"
         );
+        assert_eq!(stats.considered, stats.cut_heard + stats.scored, "{stats:?}");
+        assert!(stats.cut_preference > 0, "the disliked football category: {stats:?}");
+        assert_eq!(indexed.len() as u64, stats.scored - stats.truncated);
+        let (scan, scan_stats) = filter.reference_scan(&r, &p, &late_ctx, &weights, &exclude);
+        assert_eq!(scan, indexed);
+        assert_eq!(scan_stats, stats);
     }
 
     #[test]
@@ -850,80 +753,58 @@ mod tests {
             radius_m: 800.0,
         });
         r.ingest(pinned);
-        // Force the index path: the fixture sits far below the default
-        // scan-fallback threshold.
-        let filter = CandidateFilter { scan_below: 0, ..CandidateFilter::default() };
+        let filter = CandidateFilter::default();
         let weights = ScoringWeights::default();
         let p = prefs(1, &[8], &[5]);
         let exclude: HashSet<ClipId> = [ClipId(3)].into_iter().collect();
         for c in [ctx(), driving_ctx(TimePoint::at(10, 8, 0, 0))] {
-            let scan = filter.candidates_excluding(&r, &p, &c, &weights, &exclude);
-            let indexed = filter.candidates_indexed_excluding(&r, &p, &c, &weights, &exclude);
+            let scan = filter.reference_scan(&r, &p, &c, &weights, &exclude);
+            let indexed = filter.candidates_indexed_excluding_stats(&r, &p, &c, &weights, &exclude);
             assert_eq!(scan, indexed);
         }
     }
 
+    /// A clip is charged to the first test it fails: category
+    /// preference, then freshness, then heard; a route geo hit skips
+    /// the first two. Both walks charge it the same way.
     #[test]
-    fn scan_fallback_engages_below_threshold_with_identical_shortlist() {
-        let mut r = repo();
+    fn cuts_are_charged_preference_then_freshness_then_heard() {
+        let drive_ctx = driving_ctx(TimePoint::at(10, 8, 0, 0));
+        let fresh = drive_ctx.now.rewind(TimeSpan::hours(2));
+        let mut r = ContentRepository::new(LocalProjection::new(TORINO));
         let proj = *r.projection();
-        let mut pinned = meta(42, 5, TimePoint::EPOCH, 4);
+        r.ingest(meta(1, 8, TimePoint::EPOCH, 5)); // stale, heard, liked
+        r.ingest(meta(2, 8, fresh, 5)); // fresh, heard, liked
+        r.ingest(meta(3, 5, TimePoint::EPOCH, 5)); // stale, heard, disliked
+        r.ingest(meta(4, 8, fresh, 5)); // fresh, liked
+        let mut pinned = meta(42, 5, TimePoint::EPOCH, 4); // stale, disliked, on the route
         pinned.geo = Some(GeoTag {
             point: proj.unproject(ProjectedPoint::new(5_000.0, 0.0)),
             radius_m: 800.0,
         });
         r.ingest(pinned);
+        let filter = CandidateFilter::default();
         let weights = ScoringWeights::default();
         let p = prefs(1, &[8], &[5]);
-        let exclude: HashSet<ClipId> = [ClipId(3)].into_iter().collect();
-        let falling_back = CandidateFilter::default();
-        assert!(r.len() < falling_back.scan_below, "fixture must sit below the default crossover");
-        let indexed_only = CandidateFilter { scan_below: 0, ..falling_back };
-        for c in [ctx(), driving_ctx(TimePoint::at(10, 8, 0, 0))] {
-            // The fallback's stats are scan stats (whole repo
-            // considered), proving the scan path actually ran…
-            let (via_fallback, fb_stats) =
-                falling_back.candidates_indexed_excluding_stats(&r, &p, &c, &weights, &exclude);
-            let (via_scan, scan_stats) =
-                falling_back.candidates_excluding_stats(&r, &p, &c, &weights, &exclude);
-            assert_eq!(fb_stats, scan_stats, "fallback must report the scan's stats");
-            assert_eq!(fb_stats.considered, r.len() as u64, "scan examines the whole repo");
-            // …while the shortlist stays identical to the index walk's.
-            let via_index =
-                indexed_only.candidates_indexed_excluding(&r, &p, &c, &weights, &exclude);
-            assert_eq!(via_fallback, via_scan);
-            assert_eq!(via_fallback, via_index);
-        }
-    }
-
-    #[test]
-    fn retrieval_path_predicate_matches_the_walk_that_runs() {
-        let r = repo();
-        let weights = ScoringWeights::default();
-        let p = prefs(1, &[8], &[5]);
-        let exclude = HashSet::new();
-        // Boundary semantics: strictly-below falls back, at-threshold indexes.
-        let at_threshold = CandidateFilter { scan_below: r.len(), ..CandidateFilter::default() };
-        assert_eq!(at_threshold.retrieval_path(r.len()), RetrievalPath::Index);
-        assert_eq!(at_threshold.retrieval_path(r.len() - 1), RetrievalPath::Scan);
-        assert_eq!(RetrievalPath::Scan.label(), "scan-fallback");
-        assert_eq!(RetrievalPath::Index.to_string(), "index");
-        // The predicate describes the walk that actually executes: a
-        // scan considers every clip in the repo, the index walk skips
-        // whole categories cut by preference and so considers fewer.
-        for scan_below in [0, r.len(), r.len() + 1] {
-            let filter = CandidateFilter { scan_below, ..CandidateFilter::default() };
-            let (_, stats) =
-                filter.candidates_indexed_excluding_stats(&r, &p, &ctx(), &weights, &exclude);
-            match filter.retrieval_path(r.len()) {
-                RetrievalPath::Scan => {
-                    assert_eq!(stats.considered, r.len() as u64);
-                }
-                RetrievalPath::Index => {
-                    assert!(stats.considered < r.len() as u64);
-                    assert!(stats.cut_preference > 0);
-                }
-            }
-        }
+        let exclude: HashSet<ClipId> = [1, 2, 3].into_iter().map(ClipId).collect();
+        let want = RetrievalStats {
+            considered: 3,
+            cut_freshness: 1,
+            cut_preference: 1,
+            cut_geo: 0,
+            cut_heard: 1,
+            geo_hits: 1,
+            scored: 2,
+            truncated: 0,
+        };
+        let (indexed, indexed_stats) =
+            filter.candidates_indexed_excluding_stats(&r, &p, &drive_ctx, &weights, &exclude);
+        let (scan, scan_stats) = filter.reference_scan(&r, &p, &drive_ctx, &weights, &exclude);
+        assert_eq!(indexed_stats, want);
+        assert_eq!(scan_stats, want);
+        let mut ids: Vec<u64> = indexed.iter().map(|c| c.clip.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [4, 42]);
+        assert_eq!(scan, indexed);
     }
 }

@@ -36,7 +36,7 @@ pub mod proactive;
 pub mod scheduler;
 pub mod score;
 
-pub use candidates::{sanitize_score, CandidateFilter, RetrievalPath, RetrievalStats, ScoredClip};
+pub use candidates::{sanitize_score, CandidateFilter, RetrievalStats, ScoredClip};
 pub use context::{Activity, Ambient, DriveContext, ListenerContext, Weather};
 pub use ensemble::{category_entropy, diversify, ensemble_similarity};
 pub use proactive::{ProactivityModel, Trigger};
@@ -45,6 +45,7 @@ pub use score::ScoringWeights;
 
 use pphcr_catalog::ContentRepository;
 use pphcr_userdata::{FeedbackStore, UserId};
+use std::collections::HashSet;
 
 /// The recommender's configuration (weights, filter, scheduler) and its
 /// ranking step: filter → score. Callers pack the ranked list with
@@ -71,6 +72,9 @@ impl Recommender {
         ctx: &ListenerContext,
     ) -> Vec<ScoredClip> {
         let prefs = feedback.preferences(user, ctx.now);
-        self.filter.candidates(repo, &prefs, ctx, &self.weights)
+        let none_heard = HashSet::new();
+        self.filter
+            .candidates_indexed_excluding_stats(repo, &prefs, ctx, &self.weights, &none_heard)
+            .0
     }
 }

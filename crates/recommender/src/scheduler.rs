@@ -7,9 +7,8 @@
 //!
 //! The scheduler solves that allocation:
 //!
-//! 1. **Selection** — a 0/1 knapsack over clip durations maximizing
-//!    total compound relevance within the ΔT budget (exact DP at demo
-//!    scale; a greedy density heuristic for very large candidate sets).
+//! 1. **Choosing items** — an exact 0/1 knapsack over clip durations
+//!    maximizing total compound relevance within the ΔT budget.
 //! 2. **Ordering** — geo-pinned items are placed so their playback
 //!    covers the moment the driver passes their location; unpinned
 //!    items fill the space around them by score. Gaps are simply live
@@ -26,15 +25,6 @@ use pphcr_audio::ClipId;
 use pphcr_geo::{TimePoint, TimeSpan};
 use serde::{Deserialize, Serialize};
 
-/// Selection algorithm for the knapsack phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Selection {
-    /// Exact dynamic program (10-second quantization).
-    ExactDp,
-    /// Greedy by score density (score / duration).
-    Greedy,
-}
-
 /// Scheduler parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerConfig {
@@ -46,8 +36,6 @@ pub struct SchedulerConfig {
     pub pin_tolerance_s: u64,
     /// Enforce the distraction constraint (ablation switch, E10).
     pub avoid_distraction: bool,
-    /// Selection algorithm.
-    pub selection: Selection,
 }
 
 impl Default for SchedulerConfig {
@@ -57,7 +45,6 @@ impl Default for SchedulerConfig {
             max_items: 6,
             pin_tolerance_s: 120,
             avoid_distraction: true,
-            selection: Selection::ExactDp,
         }
     }
 }
@@ -157,10 +144,7 @@ impl SchedulerConfig {
                     && c.duration.as_seconds() <= budget_s
             })
             .collect();
-        let selected = match self.selection {
-            Selection::ExactDp => knapsack_dp(&usable, budget_s, self.max_items),
-            Selection::Greedy => knapsack_greedy(&usable, budget_s, self.max_items),
-        };
+        let selected = knapsack_dp(&usable, budget_s, self.max_items);
         // Phase 2: ordering. Pinned items first, by along-route ETA.
         let zones = if self.avoid_distraction { drive.zone_windows() } else { Vec::new() };
         let mut pinned: Vec<(&ScoredClip, f64)> =
@@ -327,34 +311,6 @@ fn knapsack_dp<'a>(
     out
 }
 
-/// Greedy fallback: take items by score density until the budget or the
-/// item cap is hit.
-fn knapsack_greedy<'a>(
-    items: &[&'a ScoredClip],
-    budget_s: u64,
-    max_items: usize,
-) -> Vec<&'a ScoredClip> {
-    let mut order: Vec<&&ScoredClip> = items.iter().collect();
-    order.sort_by(|a, b| {
-        let da = a.score / a.duration.as_seconds().max(1) as f64;
-        let db = b.score / b.duration.as_seconds().max(1) as f64;
-        db.total_cmp(&da)
-    });
-    let mut out = Vec::new();
-    let mut used = 0u64;
-    for it in order {
-        if out.len() >= max_items {
-            break;
-        }
-        let d = it.duration.as_seconds();
-        if used + d <= budget_s {
-            used += d;
-            out.push(*it);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,17 +372,13 @@ mod tests {
     }
 
     #[test]
-    fn knapsack_beats_greedy_on_crafted_instance() {
-        // Greedy by density takes the 0.9/5-min clip then cannot fit
-        // both 12-min clips; DP fits 12 + 12 + short.
+    fn knapsack_takes_both_long_clips_over_the_dense_short_one() {
+        // Taking clips by score density would start with the 0.5/5-min
+        // clip and then fit only one 13-min clip into the 28-min
+        // budget; the exact knapsack fits both 13-min clips.
         let ranked = vec![clip(1, 13, 0.85), clip(2, 13, 0.85), clip(3, 5, 0.5)];
-        let d = drive(vec![]);
-        let dp_cfg = SchedulerConfig { selection: Selection::ExactDp, ..Default::default() };
-        let greedy_cfg = SchedulerConfig { selection: Selection::Greedy, ..Default::default() };
-        let t = TimePoint::at(0, 8, 0, 0);
-        let dp = dp_cfg.pack(&ranked, &d, t);
-        let greedy = greedy_cfg.pack(&ranked, &d, t);
-        assert!(dp.total_score >= greedy.total_score);
+        let dp =
+            SchedulerConfig::default().pack(&ranked, &drive(vec![]), TimePoint::at(0, 8, 0, 0));
         assert!(dp.total_score > 1.6, "both large clips selected: {}", dp.total_score);
     }
 

@@ -154,8 +154,8 @@ proptest! {
 
     /// Differential: index-backed retrieval is bit-identical to the
     /// reference linear scan over random repositories, preferences,
-    /// routes and exclusion sets, and on both walks every clip is
-    /// counted exactly once as cut or scored.
+    /// routes and exclusion sets, shortlist and stats alike, and every
+    /// clip is counted exactly once as cut or scored.
     #[test]
     fn indexed_retrieval_equals_linear_scan(
         clip_specs in prop::collection::vec((0u16..30, 0u64..400, 1u64..30), 1..60),
@@ -210,22 +210,20 @@ proptest! {
         };
         let exclude: HashSet<ClipId> =
             exclude_sel.iter().map(|&i| ClipId(i as u64)).collect();
-        // scan_below: 0 forces the index walk so the differential
-        // property exercises it even on small generated catalogs.
-        let filter = CandidateFilter { max_candidates, scan_below: 0, ..Default::default() };
+        let filter = CandidateFilter { max_candidates, ..Default::default() };
         let weights = ScoringWeights::default();
-        let (scan, scan_stats) =
-            filter.candidates_excluding_stats(&repo, &prefs, &ctx, &weights, &exclude);
+        let (scan, scan_stats) = filter.reference_scan(&repo, &prefs, &ctx, &weights, &exclude);
         let (indexed, indexed_stats) =
             filter.candidates_indexed_excluding_stats(&repo, &prefs, &ctx, &weights, &exclude);
         prop_assert_eq!(scan, indexed);
-        for s in [scan_stats, indexed_stats] {
-            prop_assert_eq!(
-                s.cut_freshness + s.cut_preference + s.cut_heard + s.scored,
-                repo.len() as u64,
-                "{:?}", s
-            );
-        }
+        prop_assert_eq!(scan_stats, indexed_stats);
+        let s = indexed_stats;
+        prop_assert_eq!(
+            s.cut_freshness + s.cut_preference + s.cut_heard + s.scored,
+            repo.len() as u64,
+            "{:?}", s
+        );
+        prop_assert_eq!(s.considered, s.cut_heard + s.scored, "{:?}", s);
     }
 
     /// `sanitize_score` always lands in [0, 1] and never passes a NaN

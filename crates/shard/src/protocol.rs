@@ -327,6 +327,49 @@ mod tests {
         assert_eq!(Request::decode(kind, &body).unwrap(), Request::Snapshot);
     }
 
+    /// A command naming a category past `CATEGORY_COUNT` arrives in a
+    /// CRC-valid frame and still fails typed instead of reaching the
+    /// engine, whose per-category tables it would index past.
+    #[test]
+    fn out_of_range_category_is_a_decode_error() {
+        use pphcr_catalog::{CategoryId, ClipKind, CATEGORY_COUNT};
+        use pphcr_geo::TimeSpan;
+        use pphcr_userdata::{FeedbackEvent, FeedbackKind};
+        let category = CategoryId(CATEGORY_COUNT);
+        let commands = [
+            EngineCommand::RecordFeedback {
+                event: FeedbackEvent {
+                    user: UserId(3),
+                    clip: None,
+                    category,
+                    kind: FeedbackKind::Like,
+                    time: TimePoint::at(0, 9, 0, 0),
+                },
+            },
+            EngineCommand::TrainClassifier { category, tokens: vec!["goal".into()] },
+            EngineCommand::IngestClip {
+                title: "derby".into(),
+                kind: ClipKind::Podcast,
+                duration: TimeSpan::minutes(2),
+                published: TimePoint::at(0, 8, 0, 0),
+                geo: None,
+                tokens: vec!["goal".into()],
+                editorial: Some(category),
+            },
+        ];
+        for cmd in commands {
+            let (kind, body) = Request::Apply(cmd).encode();
+            let mut frame = Vec::new();
+            write_frame(&mut frame, 1, kind, &body).unwrap();
+            let (_, kind, body) =
+                read_frame(&mut std::io::Cursor::new(frame)).unwrap().expect("one frame");
+            assert!(matches!(
+                Request::decode(kind, &body),
+                Err(ProtoError::Decode(PersistError::Corrupt { what: "category id" }))
+            ));
+        }
+    }
+
     #[test]
     fn responses_round_trip() {
         let resp = Response::Applied {

@@ -21,7 +21,7 @@ use pphcr_core::{
 use pphcr_geo::{GeoPoint, ProjectedPoint, TimePoint, TimeSpan};
 use pphcr_nlp::{AsrConfig, NaiveBayes, SimulatedAsr, Vocabulary};
 use pphcr_recommender::{
-    baselines, Ambient, CandidateFilter, DriveContext, ListenerContext, Recommender, RetrievalPath,
+    baselines, Ambient, CandidateFilter, DriveContext, ListenerContext, Recommender,
     SchedulerConfig, ScoringWeights,
 };
 use pphcr_trajectory::model::ModelConfig;
@@ -507,7 +507,7 @@ pub fn e4_skip_propensity(
             // excluding clips this listener already played.
             let ctx = ListenerContext::stationary(now);
             let prefs = learned.preferences(UserId(commuter.index), now);
-            let ranked = recommender.filter.candidates_excluding(
+            let (ranked, _) = recommender.filter.candidates_indexed_excluding_stats(
                 &world.repo,
                 &prefs,
                 &ctx,
@@ -1232,34 +1232,23 @@ pub struct E13Row {
     pub clips: usize,
     /// Listeners ranked.
     pub users: usize,
-    /// Linear-scan wall time, seconds (min of the post-warmup passes).
+    /// Reference-scan wall time, seconds (min of the post-warmup
+    /// passes).
     pub scan_s: f64,
-    /// Production-dispatch wall time, seconds (min of the post-warmup
-    /// passes) — the walk named by `dispatch`, not always the index.
+    /// Index-walk wall time, seconds (min of the post-warmup passes).
     pub indexed_s: f64,
     /// `scan_s / indexed_s`.
     pub speedup: f64,
     /// Total candidates produced (identical on both paths).
     pub candidates: u64,
-    /// The walk the production dispatch actually ran for this archive
-    /// size; below `scan_below` the "indexed" column is the scan
-    /// fallback and a ~1.0x "speedup" is the expected, correct result.
-    pub dispatch: RetrievalPath,
 }
 
 impl fmt::Display for E13Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "clips={:>6} users={:>5} scan={:>8.3}s dispatched={:>8.3}s ({}) speedup={:>6.1}x \
-             cands={}",
-            self.clips,
-            self.users,
-            self.scan_s,
-            self.indexed_s,
-            self.dispatch,
-            self.speedup,
-            self.candidates
+            "clips={:>6} users={:>5} scan={:>8.3}s indexed={:>8.3}s speedup={:>6.1}x cands={}",
+            self.clips, self.users, self.scan_s, self.indexed_s, self.speedup, self.candidates
         )
     }
 }
@@ -1360,16 +1349,14 @@ pub fn e13_archive_world(clips: usize, users: usize, seed: u64) -> TripWorld {
 }
 
 /// E13 (retrieval): ranks every listener's morning drive against the
-/// archive twice — reference linear scan, then the posting-list index —
-/// timing each pass. Both paths must agree on the candidate count here;
-/// the property suite pins down bit-identical contents.
+/// archive twice — [`CandidateFilter::reference_scan`], then the
+/// posting-list index walk production runs — timing each pass. Both
+/// paths must agree on the candidate count here; the property suite
+/// pins down identical contents and stats.
 ///
 /// Each pass runs `1 + rounds` times — the first discarded as warmup,
 /// the minimum of the rest reported — so allocator warm-up and cold
-/// caches cannot contaminate the comparison. The "indexed" column
-/// times the production dispatch ([`CandidateFilter::candidates_indexed`]
-/// including its `scan_below` fallback); the row's `dispatch` field
-/// records which walk that actually was.
+/// caches cannot contaminate the comparison.
 #[must_use]
 pub fn e13_retrieval(grid: &[(usize, usize)], seed: u64, rounds: usize) -> Vec<E13Row> {
     let mut rows = Vec::new();
@@ -1388,19 +1375,28 @@ pub fn e13_retrieval(grid: &[(usize, usize)], seed: u64, rounds: usize) -> Vec<E
                 (prefs, ctx)
             })
             .collect();
+        let none_heard = std::collections::HashSet::new();
         let mut scan_cands = 0u64;
         let scan_s = crate::timing::sample_min_s(1, rounds, || {
             scan_cands = 0;
             for (prefs, ctx) in &jobs {
-                scan_cands += filter.candidates(&world.repo, prefs, ctx, &weights).len() as u64;
+                let (shortlist, _) =
+                    filter.reference_scan(&world.repo, prefs, ctx, &weights, &none_heard);
+                scan_cands += shortlist.len() as u64;
             }
         });
         let mut indexed_cands = 0u64;
         let indexed_s = crate::timing::sample_min_s(1, rounds, || {
             indexed_cands = 0;
             for (prefs, ctx) in &jobs {
-                indexed_cands +=
-                    filter.candidates_indexed(&world.repo, prefs, ctx, &weights).len() as u64;
+                let (shortlist, _) = filter.candidates_indexed_excluding_stats(
+                    &world.repo,
+                    prefs,
+                    ctx,
+                    &weights,
+                    &none_heard,
+                );
+                indexed_cands += shortlist.len() as u64;
             }
         });
         assert_eq!(scan_cands, indexed_cands, "index diverged from scan at {clips} clips");
@@ -1411,7 +1407,6 @@ pub fn e13_retrieval(grid: &[(usize, usize)], seed: u64, rounds: usize) -> Vec<E
             indexed_s,
             speedup: scan_s / indexed_s.max(1e-9),
             candidates: indexed_cands,
-            dispatch: filter.retrieval_path(world.repo.len()),
         });
     }
     rows
@@ -2098,10 +2093,6 @@ mod tests {
         let r = &rows[0];
         assert!(r.candidates > 0, "{r}");
         assert!(r.scan_s > 0.0 && r.indexed_s > 0.0, "{r}");
-        // 400 clips sits below the default crossover, so the production
-        // dispatch this row timed was the scan fallback — and the row
-        // says so instead of posing as an index measurement.
-        assert_eq!(r.dispatch, RetrievalPath::Scan, "{r}");
     }
 
     #[test]

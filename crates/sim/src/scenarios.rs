@@ -9,7 +9,7 @@
 //!
 //! * **Suite A** (deterministic): baseline single-user tick latency,
 //!   batched fan-out over a registered fleet, and archive-scale
-//!   retrieval through the production dispatch path.
+//!   retrieval through the posting-list index walk.
 //! * **Suite B** (stochastic): seeded Poisson feedback/GPS arrival
 //!   streams applied under a [`ChaosProfile`] — calm and lossy-mobile —
 //!   so the tails cover a faulted [`FaultyTransport`](pphcr_core) wire,
@@ -29,6 +29,7 @@ use pphcr_obs::Histogram;
 use pphcr_recommender::{CandidateFilter, ListenerContext, ScoringWeights};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{FeedbackEvent, FeedbackKind, UserId};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Poisson arrival rate of Suite B, events per simulated second.
@@ -164,9 +165,8 @@ fn fan_out(spec: &ScenarioSpec) -> ScenarioReport {
     report("A", "fan_out", total.elapsed_s(), hist)
 }
 
-/// A3 — archive-scale retrieval through the production dispatch path
-/// (`candidates_indexed`, including its `scan_below` fallback): one
-/// latency sample per listener request.
+/// A3 — archive-scale retrieval through the posting-list index walk
+/// production runs: one latency sample per listener request.
 fn archive_retrieval(spec: &ScenarioSpec) -> ScenarioReport {
     let listeners = usize::try_from(spec.users.max(1)).unwrap_or(usize::MAX).min(200);
     let world = e13_archive_world(spec.clips, listeners, spec.seed);
@@ -183,12 +183,19 @@ fn archive_retrieval(spec: &ScenarioSpec) -> ScenarioReport {
             (prefs, ctx)
         })
         .collect();
+    let none_heard = HashSet::new();
     let mut hist = Histogram::default();
     let total = crate::timing::stopwatch();
     for _ in 0..spec.retrieval_passes.max(1) {
         for (prefs, ctx) in &jobs {
             let t = crate::timing::stopwatch();
-            let shortlist = filter.candidates_indexed(&world.repo, prefs, ctx, &weights);
+            let shortlist = filter.candidates_indexed_excluding_stats(
+                &world.repo,
+                prefs,
+                ctx,
+                &weights,
+                &none_heard,
+            );
             hist.record(t.elapsed_ns());
             std::hint::black_box(shortlist);
         }
