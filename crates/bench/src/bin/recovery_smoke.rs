@@ -3,8 +3,8 @@
 //! Exits nonzero if any kill point recovers to anything other than a
 //! byte-identical run, or if the clean-restart full replay diverges.
 //!
-//! Also exercises the real file-backed WAL once per seed: the scripted
-//! workload is logged through a `FileWal`, which fsyncs every record,
+//! Also exercises the real file-backed WAL once per seed: the crash
+//! script is logged through a `FileWal`, which fsyncs every record,
 //! the file is re-scanned from disk, and the decoded records must match
 //! the in-memory log exactly.
 //!
@@ -16,8 +16,9 @@ use pphcr_core::persist::wal::scan;
 use pphcr_core::{DurableEngine, FileWal};
 use pphcr_obs::json::JsonWriter;
 use pphcr_sim::crash::{
-    full_replay_identical, genesis_engine, kill_point_sweep, run_uninterrupted, scripted_ops,
+    full_replay_identical, genesis_engine, kill_point_sweep, run_uninterrupted,
 };
+use pphcr_sim::script::{script, Shape};
 use std::process::ExitCode;
 
 fn env_or(key: &str, default: &str) -> String {
@@ -32,7 +33,7 @@ fn file_wal_round_trip(seed: u64) -> Result<(), String> {
     let path = std::env::temp_dir().join(format!("pphcr-recovery-smoke-{seed}.wal"));
     let wal = FileWal::create(&path).map_err(|e| format!("create wal: {e}"))?;
     let mut durable = DurableEngine::new(genesis_engine(seed), wal);
-    for op in scripted_ops(seed) {
+    for op in script(seed, Shape::Crash).into_ops() {
         durable.apply(op).map_err(|e| format!("durable apply: {e}"))?;
     }
     let disk_bytes = std::fs::read(&path).map_err(|e| format!("read wal back: {e}"))?;

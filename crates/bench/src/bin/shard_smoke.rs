@@ -11,7 +11,10 @@
 //! failure. `--out` writes the identity artefact (verdict, line count,
 //! merged observability JSON) for CI upload.
 
-use pphcr_shard::{commands, run_single, ProcessShard, Router, ShardError};
+use pphcr_bench::suites::run_router;
+use pphcr_core::{Engine, EngineConfig};
+use pphcr_shard::ShardError;
+use pphcr_sim::script::{run_in_process, script, Shape};
 use std::path::PathBuf;
 
 struct Options {
@@ -67,8 +70,8 @@ fn agent_path(opts: &Options) -> Result<PathBuf, String> {
 }
 
 fn run(opts: &Options) -> Result<i32, ShardError> {
-    let ops = commands(opts.seed);
-    let baseline = run_single(&ops);
+    let ops = script(opts.seed, Shape::Differential).into_ops();
+    let (baseline, _) = run_in_process(Engine::new(EngineConfig::default()), &[], &ops);
 
     let agent = match agent_path(opts) {
         Ok(p) => p,
@@ -77,11 +80,6 @@ fn run(opts: &Options) -> Result<i32, ShardError> {
             return Ok(2);
         }
     };
-    let spawn_all = |n: usize| -> Result<Vec<ProcessShard>, ShardError> {
-        (0..n).map(|_| ProcessShard::spawn(&agent)).collect()
-    };
-    let mut router = Router::new(spawn_all(opts.shards)?)?;
-
     let rebalance_at = opts.rebalance_at.unwrap_or(ops.len() / 2);
     if rebalance_at >= ops.len() {
         eprintln!(
@@ -90,18 +88,11 @@ fn run(opts: &Options) -> Result<i32, ShardError> {
         );
         return Ok(2);
     }
-    let mut lines = Vec::new();
-    let mut handoff_trace = 0;
-    for (i, cmd) in ops.iter().enumerate() {
-        if i == rebalance_at {
-            // Mid-stream snapshot handoff: shard 0 donates its state
-            // to a fresh process and is retired.
-            handoff_trace = router.merged_obs()?.trace.len();
-            router.rebalance(0, ProcessShard::spawn(&agent)?)?;
-        }
-        lines.extend(router.apply(cmd)?);
-    }
-    let merged = router.merged_obs()?.to_json();
+    // Mid-stream snapshot handoff: shard 0 donates its state to a
+    // fresh process and is retired.
+    let (sharded, _, handoff_trace) =
+        run_router(&agent, opts.shards, &[], &ops, Some(rebalance_at))?;
+    let (lines, merged) = (sharded.lines, sharded.obs_json);
 
     let lines_ok = lines == baseline.lines;
     let obs_ok = merged == baseline.obs_json;

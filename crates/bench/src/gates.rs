@@ -3,8 +3,8 @@
 //! move or loosen a gate.
 
 use crate::harness::{AgentSummary, MergedScenario};
-use pphcr_shard::SingleRun;
 use pphcr_sim::experiments::E13ScaleRow;
+use pphcr_sim::script::Run;
 
 /// E13: the index's speedup over the scan at the largest archive.
 pub const MIN_RETRIEVAL_SPEEDUP: f64 = 1.0;
@@ -119,7 +119,7 @@ pub fn obs_overhead(bare_s: f64, instrumented_s: f64) -> Gate {
 /// E16: one sharded round matches the single-process run when its
 /// merged event lines and merged obs JSON are byte-identical to it.
 #[must_use]
-pub fn round_identical(run: &SingleRun, baseline: &SingleRun) -> bool {
+pub fn round_identical(run: &Run, baseline: &Run) -> bool {
     run.lines == baseline.lines && run.obs_json == baseline.obs_json
 }
 
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn a_round_is_identical_only_when_lines_and_obs_match() {
-        let run = |lines: &[&str], obs_json: &str| SingleRun {
+        let run = |lines: &[&str], obs_json: &str| Run {
             lines: lines.iter().map(|l| (*l).to_string()).collect(),
             obs_json: obs_json.to_string(),
         };

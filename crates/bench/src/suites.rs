@@ -1,16 +1,16 @@
 //! The two suites `pphcr-bench` runs in its own process after the
 //! agents: E13 (retrieval index, batch-tick scaling, obs overhead) and
-//! E16 (identity-checked rounds over `shard_agent` processes).
+//! E16 (identity-checked rounds over `shard_agent` processes), plus
+//! the router driver E16 and `shard_smoke` share ([`run_router`]).
 
 use crate::gates::{self, GATE_FLEET};
 use crate::summary::Entry;
 use crate::BenchSpec;
-use pphcr_core::EngineCommand;
+use pphcr_core::{Engine, EngineCommand, EngineConfig};
 use pphcr_obs::timing::stopwatch;
-use pphcr_shard::{
-    commands, run_single, run_single_windowed, tick_heavy, ProcessShard, Router, SingleRun,
-};
+use pphcr_shard::{ProcessShard, Router, ShardError};
 use pphcr_sim::experiments::{e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling};
+use pphcr_sim::script::{run_in_process, script, Run, Shape, TICK_HEAVY_STEPS};
 use std::path::Path;
 
 /// E13 timed rounds per retrieval pass and per tick-scaling row, after
@@ -31,9 +31,6 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Seed of both E16 workloads.
 const SHARD_SEED: u64 = 1;
-
-/// Batch ticks in the E16 tick-heavy window (plus a drain tick).
-const HEAVY_TICKS: u64 = 12;
 
 /// Runs E13 at `spec` and returns its entries plus the instrumented
 /// obs-overhead run's `ObsSnapshot` JSON. Rows are printed as they
@@ -119,10 +116,8 @@ pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
 /// gate, not an error.
 pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
     let mut entries = Vec::new();
-    let ops = commands(SHARD_SEED);
-    let started = stopwatch();
-    let baseline = run_single(&ops);
-    let baseline_ms = started.elapsed_s() * 1e3;
+    let ops = script(SHARD_SEED, Shape::Differential).into_ops();
+    let (baseline, baseline_ms) = run_in_process(Engine::new(EngineConfig::default()), &[], &ops);
     println!(
         "=== E16: shard scaling, seed {SHARD_SEED}, {} ops, {} event lines, in-process \
          {baseline_ms:.1} ms ===",
@@ -148,17 +143,19 @@ pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
         );
     }
 
-    let (setup, window) = tick_heavy(SHARD_SEED, spec.heavy_users, HEAVY_TICKS);
-    let (heavy_baseline, heavy_baseline_ms) = run_single_windowed(&setup, &window);
+    let heavy = script(SHARD_SEED, Shape::TickHeavy { users: spec.heavy_users });
+    let (setup, window) = (&heavy.setup, &heavy.window);
+    let (heavy_baseline, heavy_baseline_ms) =
+        run_in_process(Engine::new(EngineConfig::default()), setup, window);
     println!(
-        "=== E16b: tick-heavy window, {} commuters, {HEAVY_TICKS}+1 ticks, {} setup ops, \
+        "=== E16b: tick-heavy window, {} commuters, {TICK_HEAVY_STEPS}+1 ticks, {} setup ops, \
          in-process window {heavy_baseline_ms:.1} ms ===",
         spec.heavy_users,
         setup.len()
     );
     for n in SHARD_COUNTS {
         let (window_ms, diverged) =
-            best_of(agent_bin, &setup, &window, n, spec.heavy_rounds, &heavy_baseline)?;
+            best_of(agent_bin, setup, window, n, spec.heavy_rounds, &heavy_baseline)?;
         let speedup = heavy_baseline_ms / window_ms;
         println!(
             "shards={n} window={window_ms:.1}ms speedup={speedup:.2}x diverged_rounds={diverged}"
@@ -167,7 +164,7 @@ pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
             Entry::new("E16", format!("tick_heavy_{n}_shards"))
                 .u64("seed", SHARD_SEED)
                 .u64("users", spec.heavy_users)
-                .u64("ticks", HEAVY_TICKS)
+                .u64("ticks", TICK_HEAVY_STEPS)
                 .u64("rounds", spec.heavy_rounds as u64)
                 .f64("baseline_window_ms", heavy_baseline_ms)
                 .u64("shards", n as u64)
@@ -188,12 +185,12 @@ fn best_of(
     window: &[EngineCommand],
     shards: usize,
     rounds: usize,
-    baseline: &SingleRun,
+    baseline: &Run,
 ) -> Result<(f64, u64), String> {
     let mut best_ms = f64::INFINITY;
     let mut diverged = 0;
     for _ in 0..rounds {
-        let (run, elapsed_ms) = run_once(agent_bin, setup, window, shards)
+        let (run, elapsed_ms, _) = run_router(agent_bin, shards, setup, window, None)
             .map_err(|e| format!("{shards}-shard round: {e}"))?;
         best_ms = best_ms.min(elapsed_ms);
         diverged += u64::from(!gates::round_identical(&run, baseline));
@@ -201,27 +198,39 @@ fn best_of(
     Ok((best_ms, diverged))
 }
 
-/// Runs `setup` untimed, then `window` timed, through a fresh
-/// `shards`-process deployment.
-fn run_once(
+/// Drives `setup`, then `window`, through a router over `shards` fresh
+/// `agent_bin` processes, numbering commands from 0 across both. If
+/// `rebalance_at` is given, shard 0 hands its state to a fresh process
+/// before that command. Returns the merged run, the window's wall time
+/// in ms (the setup is not timed) and the decision-trace entries the
+/// shards held at the handoff (0 without one).
+///
+/// # Errors
+/// The first [`ShardError`] of a spawn, a command or the merge.
+pub fn run_router(
     agent_bin: &Path,
+    shards: usize,
     setup: &[EngineCommand],
     window: &[EngineCommand],
-    shards: usize,
-) -> Result<(SingleRun, f64), String> {
+    rebalance_at: Option<usize>,
+) -> Result<(Run, f64, usize), ShardError> {
     let spawned: Result<Vec<ProcessShard>, _> =
         (0..shards).map(|_| ProcessShard::spawn(agent_bin)).collect();
-    let mut router = Router::new(spawned.map_err(|e| format!("spawn: {e}"))?)
-        .map_err(|e| format!("router: {e}"))?;
+    let mut router = Router::new(spawned?)?;
     let mut lines = Vec::new();
-    for cmd in setup {
-        lines.extend(router.apply(cmd).map_err(|e| format!("apply: {e}"))?);
+    let mut handoff_trace = 0;
+    let mut started = stopwatch();
+    for (op, cmd) in setup.iter().chain(window).enumerate() {
+        if op == setup.len() {
+            started = stopwatch();
+        }
+        if rebalance_at == Some(op) {
+            handoff_trace = router.merged_obs()?.trace.len();
+            router.rebalance(0, ProcessShard::spawn(agent_bin)?)?;
+        }
+        lines.extend(router.apply(cmd)?);
     }
-    let started = stopwatch();
-    for cmd in window {
-        lines.extend(router.apply(cmd).map_err(|e| format!("apply: {e}"))?);
-    }
-    let elapsed_ms = started.elapsed_s() * 1e3;
-    let obs_json = router.merged_obs().map_err(|e| format!("merge: {e}"))?.to_json();
-    Ok((SingleRun { lines, obs_json }, elapsed_ms))
+    let window_ms = started.elapsed_s() * 1e3;
+    let obs_json = router.merged_obs()?.to_json();
+    Ok((Run { lines, obs_json }, window_ms, handoff_trace))
 }

@@ -30,21 +30,6 @@ pub struct ApplyResult {
     pub error: Option<String>,
 }
 
-impl ApplyResult {
-    /// Renders the result as stable one-line strings (one per event,
-    /// plus one for an error), used by the crash-recovery sweep to diff
-    /// a replayed run against the uninterrupted one.
-    #[must_use]
-    pub fn lines(&self) -> Vec<String> {
-        let mut out: Vec<String> =
-            self.events.iter().map(|e| format!("seq={} event={e:?}", self.seq)).collect();
-        if let Some(err) = &self.error {
-            out.push(format!("seq={} rejected={err}", self.seq));
-        }
-        out
-    }
-}
-
 /// Applies one WAL record to the engine through [`Engine::apply`].
 pub fn apply_record(engine: &mut Engine, record: &WalRecord) -> ApplyResult {
     match engine.apply(&record.op) {

@@ -687,6 +687,10 @@ fn decode_obs(engine: &mut Engine, bytes: &[u8]) -> Result<(), PersistError> {
             .ok_or(PersistError::Corrupt { what: "histogram buckets" })?;
         engine.obs.restore_histogram(key, histogram);
     }
+    // An encoded engine's ring always holds max(1, CONFIG's capacity).
+    if snap.trace_capacity != engine.config().trace_capacity.max(1) as u64 {
+        return Err(PersistError::Corrupt { what: "decision trace capacity" });
+    }
     engine.obs_trace =
         DecisionTrace::from_parts(snap.trace_capacity as usize, snap.trace_dropped, snap.trace)
             .ok_or(PersistError::Corrupt { what: "decision trace" })?;

@@ -17,7 +17,9 @@
 
 use pphcr_catalog::{CategoryId, ClipKind, GeoTag, ServiceIndex};
 use pphcr_core::persist::wal::encode_record;
-use pphcr_core::persist::{decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use pphcr_core::persist::{
+    crc32, decode_engine, snapshot_engine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use pphcr_core::{
     restore_engine, DurableEngine, Engine, EngineConfig, MemWal, PersistError, TickRequest, WalOp,
     WalRecord,
@@ -213,6 +215,29 @@ fn flipped_section_payload_is_typed() {
     let mut bytes = mini_snapshot();
     bytes[40] ^= 0x01;
     assert_eq!(decode_err(&bytes), PersistError::SectionCorrupt { id: 1 });
+}
+
+/// A CRC-valid CONFIG section whose trace capacity disagrees with the
+/// OBS section's ring decodes to a typed error, whether the decoded
+/// number is small or too large to allocate for.
+#[test]
+fn patched_trace_capacity_is_typed() {
+    for capacity in [1u64 << 60, 257] {
+        let mut bytes = mini_snapshot();
+        // CONFIG is the first section: its length sits at 22..30, its
+        // CRC at 30..34 and its payload from 34. The payload ends with
+        // the trace capacity, the four cache quanta, and one absence
+        // byte each for the road network and the gazetteer.
+        let len = u64::from_le_bytes(bytes[22..30].try_into().unwrap()) as usize;
+        let payload = 34..34 + len;
+        let field = payload.end - 42..payload.end - 34;
+        assert_eq!(bytes[field.clone()], 256u64.to_le_bytes(), "CONFIG layout drifted");
+        bytes[field].copy_from_slice(&capacity.to_le_bytes());
+        let crc = crc32(&bytes[payload]);
+        bytes[30..34].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(decode_err(&bytes), PersistError::Corrupt { .. }), "{capacity}");
+        assert!(matches!(restore_engine(&bytes, &[]), Err(PersistError::Corrupt { .. })));
+    }
 }
 
 /// Every possible truncation of the snapshot fails with a typed error —

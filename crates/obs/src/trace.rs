@@ -100,10 +100,11 @@ impl Default for DecisionTrace {
 
 impl DecisionTrace {
     /// An empty trace holding at most `capacity` entries (minimum 1).
+    /// Nothing is reserved up front: the ring grows on push, so a
+    /// capacity decoded from a snapshot never sizes an allocation.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        DecisionTrace { capacity, entries: VecDeque::with_capacity(capacity), dropped: 0 }
+        DecisionTrace { capacity: capacity.max(1), entries: VecDeque::new(), dropped: 0 }
     }
 
     /// Rebuilds a trace from persisted parts: its bound, the eviction

@@ -33,12 +33,6 @@ impl AgentState {
         }
     }
 
-    /// Read access to the wrapped engine (tests, smoke assertions).
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        self.durable.engine()
-    }
-
     /// Handles one request. Engine-level rejections are *outcomes*
     /// (carried inside [`Response::Applied`]); only infrastructure
     /// failures (undecodable snapshot, WAL fault) become
@@ -157,10 +151,7 @@ mod tests {
             Response::Snapshot(again) => assert_eq!(again, bytes),
             other => panic!("no snapshot: {other:?}"),
         }
-        assert_eq!(
-            recipient.engine().obs_snapshot().to_json(),
-            donor.engine().obs_snapshot().to_json()
-        );
+        assert_eq!(recipient.handle(Request::Obs), donor.handle(Request::Obs));
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //!   broadcast otherwise), tick fan-out with per-shard user sub-lists,
 //!   event re-interleaving into request order, observability merging
 //!   via [`pphcr_obs::merge`], and snapshot-handoff rebalancing.
-//! * [`workload`] — the deterministic differential workload and the
-//!   single-process baseline runner.
+//!
+//! The differential script and its single-process baseline live in
+//! `pphcr_sim::script`; the `shard_smoke` binary and E16 drive the
+//! router from `pphcr-bench`.
 //!
 //! The paper's platform (§2.1) is a pipeline of queue-connected
 //! services; this crate is the reproduction's answer to "what if the
@@ -35,9 +37,7 @@
 pub mod agent;
 pub mod protocol;
 pub mod router;
-pub mod workload;
 
-pub use agent::{serve, AgentState};
+pub use agent::serve;
 pub use protocol::{read_frame, write_frame, ProtoError, Request, Response};
 pub use router::{InProcessShard, ProcessShard, Router, ShardError, ShardTransport};
-pub use workload::{commands, run_single, run_single_windowed, tick_heavy, SingleRun};

@@ -1,18 +1,17 @@
 //! Crash-recovery sweep: kill the platform at every WAL boundary and
 //! prove the restored run is byte-identical to the uninterrupted one.
 //!
-//! The harness scripts a fixed mixed workload (registrations, corpus
-//! ingest, classifier training, GPS traces, feedback, injections —
-//! including a rejected one — and batched parallel ticks) over a
-//! hostile seeded network, runs it once uninterrupted through a
-//! [`DurableEngine`], and then replays every crash point: the WAL is
-//! cut at each record boundary *and* at mid-record offsets (1 byte,
-//! half, all-but-one), the engine is restored from the genesis
-//! snapshot plus the truncated log, the surviving suffix of the script
-//! is re-applied, and the three identity artefacts are diffed against
-//! the baseline:
+//! The harness runs the crash script ([`Shape::Crash`]: registrations,
+//! corpus ingest, classifier training, GPS fixes, feedback, injections
+//! — including a rejected one — and batched parallel ticks) once
+//! uninterrupted through a [`DurableEngine`] over a hostile seeded
+//! network, and then replays every crash point: the WAL is cut at each
+//! record boundary *and* at mid-record offsets (1 byte, half,
+//! all-but-one), the engine is restored from the genesis snapshot plus
+//! the truncated log, the surviving suffix of the script is re-applied,
+//! and the three identity artefacts are diffed against the baseline:
 //!
-//! * the per-record event stream ([`ApplyResult::lines`]),
+//! * the per-record outcome lines ([`push_outcome`]),
 //! * the `PlatformSnapshot` JSON at the end of the run,
 //! * the `ObsSnapshot` JSON (counters, gauges, histograms, traces).
 //!
@@ -20,34 +19,19 @@
 //! a failure pinpoints the non-replayed state rather than just saying
 //! "bytes differ".
 
-use pphcr_catalog::{CategoryId, ClipKind, Gazetteer, GeoTag, ServiceIndex};
+use crate::script::{push_outcome, script, Shape};
 use pphcr_core::persist::snapshot_engine;
 use pphcr_core::persist::wal::encode_record;
 use pphcr_core::{
     restore_engine, ApplyResult, DurableEngine, Engine, EngineConfig, FaultProfile,
     FaultyTransport, MemWal, PlatformSnapshot, UnicastLink, WalOp, WalRecord,
 };
-use pphcr_geo::{GeoPoint, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
-use pphcr_trajectory::GpsFix;
-use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
+use pphcr_geo::{TimePoint, TimeSpan};
 
-use pphcr_audio::ClipId;
-
-/// Listeners in the scripted workload.
-const USERS: u64 = 4;
-
-/// The scenario origin (central Torino, like the paper's pilot).
-const ORIGIN: (f64, f64) = (45.0703, 7.6869);
-
-/// Logical start of the scripted day.
-fn t0() -> TimePoint {
-    TimePoint::at(0, 9, 0, 0)
-}
-
-/// Logical time the final identity snapshots are captured at.
-#[must_use]
-pub fn final_time() -> TimePoint {
-    t0().advance(TimeSpan::minutes(40))
+/// Logical time the final identity snapshots are captured at, after
+/// the script's last tick.
+fn final_time() -> TimePoint {
+    TimePoint::at(8, 8, 40, 0)
 }
 
 /// The genesis engine every run (baseline and recovered) starts from:
@@ -62,172 +46,13 @@ pub fn genesis_engine(seed: u64) -> Engine {
     engine
 }
 
-/// The scripted workload: a deterministic function of `seed` covering
-/// every [`WalOp`] variant, with ticks interleaved so proactive
-/// deliveries, retries and health transitions happen mid-log.
-#[must_use]
-pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
-    let mut ops = Vec::new();
-    let start = t0();
-
-    for u in 1..=USERS {
-        ops.push(WalOp::RegisterUser {
-            profile: UserProfile {
-                id: UserId(u),
-                name: format!("listener {u}"),
-                age_band: if u % 2 == 0 { AgeBand::Adult } else { AgeBand::Young },
-                favourite_service: ServiceIndex(0),
-            },
-            now: start,
-        });
+/// The outcome lines of records replayed from the start of the log.
+fn replayed_lines(replayed: &[ApplyResult]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (op, result) in replayed.iter().enumerate() {
+        push_outcome(&mut lines, op, &result.events, result.error.as_deref());
     }
-
-    ops.push(WalOp::TrainClassifier {
-        category: CategoryId::new(1),
-        tokens: vec!["traffic".into(), "ring".into(), "road".into(), "queue".into()],
-    });
-    ops.push(WalOp::TrainClassifier {
-        category: CategoryId::new(2),
-        tokens: vec!["football".into(), "derby".into(), "goal".into(), "league".into()],
-    });
-
-    // Environment configuration flows through the WAL too: a toy road
-    // network and a gazetteer, both replay-relevant state.
-    let mut network = RoadNetwork::new();
-    let a = network.add_node(ProjectedPoint::new(0.0, 0.0), NodeKind::Intersection);
-    let b = network.add_node(ProjectedPoint::new(1_200.0, 300.0), NodeKind::Plain);
-    let c = network.add_node(ProjectedPoint::new(2_500.0, 900.0), NodeKind::Roundabout);
-    network.add_edge(a, b, 13.9);
-    network.add_edge(b, c, 25.0);
-    ops.push(WalOp::SetRoadNetwork { network });
-    let mut gazetteer = Gazetteer::new();
-    gazetteer.add_place("torino", GeoPoint::new(ORIGIN.0, ORIGIN.1), 5_000.0);
-    gazetteer.add_place("moncalieri", GeoPoint::new(45.0005, 7.6800), 3_000.0);
-    ops.push(WalOp::SetGazetteer { gazetteer });
-
-    // Corpus: ten clips, half editorially labelled, some geo-tagged,
-    // publication times derived from the seed so different seeds walk
-    // different corpus shapes.
-    for i in 0..10u64 {
-        let jitter = (seed.wrapping_mul(2_654_435_761).wrapping_add(i * 97)) % 600;
-        let geo = if i % 3 == 0 {
-            Some(GeoTag {
-                point: GeoPoint::new(ORIGIN.0 + 0.001 * i as f64, ORIGIN.1 - 0.0005 * i as f64),
-                radius_m: 800.0,
-            })
-        } else {
-            None
-        };
-        let editorial = if i % 2 == 0 { Some(CategoryId::new((i % 3) as u16 + 1)) } else { None };
-        ops.push(WalOp::IngestClip {
-            title: format!("clip {i} (seed {seed})"),
-            kind: if i % 4 == 0 { ClipKind::NewsBulletin } else { ClipKind::Podcast },
-            duration: TimeSpan::seconds(120 + (i % 5) * 30),
-            published: start.advance(TimeSpan::seconds(jitter)),
-            geo,
-            tokens: vec![
-                if i % 2 == 0 { "traffic".into() } else { "football".into() },
-                format!("token{i}"),
-                "torino".into(),
-            ],
-            editorial,
-        });
-    }
-
-    // GPS traces for listeners 1 and 2: a straight drive away from the
-    // origin at ~15 m/s, 30 s apart, enough to arm trip detection.
-    let mut mixed = Vec::new();
-    for step in 0..6u64 {
-        for u in 1..=2u64 {
-            mixed.push(WalOp::RecordFix {
-                user: UserId(u),
-                fix: GpsFix {
-                    point: GeoPoint::new(
-                        ORIGIN.0 + 0.0004 * (step * 2 + u) as f64,
-                        ORIGIN.1 + 0.0002 * step as f64,
-                    ),
-                    time: start.advance(TimeSpan::seconds(step * 30 + u)),
-                    speed_mps: 15.0,
-                },
-            });
-        }
-    }
-
-    // Explicit feedback sprinkled over categories 1..3.
-    for (i, kind) in [
-        FeedbackKind::Like,
-        FeedbackKind::Dislike,
-        FeedbackKind::ListenedThrough,
-        FeedbackKind::PartialListen(0.5),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        mixed.push(WalOp::RecordFeedback {
-            event: FeedbackEvent {
-                user: UserId(i as u64 % USERS + 1),
-                clip: if i % 2 == 0 { Some(ClipId(i as u64 + 1)) } else { None },
-                category: CategoryId::new((i % 3) as u16 + 1),
-                kind,
-                time: start.advance(TimeSpan::seconds(40 + i as u64 * 10)),
-            },
-        });
-    }
-
-    // Editorial injections: two valid, one for an unknown listener —
-    // the rejection is itself a logged outcome replay must reproduce.
-    mixed.push(WalOp::Inject {
-        user: UserId(1),
-        clip: ClipId(1),
-        at: start.advance(TimeSpan::seconds(70)),
-        note: "breaking".into(),
-    });
-    mixed.push(WalOp::Inject {
-        user: UserId(3),
-        clip: ClipId(2),
-        at: start.advance(TimeSpan::seconds(75)),
-        note: "weather".into(),
-    });
-    mixed.push(WalOp::Inject {
-        user: UserId(99),
-        clip: ClipId(1),
-        at: start.advance(TimeSpan::seconds(80)),
-        note: "ghost".into(),
-    });
-
-    mixed.push(WalOp::ChangeService {
-        user: UserId(2),
-        service: ServiceIndex(1),
-        now: start.advance(TimeSpan::seconds(90)),
-    });
-    mixed.push(WalOp::Skip { user: UserId(1), now: start.advance(TimeSpan::seconds(95)) });
-
-    // Client player advances: one for a live listener (session bookkeeping
-    // must replay), one for a ghost (the typed rejection is itself logged).
-    mixed.push(WalOp::AdvancePlayer { user: UserId(1), now: start.advance(TimeSpan::seconds(97)) });
-    mixed
-        .push(WalOp::AdvancePlayer { user: UserId(99), now: start.advance(TimeSpan::seconds(98)) });
-
-    // Interleave the mixed ops with batched parallel ticks over a
-    // ~35-step horizon so bus retries, proactive triggers and health
-    // ladders advance between mutations.
-    let users: Vec<UserId> = (1..=USERS).map(UserId).collect();
-    let mut mixed_iter = mixed.into_iter();
-    for step in 0..35u64 {
-        if step % 2 == 0 {
-            if let Some(op) = mixed_iter.next() {
-                ops.push(op);
-            }
-        }
-        ops.push(WalOp::Tick {
-            users: users.clone(),
-            now: start.advance(TimeSpan::seconds(100 + step * 30)),
-            batch: true,
-            workers: Some(2),
-        });
-    }
-    ops.extend(mixed_iter);
-    ops
+    lines
 }
 
 /// The identity artefacts of one complete run of the script.
@@ -235,7 +60,7 @@ pub fn scripted_ops(seed: u64) -> Vec<WalOp> {
 pub struct RunTrace {
     /// Per-record outcome lines, in log order.
     pub lines: Vec<String>,
-    /// `PlatformSnapshot` JSON captured at [`final_time`].
+    /// `PlatformSnapshot` JSON captured after the last tick.
     pub platform_json: String,
     /// `ObsSnapshot` JSON (timings are excluded by design).
     pub obs_json: String,
@@ -253,10 +78,10 @@ fn capture(engine: &Engine) -> (String, String) {
 pub fn run_uninterrupted(seed: u64) -> (RunTrace, Vec<u8>) {
     let mut durable = DurableEngine::new(genesis_engine(seed), MemWal::new());
     let mut lines = Vec::new();
-    for op in scripted_ops(seed) {
+    for (op, cmd) in script(seed, Shape::Crash).into_ops().into_iter().enumerate() {
         // MemWal appends cannot fail; keep the harness panic-free anyway.
-        if let Ok(result) = durable.apply(op) {
-            lines.extend(result.lines());
+        if let Ok(result) = durable.apply(cmd) {
+            push_outcome(&mut lines, op, &result.events, result.error.as_deref());
         }
     }
     let (engine, wal) = durable.into_parts();
@@ -327,11 +152,11 @@ fn recover_and_continue(
     if engine.recovery_banner().is_none() {
         return Err("restored engine carries no recovery banner".into());
     }
-    let mut lines: Vec<String> = report.replayed.iter().flat_map(ApplyResult::lines).collect();
+    let mut lines = replayed_lines(&report.replayed);
     let mut durable = DurableEngine::resume(engine, MemWal::new(), report.last_seq + 1);
-    for op in &ops[expect_replayed..] {
-        match durable.apply(op.clone()) {
-            Ok(result) => lines.extend(result.lines()),
+    for (op, cmd) in ops.iter().enumerate().skip(expect_replayed) {
+        match durable.apply(cmd.clone()) {
+            Ok(result) => push_outcome(&mut lines, op, &result.events, result.error.as_deref()),
             Err(e) => return Err(format!("continuation apply failed: {e}")),
         }
     }
@@ -374,7 +199,7 @@ fn diff_trace(kill: KillPoint, got: &RunTrace, want: &RunTrace) -> Option<String
 /// JSON and `ObsSnapshot` JSON against the uninterrupted run.
 #[must_use]
 pub fn kill_point_sweep(seed: u64) -> SweepReport {
-    let ops = scripted_ops(seed);
+    let ops = script(seed, Shape::Crash).into_ops();
     let genesis = match snapshot_engine(&genesis_engine(seed), 0) {
         Ok(bytes) => bytes,
         Err(e) => {
@@ -429,7 +254,7 @@ pub fn kill_point_sweep(seed: u64) -> SweepReport {
 /// tests and the recovery smoke binary as a fast sanity pass.
 #[must_use]
 pub fn full_replay_identical(seed: u64) -> bool {
-    let ops = scripted_ops(seed);
+    let records = script(seed, Shape::Crash).into_ops().len();
     let (baseline, full_wal) = run_uninterrupted(seed);
     let Ok(genesis) = snapshot_engine(&genesis_engine(seed), 0) else {
         return false;
@@ -437,10 +262,10 @@ pub fn full_replay_identical(seed: u64) -> bool {
     let Ok((engine, report)) = restore_engine(&genesis, &full_wal) else {
         return false;
     };
-    if report.records_replayed != ops.len() as u64 || report.torn_bytes_dropped != 0 {
+    if report.records_replayed != records as u64 || report.torn_bytes_dropped != 0 {
         return false;
     }
-    let lines: Vec<String> = report.replayed.iter().flat_map(ApplyResult::lines).collect();
+    let lines = replayed_lines(&report.replayed);
     let (platform_json, obs_json) = capture(&engine);
     RunTrace { lines, platform_json, obs_json } == baseline
 }
@@ -454,39 +279,6 @@ mod tests {
     /// durable (log-then-apply) path.
     fn apply_direct(engine: &mut Engine, seq: u64, op: WalOp) -> ApplyResult {
         apply_record(engine, &WalRecord { seq, op })
-    }
-
-    #[test]
-    fn script_covers_every_op_kind() {
-        let ops = scripted_ops(1);
-        let mut seen = [false; 12];
-        for op in &ops {
-            let idx = match op {
-                WalOp::RegisterUser { .. } => 0,
-                WalOp::ChangeService { .. } => 1,
-                WalOp::TrainClassifier { .. } => 2,
-                WalOp::IngestClip { .. } => 3,
-                WalOp::RecordFix { .. } => 4,
-                WalOp::RecordFeedback { .. } => 5,
-                WalOp::Inject { .. } => 6,
-                WalOp::Skip { .. } => 7,
-                WalOp::Tick { .. } => 8,
-                WalOp::AdvancePlayer { .. } => 9,
-                WalOp::SetRoadNetwork { .. } => 10,
-                WalOp::SetGazetteer { .. } => 11,
-            };
-            if let Some(slot) = seen.get_mut(idx) {
-                *slot = true;
-            }
-        }
-        assert!(seen.iter().all(|s| *s), "script misses an op kind: {seen:?}");
-        assert!(ops.len() >= 60, "script too short: {}", ops.len());
-    }
-
-    #[test]
-    fn script_is_seed_deterministic() {
-        assert_eq!(scripted_ops(7), scripted_ops(7));
-        assert_ne!(scripted_ops(1), scripted_ops(2));
     }
 
     #[test]
@@ -514,7 +306,7 @@ mod tests {
 
     #[test]
     fn direct_apply_matches_durable_apply() {
-        let op = scripted_ops(1).remove(0);
+        let op = script(1, Shape::Crash).setup.remove(0);
         let mut direct = genesis_engine(1);
         let direct_result = apply_direct(&mut direct, 1, op.clone());
         let mut durable = DurableEngine::new(genesis_engine(1), MemWal::new());

@@ -1727,8 +1727,7 @@ pub fn e13_scale_fleet(users: u64, config: EngineConfig) -> Engine {
     }
     let drivers = e13_driver_count(users);
     for u in 1..=drivers {
-        let home = ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
-        let bearing = 80.0 + (u % 24) as f64 * 15.0;
+        let (home, bearing) = e13_driver_route(u);
         let work = home.destination(bearing, 9_000.0);
         // Three compressed days: home dwell, the 20-minute drive at
         // 30 s cadence, work dwell — ~170 fixes per driver. The replay
@@ -1802,6 +1801,14 @@ pub fn e13_driver_count(users: u64) -> u64 {
     (users / 5).max(16).min(users)
 }
 
+/// Home and bearing of driver `u` of an E13 scale fleet: the layout
+/// its history is built on, so replayed fixes continue the learned
+/// commute instead of teleporting.
+pub(crate) fn e13_driver_route(u: u64) -> (GeoPoint, f64) {
+    let home = ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
+    (home, 80.0 + (u % 24) as f64 * 15.0)
+}
+
 /// Replays a day-3 morning window of `ticks` batched ticks at 30 s
 /// cadence. Every driver streams a fix per tick (1 Hz-ish GPS scaled
 /// to the tick cadence); a rotating 1-in-977 slice of the whole fleet
@@ -1816,8 +1823,7 @@ fn e13_scale_window(engine: &mut Engine, users: u64, workers: usize, ticks: u64)
     for i in 0..ticks {
         let now = d3.advance(TimeSpan::seconds(i * 30));
         for u in 1..=drivers {
-            let home = ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
-            let bearing = 80.0 + (u % 24) as f64 * 15.0;
+            let (home, bearing) = e13_driver_route(u);
             let frac = (i as f64 / 39.0).min(1.0);
             engine.record_fix(
                 UserId(u),

@@ -17,8 +17,13 @@
 //! * [`experiments`] — the harness the bench binaries call: each function
 //!   reproduces one experiment of `DESIGN.md` and returns printable
 //!   rows,
+//! * [`scenarios`] — the A/B latency suites `bench_agent` runs,
+//! * [`timing`] — the experiments' stopwatch and min-of-N sampling,
 //! * [`chaos`] — seeded end-to-end fault profiles (lossy wire, flaky
 //!   unicast) for the chaos suite and experiment E12,
+//! * [`script`] — the one seeded command script generator behind every
+//!   identity sweep (crash, shard differential, tick-heavy), and the
+//!   in-process run each sweep is diffed against,
 //! * [`crash`] — the crash-recovery sweep: kill the platform at every
 //!   WAL boundary, restore, and diff against the uninterrupted run.
 
@@ -32,6 +37,7 @@ pub mod experiments;
 pub mod listener;
 pub mod population;
 pub mod scenarios;
+pub mod script;
 pub mod timing;
 pub mod world;
 

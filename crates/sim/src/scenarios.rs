@@ -21,10 +21,12 @@
 //! latencies differ — that is the noise the harness is measuring).
 
 use crate::chaos::ChaosProfile;
-use crate::experiments::{e13_archive_world, e13_driver_count, e13_scale_fleet, ORIGIN};
+use crate::experiments::{
+    e13_archive_world, e13_driver_count, e13_driver_route, e13_scale_fleet, ORIGIN,
+};
 use pphcr_catalog::{CategoryId, CATEGORY_COUNT};
 use pphcr_core::{EngineConfig, TickRequest};
-use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
+use pphcr_geo::{TimePoint, TimeSpan};
 use pphcr_obs::Histogram;
 use pphcr_recommender::{CandidateFilter, ListenerContext, ScoringWeights};
 use pphcr_trajectory::GpsFix;
@@ -109,20 +111,12 @@ pub fn suite_b(spec: &ScenarioSpec) -> Vec<ScenarioReport> {
     ]
 }
 
-/// Home/bearing of driver `u`, matching `e13_scale_fleet`'s layout so
-/// replayed fixes continue the learned commute instead of teleporting.
-fn driver_route(u: u64) -> (GeoPoint, f64) {
-    let home = ORIGIN.destination(30.0 * u as f64, 1_000.0 + 37.0 * u as f64);
-    let bearing = 80.0 + (u % 24) as f64 * 15.0;
-    (home, bearing)
-}
-
 /// A1 — the floor every other number rests on: one driver, one tick at
 /// a time, per-tick latency.
 fn baseline_tick(spec: &ScenarioSpec) -> ScenarioReport {
     let mut engine = e13_scale_fleet(1, EngineConfig::default());
     let user = UserId(1);
-    let (home, bearing) = driver_route(1);
+    let (home, bearing) = e13_driver_route(1);
     let d3 = TimePoint::at(3, 8, 0, 0);
     let mut hist = Histogram::default();
     let total = crate::timing::stopwatch();
@@ -150,7 +144,7 @@ fn fan_out(spec: &ScenarioSpec) -> ScenarioReport {
     for i in 0..spec.ticks {
         let now = d3.advance(TimeSpan::seconds(i * 30));
         for u in 1..=drivers {
-            let (home, bearing) = driver_route(u);
+            let (home, bearing) = e13_driver_route(u);
             let frac = (i as f64 / 39.0).min(1.0);
             engine.record_fix(
                 UserId(u),
