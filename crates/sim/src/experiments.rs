@@ -8,6 +8,7 @@
 use crate::corpus::CorpusGenerator;
 use crate::listener::{ListenerModel, SessionMetrics};
 use crate::population::{Commuter, GpsNoise, Population};
+use crate::script::{script, Script, Shape, TICK_HEAVY_STEPS};
 use crate::world::SyntheticCity;
 use pphcr_audio::source::{ClipSource, LiveSource};
 use pphcr_audio::splice::{PlannedSegment, SegmentSource, SplicePlan};
@@ -15,7 +16,7 @@ use pphcr_audio::SampleClock;
 use pphcr_catalog::ServiceIndex;
 use pphcr_catalog::{CategoryId, ClipKind, ContentRepository, CATEGORY_COUNT};
 use pphcr_core::{
-    CacheQuanta, DeliveryPlanKind, Engine, EngineConfig, EngineEvent, HealthCounts,
+    CacheQuanta, DeliveryPlanKind, Engine, EngineCommand, EngineConfig, EngineEvent, HealthCounts,
     NetworkCostModel, PlayerEvent, TickRequest,
 };
 use pphcr_geo::{GeoPoint, ProjectedPoint, TimePoint, TimeSpan};
@@ -1415,102 +1416,34 @@ pub fn e13_retrieval(grid: &[(usize, usize)], seed: u64, rounds: usize) -> Vec<E
 /// The E13 city anchor the fleet builders grow their commutes from.
 pub(crate) const ORIGIN: GeoPoint = GeoPoint { lat: 45.0703, lon: 7.6869 };
 
-/// An engine with `users` commuters, each with seven days of
-/// home→work→home history on their own bearing, plus a fresh batch of
-/// content for day 8. Deterministic: rebuilt identically per worker
-/// count so only speed may differ between rows.
-fn e13_commuter_fleet(users: u64, config: EngineConfig) -> Engine {
+/// Seed of the E13 tick-heavy script.
+const E13_SEED: u64 = 1;
+
+/// Applies the tick-heavy script for `users` commuters to a fresh
+/// engine built with `config`, through [`Engine::apply`]: the setup
+/// untimed, then the day-8 window timed with every tick set to
+/// `workers` threads. Returns the window's wall time, the events it
+/// emitted and the engine.
+fn e13_commute(users: u64, config: EngineConfig, workers: usize) -> (f64, u64, Engine) {
+    let Script { setup, mut window } = script(E13_SEED, Shape::TickHeavy { users });
+    for cmd in &mut window {
+        if let EngineCommand::Tick { workers: ticked, .. } = cmd {
+            *ticked = Some(workers as u64);
+        }
+    }
     let mut engine = Engine::new(config);
-    let t0 = TimePoint::at(0, 0, 0, 0);
-    for u in 1..=users {
-        engine.register_user(
-            UserProfile {
-                id: UserId(u),
-                name: format!("commuter {u}"),
-                age_band: AgeBand::Adult,
-                favourite_service: ServiceIndex(0),
-            },
-            t0,
-        );
+    for cmd in &setup {
+        let _ = engine.apply(cmd);
     }
-    for u in 1..=users {
-        let home = ORIGIN.destination(30.0 * u as f64, 1_500.0 * u as f64);
-        let bearing = 80.0 + 15.0 * u as f64;
-        let work = home.destination(bearing, 9_000.0);
-        for day in 0..7u64 {
-            let d0 = TimePoint::at(day, 0, 0, 0);
-            for i in 0..90u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(i * 5)), 0.1),
-                );
-            }
-            for i in 0..40u64 {
-                let frac = i as f64 / 39.0;
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(
-                        home.destination(bearing, frac * 9_000.0),
-                        d0.advance(TimeSpan::hours(8)).advance(TimeSpan::seconds(i * 30)),
-                        7.5,
-                    ),
-                );
-            }
-            for i in 0..57u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(work, d0.advance(TimeSpan::minutes(510 + i * 10)), 0.2),
-                );
-            }
-            for i in 0..66u64 {
-                engine.record_fix(
-                    UserId(u),
-                    GpsFix::new(home, d0.advance(TimeSpan::minutes(1105 + i * 5)), 0.1),
-                );
-            }
-        }
-    }
-    for i in 0..30u64 {
-        engine.ingest_clip(
-            format!("morning clip {i}"),
-            ClipKind::Podcast,
-            TimeSpan::minutes(4),
-            TimePoint::at(7, 5, 0, 0),
-            None,
-            &[],
-            Some(CategoryId::new((i % u64::from(CATEGORY_COUNT)) as u16)),
-        );
-    }
-    engine
-}
-
-/// Replays the day-8 commute window through batched ticks, returning
-/// the wall time and the number of events emitted.
-fn e13_commute_window(engine: &mut Engine, users: u64, workers: usize) -> (f64, u64) {
-    let ids: Vec<UserId> = (1..=users).map(UserId).collect();
-    let d8 = TimePoint::at(7, 8, 0, 0);
     let t = crate::timing::stopwatch();
-    let mut events = 0u64;
-    for i in 0..12u64 {
-        let now = d8.advance(TimeSpan::seconds(i * 30));
-        for &u in &ids {
-            let home = ORIGIN.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
-            let bearing = 80.0 + 15.0 * u.0 as f64;
-            engine.record_fix(
-                u,
-                GpsFix::new(home.destination(bearing, i as f64 / 39.0 * 9_000.0), now, 7.5),
-            );
-        }
-        let request = TickRequest::batch(&ids, now).with_workers(workers);
-        events += engine.run_tick(&request).map_or(0, |events| events.len()) as u64;
-    }
-    (t.elapsed_s(), events)
+    let events = window.iter().map(|cmd| engine.apply(cmd).map_or(0, |e| e.len() as u64)).sum();
+    (t.elapsed_s(), events, engine)
 }
 
-/// E13 (engine): replays the same day-8 commute window through
-/// batched ticks once per worker count. The engine is rebuilt
-/// identically each time, so the event count must not vary across rows
-/// — only the wall time may.
+/// E13 (engine): replays the tick-heavy script's day-8 commute window
+/// (`crate::script`) through batched ticks once per worker count. The
+/// engine is rebuilt identically each time, so the event count must
+/// not vary across rows — only the wall time may.
 ///
 /// Each worker count runs the window `1 + rounds` times on freshly
 /// rebuilt engines; the first run is discarded as warmup and the
@@ -1525,8 +1458,7 @@ pub fn e13_tick_scaling(users: u64, worker_counts: &[usize], rounds: usize) -> V
         let mut times = Vec::with_capacity(1 + rounds);
         let mut events = 0u64;
         for round in 0..=rounds {
-            let mut engine = e13_commuter_fleet(users, EngineConfig::default());
-            let (seconds, ev) = e13_commute_window(&mut engine, users, workers);
+            let (seconds, ev, _) = e13_commute(users, EngineConfig::default(), workers);
             if round > 0 {
                 assert_eq!(ev, events, "event count varied across rounds at {workers} workers");
             }
@@ -1534,7 +1466,7 @@ pub fn e13_tick_scaling(users: u64, worker_counts: &[usize], rounds: usize) -> V
             times.push(seconds);
         }
         let seconds = crate::timing::min_after_warmup(&times, 1).expect("rounds >= 1");
-        let ticks = users * 12;
+        let ticks = users * (TICK_HEAVY_STEPS + 1);
         rows.push(E13TickRow {
             users,
             workers,
@@ -1584,8 +1516,8 @@ impl fmt::Display for E13ObsRow {
     }
 }
 
-/// E13 (observability): times the day-8 commute window with the obs
-/// layer on and off, best-of-`rounds` per variant to damp scheduler
+/// E13 (observability): times the tick-heavy day-8 commute window with
+/// the obs layer on and off, best-of-`rounds` per variant to damp scheduler
 /// noise. The rounds interleave ABBA (bare, instrumented, instrumented,
 /// bare, …) so both variants sample the same host phases and host
 /// drift does not read as overhead. Both variants must emit identical
@@ -1596,8 +1528,7 @@ pub fn e13_obs_overhead(users: u64, workers: usize, rounds: usize) -> E13ObsRow 
     let rounds = rounds.max(1);
     let run = |obs_enabled: bool| -> (f64, u64, String) {
         let config = EngineConfig { obs_enabled, ..EngineConfig::default() };
-        let mut engine = e13_commuter_fleet(users, config);
-        let (seconds, events) = e13_commute_window(&mut engine, users, workers);
+        let (seconds, events, engine) = e13_commute(users, config, workers);
         (seconds, events, engine.obs_snapshot().to_json())
     };
     let (mut bare_s, mut instrumented_s) = (f64::INFINITY, f64::INFINITY);
