@@ -60,7 +60,7 @@ pub enum Shape {
 }
 
 /// A script: the untimed setup, then the window of ticks a bench times.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Script {
     /// Registrations, training, environment, corpus and history.
     pub setup: Vec<EngineCommand>,
@@ -259,7 +259,7 @@ fn mixed(users: u64) -> Vec<EngineCommand> {
         .map(|(i, kind)| EngineCommand::RecordFeedback {
             event: FeedbackEvent {
                 user: UserId(i % users + 1),
-                clip: (i % 2 == 0).then_some(ClipId(i + 1)),
+                clip: i.is_multiple_of(2).then_some(ClipId(i + 1)),
                 category: CategoryId::new((i % 3) as u16 + 1),
                 kind,
                 time: live(40 + i * 10),
@@ -299,7 +299,7 @@ fn interleave(sizes: &Sizes, mixed: Vec<EngineCommand>) -> Vec<EngineCommand> {
     let mut window = Vec::new();
     let mut mixed = mixed.into_iter();
     for step in 0..sizes.steps {
-        if step % 2 == 0 {
+        if step.is_multiple_of(2) {
             window.extend(mixed.next());
         }
         let now = live(100 + step * 30);
