@@ -8,6 +8,9 @@
 //!   ([`gates`]) and writes one `summary.json` ([`summary`]). It exits
 //!   non-zero if any gate fails.
 //! * `recovery_smoke` runs the E14 kill-point sweep.
+//! * `shard_smoke` runs the shard differential through `shard_agent`
+//!   processes with one mid-stream rebalance, through the router
+//!   driver E16 uses ([`suites::run_router`]).
 //!
 //! ```text
 //! cargo run -p pphcr-bench --release --bin experiments

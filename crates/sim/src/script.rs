@@ -5,8 +5,8 @@
 //! registrations, classifier training, the road network and gazetteer,
 //! the seeded corpus, a commuter week with its tastes, the mixed op
 //! list with its ghost-listener rejections, and the tick interleave
-//! that ends in a drain tick. Each script covers every
-//! [`EngineCommand`] variant, with ticks between the mutations so
+//! that ends in a drain tick. The crash and differential scripts cover
+//! every [`EngineCommand`] variant, with ticks between the mutations so
 //! deliveries, retries and health transitions happen mid-log.
 //!
 //! [`run_in_process`] folds a script through one engine with
