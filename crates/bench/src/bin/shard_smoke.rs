@@ -12,7 +12,6 @@
 //! merged observability JSON) for CI upload.
 
 use pphcr_bench::suites::run_router;
-use pphcr_core::{Engine, EngineConfig};
 use pphcr_shard::ShardError;
 use pphcr_sim::script::{run_in_process, script, Shape};
 use std::path::PathBuf;
@@ -71,7 +70,7 @@ fn agent_path(opts: &Options) -> Result<PathBuf, String> {
 
 fn run(opts: &Options) -> Result<i32, ShardError> {
     let ops = script(opts.seed, Shape::Differential).into_ops();
-    let (baseline, _) = run_in_process(Engine::new(EngineConfig::default()), &[], &ops);
+    let (baseline, _) = run_in_process(&[], &ops);
 
     let agent = match agent_path(opts) {
         Ok(p) => p,

@@ -6,7 +6,7 @@
 use crate::gates::{self, GATE_FLEET};
 use crate::summary::Entry;
 use crate::BenchSpec;
-use pphcr_core::{Engine, EngineCommand, EngineConfig};
+use pphcr_core::EngineCommand;
 use pphcr_obs::timing::stopwatch;
 use pphcr_shard::{ProcessShard, Router, ShardError};
 use pphcr_sim::experiments::{e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling};
@@ -117,7 +117,7 @@ pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
 pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
     let mut entries = Vec::new();
     let ops = script(SHARD_SEED, Shape::Differential).into_ops();
-    let (baseline, baseline_ms) = run_in_process(Engine::new(EngineConfig::default()), &[], &ops);
+    let (baseline, baseline_ms) = run_in_process(&[], &ops);
     println!(
         "=== E16: shard scaling, seed {SHARD_SEED}, {} ops, {} event lines, in-process \
          {baseline_ms:.1} ms ===",
@@ -145,8 +145,7 @@ pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
 
     let heavy = script(SHARD_SEED, Shape::TickHeavy { users: spec.heavy_users });
     let (setup, window) = (&heavy.setup, &heavy.window);
-    let (heavy_baseline, heavy_baseline_ms) =
-        run_in_process(Engine::new(EngineConfig::default()), setup, window);
+    let (heavy_baseline, heavy_baseline_ms) = run_in_process(setup, window);
     println!(
         "=== E16b: tick-heavy window, {} commuters, {TICK_HEAVY_STEPS}+1 ticks, {} setup ops, \
          in-process window {heavy_baseline_ms:.1} ms ===",

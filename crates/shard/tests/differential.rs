@@ -4,7 +4,7 @@
 //! merged observability snapshot — including across a mid-stream
 //! snapshot-handoff rebalance.
 
-use pphcr_core::{Engine, EngineCommand, EngineConfig};
+use pphcr_core::EngineCommand;
 use pphcr_shard::{ProcessShard, Router};
 use pphcr_sim::script::{run_in_process, script, Run, Shape};
 use std::path::Path;
@@ -22,7 +22,7 @@ fn spawn_router(n: usize) -> Router<ProcessShard> {
 /// The differential script of `seed` and its single-process run.
 fn baseline(seed: u64) -> (Vec<EngineCommand>, Run) {
     let ops = script(seed, Shape::Differential).into_ops();
-    let (run, _) = run_in_process(Engine::new(EngineConfig::default()), &[], &ops);
+    let (run, _) = run_in_process(&[], &ops);
     (ops, run)
 }
 

@@ -11,7 +11,8 @@
 //! the truncated log, the surviving suffix of the script is re-applied,
 //! and the three identity artefacts are diffed against the baseline:
 //!
-//! * the per-record outcome lines ([`push_outcome`]),
+//! * the per-record outcome lines ([`push_outcome`]), numbered by WAL
+//!   sequence number so a resume at the wrong number diverges,
 //! * the `PlatformSnapshot` JSON at the end of the run,
 //! * the `ObsSnapshot` JSON (counters, gauges, histograms, traces).
 //!
@@ -49,8 +50,8 @@ pub fn genesis_engine(seed: u64) -> Engine {
 /// The outcome lines of records replayed from the start of the log.
 fn replayed_lines(replayed: &[ApplyResult]) -> Vec<String> {
     let mut lines = Vec::new();
-    for (op, result) in replayed.iter().enumerate() {
-        push_outcome(&mut lines, op, &result.events, result.error.as_deref());
+    for result in replayed {
+        push_outcome(&mut lines, result.seq as usize, &result.events, result.error.as_deref());
     }
     lines
 }
@@ -78,10 +79,10 @@ fn capture(engine: &Engine) -> (String, String) {
 pub fn run_uninterrupted(seed: u64) -> (RunTrace, Vec<u8>) {
     let mut durable = DurableEngine::new(genesis_engine(seed), MemWal::new());
     let mut lines = Vec::new();
-    for (op, cmd) in script(seed, Shape::Crash).into_ops().into_iter().enumerate() {
+    for cmd in script(seed, Shape::Crash).into_ops() {
         // MemWal appends cannot fail; keep the harness panic-free anyway.
         if let Ok(result) = durable.apply(cmd) {
-            push_outcome(&mut lines, op, &result.events, result.error.as_deref());
+            push_outcome(&mut lines, result.seq as usize, &result.events, result.error.as_deref());
         }
     }
     let (engine, wal) = durable.into_parts();
@@ -154,11 +155,10 @@ fn recover_and_continue(
     }
     let mut lines = replayed_lines(&report.replayed);
     let mut durable = DurableEngine::resume(engine, MemWal::new(), report.last_seq + 1);
-    for (op, cmd) in ops.iter().enumerate().skip(expect_replayed) {
-        match durable.apply(cmd.clone()) {
-            Ok(result) => push_outcome(&mut lines, op, &result.events, result.error.as_deref()),
-            Err(e) => return Err(format!("continuation apply failed: {e}")),
-        }
+    for cmd in &ops[expect_replayed..] {
+        let result =
+            durable.apply(cmd.clone()).map_err(|e| format!("continuation apply failed: {e}"))?;
+        push_outcome(&mut lines, result.seq as usize, &result.events, result.error.as_deref());
     }
     let (engine, _) = durable.into_parts();
     let (platform_json, obs_json) = capture(&engine);

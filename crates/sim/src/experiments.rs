@@ -1433,7 +1433,7 @@ fn e13_commute(users: u64, config: EngineConfig, workers: usize) -> (f64, u64, E
     }
     let mut engine = Engine::new(config);
     for cmd in &setup {
-        let _ = engine.apply(cmd);
+        engine.apply(cmd).expect("tick-heavy setup op");
     }
     let t = crate::timing::stopwatch();
     let events = window.iter().map(|cmd| engine.apply(cmd).map_or(0, |e| e.len() as u64)).sum();

@@ -16,7 +16,7 @@
 
 use pphcr_audio::ClipId;
 use pphcr_catalog::{CategoryId, ClipKind, Gazetteer, GeoTag, ServiceIndex};
-use pphcr_core::{Engine, EngineCommand, EngineEvent};
+use pphcr_core::{Engine, EngineCommand, EngineConfig, EngineEvent};
 use pphcr_geo::{GeoPoint, NodeKind, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -332,15 +332,13 @@ pub fn push_outcome(
     lines.extend(error.map(|e| format!("op={op} rejected={e}")));
 }
 
-/// Applies `setup`, then `window`, to `engine` with [`Engine::apply`],
-/// numbering commands from 0 across both. Returns the run and the
-/// window's wall time in milliseconds; the setup is not timed.
+/// Applies `setup`, then `window`, to a default-config engine with
+/// [`Engine::apply`], numbering commands from 0 across both. Returns
+/// the run and the window's wall time in milliseconds; the setup is
+/// not timed.
 #[must_use]
-pub fn run_in_process(
-    mut engine: Engine,
-    setup: &[EngineCommand],
-    window: &[EngineCommand],
-) -> (Run, f64) {
+pub fn run_in_process(setup: &[EngineCommand], window: &[EngineCommand]) -> (Run, f64) {
+    let mut engine = Engine::new(EngineConfig::default());
     let mut lines = Vec::new();
     let mut apply = |engine: &mut Engine, op0: usize, ops: &[EngineCommand]| {
         for (i, cmd) in ops.iter().enumerate() {
@@ -360,7 +358,6 @@ pub fn run_in_process(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pphcr_core::EngineConfig;
 
     const SHAPES: [Shape; 3] = [Shape::Crash, Shape::Differential, Shape::TickHeavy { users: 3 }];
 
@@ -432,12 +429,12 @@ mod tests {
     #[test]
     fn in_process_run_logs_events_and_rejections() {
         let ops = script(1, Shape::Differential).into_ops();
-        let (run, _) = run_in_process(Engine::new(EngineConfig::default()), &[], &ops);
+        let (run, _) = run_in_process(&[], &ops);
         assert!(run.lines.iter().any(|l| l.contains("Recommended")), "no schedule at all");
         assert!(run.lines.iter().any(|l| l.contains("rejected=")), "ghost ops not rejected");
         assert!(run.obs_json.contains("\"engine.ticks\": 31"));
         let Script { setup, window } = script(1, Shape::Differential);
-        let (split, _) = run_in_process(Engine::new(EngineConfig::default()), &setup, &window);
+        let (split, _) = run_in_process(&setup, &window);
         assert_eq!(split, run, "the timed split must not change the run");
     }
 }
