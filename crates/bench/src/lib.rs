@@ -39,7 +39,8 @@ pub struct BenchSpec {
     pub tick_users: u64,
     /// Fleet sizes of the E13 population grid.
     pub tick_grid: &'static [u64],
-    /// Best-of rounds per E13 obs-overhead variant.
+    /// Lockstep rounds of the E13 obs-overhead window; each round
+    /// times one bare/instrumented pair per tick.
     pub obs_rounds: usize,
     /// Timed rounds per shard count on the E16 differential workload.
     pub shard_rounds: usize,
@@ -64,7 +65,7 @@ impl BenchSpec {
         retrieval_grid: &[(1_000, 100), (10_000, 200)],
         tick_users: 6,
         tick_grid: &[1_000, 10_000],
-        obs_rounds: 5,
+        obs_rounds: 20,
         shard_rounds: 1,
         heavy_users: 12,
         heavy_rounds: 1,
@@ -84,7 +85,7 @@ impl BenchSpec {
         retrieval_grid: &[(1_000, 1_000), (10_000, 1_000)],
         tick_users: 24,
         tick_grid: &[1_000, 10_000, 100_000],
-        obs_rounds: 3,
+        obs_rounds: 20,
         shard_rounds: 3,
         heavy_users: 24,
         heavy_rounds: 2,

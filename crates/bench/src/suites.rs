@@ -1,5 +1,6 @@
 //! The two suites `pphcr-bench` runs in its own process after the
-//! agents: E13 (retrieval index, batch-tick scaling, obs overhead) and
+//! agents: E13 (retrieval index, batch-tick scaling, pinned work,
+//! measured warm-phase speedup, obs overhead) and
 //! E16 (identity-checked rounds over `shard_agent` processes), plus
 //! the router driver E16 and `shard_smoke` share ([`run_router`]).
 
@@ -9,8 +10,11 @@ use crate::BenchSpec;
 use pphcr_core::EngineCommand;
 use pphcr_obs::timing::stopwatch;
 use pphcr_shard::{ProcessShard, Router, ShardError};
-use pphcr_sim::experiments::{e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling};
+use pphcr_sim::experiments::{
+    e13_obs_overhead, e13_retrieval, e13_tick_grid, e13_tick_scaling, e13_warm_speedup,
+};
 use pphcr_sim::script::{run_in_process, script, Run, Shape, TICK_HEAVY_STEPS};
+use pphcr_sim::timing::min_after_warmup;
 use std::path::Path;
 
 /// E13 timed rounds per retrieval pass and per tick-scaling row, after
@@ -67,12 +71,7 @@ pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
         );
     }
     let widest = WORKER_COUNTS[WORKER_COUNTS.len() - 1];
-    let grid = e13_tick_grid(spec.tick_grid, &WORKER_COUNTS, GRID_TICKS);
-    let base = grid
-        .iter()
-        .find(|r| r.users == GATE_FLEET && r.workers == 1)
-        .expect("every spec ticks the gate fleet, and 1 worker is in the worker counts");
-    for r in &grid {
+    for r in &e13_tick_grid(spec.tick_grid, &WORKER_COUNTS, GRID_TICKS) {
         println!("{r}");
         let entry = Entry::new("E13", format!("tick_grid_{}u_{}w", r.users, r.workers))
             .u64("users", r.users)
@@ -85,25 +84,49 @@ pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
             .u64("cache_misses", r.cache_misses)
             .u64("warm_serves", r.warm_serves)
             .u64("cross_tick_hits", r.cross_tick_hits)
+            .u64("sweeps", r.sweeps)
+            .u64("feedback_periods", r.feedback_periods)
             .u64("events", r.events);
-        entries.push(match (r.users == GATE_FLEET, r.workers) {
-            (true, 1) => entry.gated(gates::cross_tick(r.cross_tick_hits)),
-            (true, w) if w == widest => entry.gated(gates::scaling(base, r, host_cores)),
-            _ => entry,
-        });
+        let pinned = r.users == GATE_FLEET && r.workers == 1;
+        entries.push(if pinned { entry.gated(gates::work(r)) } else { entry });
     }
+    let speedup = Entry::new("E13", format!("warm_speedup_{GATE_FLEET}u"))
+        .u64("users", GATE_FLEET)
+        .u64("host_cores", host_cores as u64);
+    entries.push(match gates::gated_workers(host_cores) {
+        Some(workers) => {
+            let r = e13_warm_speedup(GATE_FLEET, workers, GRID_TICKS);
+            println!("{r}");
+            speedup
+                .u64("workers", workers as u64)
+                .u64("pairs", r.pairs as u64)
+                .f64("base_warm_s", r.base_warm_s)
+                .f64("warm_s", r.warm_s)
+                .f64("speedup", r.speedup)
+                .f64("speedup_q1", r.speedup_q1)
+                .f64("speedup_q3", r.speedup_q3)
+                .gated(gates::warm_speedup(&r))
+        }
+        None => {
+            println!("warm speedup: one core, no scaling claim");
+            speedup
+        }
+    });
     let obs = e13_obs_overhead(spec.tick_users, widest, spec.obs_rounds);
     println!("{obs}");
     entries.push(
         Entry::new("E13", "obs_overhead")
             .u64("users", obs.users)
             .u64("workers", obs.workers as u64)
-            .u64("rounds", obs.rounds as u64)
+            .u64("rounds", spec.obs_rounds as u64)
+            .u64("pairs", obs.pairs as u64)
             .f64("bare_s", obs.bare_s)
             .f64("instrumented_s", obs.instrumented_s)
             .f64("overhead_pct", obs.overhead_pct)
+            .f64("overhead_q1_pct", obs.overhead_q1_pct)
+            .f64("overhead_q3_pct", obs.overhead_q3_pct)
             .u64("events", obs.events)
-            .gated(gates::obs_overhead(obs.bare_s, obs.instrumented_s)),
+            .gated(gates::obs_overhead(obs.overhead_pct)),
     );
     (entries, obs.snapshot_json)
 }
@@ -145,7 +168,13 @@ pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
 
     let heavy = script(SHARD_SEED, Shape::TickHeavy { users: spec.heavy_users });
     let (setup, window) = (&heavy.setup, &heavy.window);
-    let (heavy_baseline, heavy_baseline_ms) = run_in_process(setup, window);
+    // The first run is the identity reference and the discarded
+    // warmup; the baseline is the best of `heavy_rounds` after it, as
+    // the sharded windows it divides are.
+    let (heavy_baseline, reference_ms) = run_in_process(setup, window);
+    let mut times = vec![reference_ms];
+    times.extend((0..spec.heavy_rounds).map(|_| run_in_process(setup, window).1));
+    let heavy_baseline_ms = min_after_warmup(&times, 1).expect("every spec has heavy rounds");
     println!(
         "=== E16b: tick-heavy window, {} commuters, {TICK_HEAVY_STEPS}+1 ticks, {} setup ops, \
          in-process window {heavy_baseline_ms:.1} ms ===",

@@ -520,17 +520,21 @@ fn zones_for_route(
 /// a newly resolved trip origin and a freshly compacted mobility model)
 /// back to the apply-only commit.
 ///
-/// [`MobilityModel::build`] is pure, so a model rebuilt here from the
-/// user's trace is indistinguishable from one the tracking store would
-/// have built and cached itself — which is what keeps the batch event
-/// stream bit-identical to the sequential one.
+/// The store's model arrives borrowed when it is current, or by value
+/// when the caller took it out of the store as stale; a stale model not
+/// needed here is handed back untouched for install.
+/// [`MobilityModel::compact`] is pure, so a model compacted here is
+/// indistinguishable from one the tracking store would have compacted
+/// itself — which is what keeps the batch event stream bit-identical
+/// to the sequential one.
 #[allow(clippy::too_many_arguments)]
 fn build_context(
     now: TimePoint,
     fix: Option<GpsFix>,
     proj: &LocalProjection,
     tracker: Option<&TripTracker>,
-    cached_model: Option<&MobilityModel>,
+    current_model: Option<&MobilityModel>,
+    mut stale_model: Option<MobilityModel>,
     trace: Option<&Trace>,
     model_config: &ModelConfig,
     predictor: &TripPredictor,
@@ -549,20 +553,18 @@ fn build_context(
         ambient: Ambient::default(),
     };
     // Resolve trip state.
-    let Some(tracker) = tracker else { return (ctx, None, None) };
-    let Some(departure) = tracker.driving_since else { return (ctx, None, None) };
-    // Reuse the store's cached model when it is current; rebuild from
-    // the trace otherwise, handing the fresh model back for install.
+    let Some(tracker) = tracker else { return (ctx, None, stale_model) };
+    let Some(departure) = tracker.driving_since else { return (ctx, None, stale_model) };
+    // Reuse the store's model when it is current; compact the trace from
+    // the stale one otherwise, handing the fresh model back for install.
     let mut fresh_model: Option<MobilityModel> = None;
-    let model: Option<&MobilityModel> = match cached_model {
-        Some(m) => Some(m),
-        None => match trace {
-            Some(t) if !t.is_empty() => {
-                fresh_model = Some(MobilityModel::build(t, proj, model_config));
-                fresh_model.as_ref()
-            }
-            _ => None,
-        },
+    let model: Option<&MobilityModel> = match (current_model, trace) {
+        (Some(m), _) => Some(m),
+        (None, Some(t)) if !t.is_empty() => {
+            fresh_model = Some(MobilityModel::compact(stale_model.take(), t, proj, model_config));
+            fresh_model.as_ref()
+        }
+        _ => None,
     };
     let mut origin_resolved = None;
     let origin_stay = match tracker.origin_stay {
@@ -586,7 +588,7 @@ fn build_context(
             }
         }
     }
-    (ctx, origin_resolved, fresh_model)
+    (ctx, origin_resolved, fresh_model.or(stale_model))
 }
 
 /// Per-user output of the parallel warm phase, consumed slot-by-slot by
@@ -895,7 +897,7 @@ impl Engine {
         let Some(player) = self.players.get_mut(&user) else {
             return Err(EngineError::UnknownUser(user));
         };
-        let events = player.tick(now, &self.epg);
+        let events = player.tick(now, &self.epg, &mut self.obs);
         self.apply_player_events(user, &events);
         Ok(events)
     }
@@ -1118,19 +1120,21 @@ impl Engine {
     pub fn context_for(&mut self, user: UserId, now: TimePoint) -> ListenerContext {
         let proj = *self.tracking.projection();
         let fix = self.tracking.recent_fixes(user, 1).last().copied();
-        let (ctx, origin_resolved, fresh_model) = build_context(
+        let stale_model = self.tracking.take_stale_model(user);
+        let (ctx, origin_resolved, model) = build_context(
             now,
             fix,
             &proj,
             self.trips.get(&user),
-            self.tracking.cached_model(user),
+            self.tracking.last_model(user),
+            stale_model,
             self.tracking.trace(user),
             self.tracking.model_config(),
             &self.config.predictor,
             self.road_network.as_ref(),
             self.config.junction_snap_m,
         );
-        if let Some(model) = fresh_model {
+        if let Some(model) = model {
             self.tracking.install_model(user, model);
         }
         if let Some(origin) = origin_resolved {
@@ -1161,7 +1165,7 @@ impl Engine {
         self.pump_feedback();
         // 1. Advance the player.
         if let Some(player) = self.players.get_mut(&user) {
-            let events = player.tick(now, &self.epg);
+            let events = player.tick(now, &self.epg, &mut self.obs);
             self.apply_player_events(user, &events);
         }
         // 2. Send pending editorial injections as tracked deliveries.
@@ -1399,14 +1403,16 @@ impl Engine {
         now: TimePoint,
         workers: usize,
     ) -> Vec<Option<Warmed>> {
-        /// Read-only inputs for one user's warm job, borrowed from the
-        /// stores for the lifetime of the scoped workers.
+        /// Inputs for one user's warm job: borrowed from the stores for
+        /// the lifetime of the scoped workers, except a stale model,
+        /// which the job owns.
         struct WarmJob<'a> {
             idx: usize,
             user: UserId,
             fix: Option<GpsFix>,
             tracker: Option<&'a TripTracker>,
-            cached_model: Option<&'a MobilityModel>,
+            current_model: Option<&'a MobilityModel>,
+            stale_model: Option<MobilityModel>,
             trace: Option<&'a Trace>,
             proactivity: Option<&'a ProactivityModel>,
             heard: Option<&'a HashSet<ClipId>>,
@@ -1420,12 +1426,28 @@ impl Engine {
             user: UserId,
             ctx: ListenerContext,
             origin_resolved: Option<u32>,
-            fresh_model: Option<MobilityModel>,
+            model: Option<MobilityModel>,
             cache_fill: Option<CachedCandidates>,
         }
         let mut warmed: Vec<Option<Warmed>> = Vec::new();
         warmed.resize_with(users.len(), || None);
-        let (outcomes, shard_registries, warm_span) = {
+        // A driving listener's stale model moves into its job, so
+        // compaction reuses it without copying and the commit drops
+        // nothing. `run_tick` has checked that every user is
+        // registered, so every model taken here reaches a job.
+        let mut stale_models: Vec<Option<MobilityModel>> = users
+            .iter()
+            .map(|&user| {
+                let driving = self.hot.fix_count(user) > 0
+                    && self.trips.get(&user).is_some_and(|t| t.driving_since.is_some());
+                if driving {
+                    self.tracking.take_stale_model(user)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        let (runs, warm_span) = {
             let repo = &self.repo;
             let feedback = &self.feedback;
             let tracking = &self.tracking;
@@ -1463,7 +1485,8 @@ impl Engine {
                         None
                     },
                     tracker: trips.get(&user),
-                    cached_model: if has_fixes { tracking.cached_model(user) } else { None },
+                    current_model: if has_fixes { tracking.last_model(user) } else { None },
+                    stale_model: stale_models[idx].take(),
                     trace: if has_fixes { tracking.trace(user) } else { None },
                     proactivity: proactivity.get(&user),
                     heard: hot.heard_ref(user),
@@ -1474,13 +1497,14 @@ impl Engine {
             }
             let shard_registry =
                 move || if obs_enabled { Registry::new() } else { Registry::disabled() };
-            let warm_one = |job: &WarmJob<'_>, reg: &mut Registry| -> WarmOutcome {
-                let (ctx, origin_resolved, fresh_model) = build_context(
+            let warm_one = |job: WarmJob<'_>, reg: &mut Registry| -> WarmOutcome {
+                let (ctx, origin_resolved, model) = build_context(
                     now,
                     job.fix,
                     &proj,
                     job.tracker,
-                    job.cached_model,
+                    job.current_model,
+                    job.stale_model,
                     job.trace,
                     model_config,
                     predictor,
@@ -1519,7 +1543,7 @@ impl Engine {
                     user: job.user,
                     ctx,
                     origin_resolved,
-                    fresh_model,
+                    model,
                     cache_fill,
                 }
             };
@@ -1534,61 +1558,73 @@ impl Engine {
             }
             let workers =
                 effective_warm_workers(workers, jobs.len(), shard_mask.count_ones() as usize);
+            // Each worker owns the jobs of the shards congruent to its
+            // slot, in request order.
+            let parts: Vec<Vec<WarmJob<'_>>> = if workers <= 1 {
+                vec![jobs]
+            } else {
+                let mut parts: Vec<Vec<WarmJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+                for job in jobs {
+                    let shard = splitmix64(job.user.0) % USER_SHARDS;
+                    parts[(shard % workers as u64) as usize].push(job);
+                }
+                parts
+            };
             let warm_span = Span::enter("engine.warm");
-            let (mut outcomes, registries): (Vec<WarmOutcome>, Vec<Registry>) = if workers <= 1 {
+            let runs: Vec<(Vec<WarmOutcome>, Registry)> = if workers <= 1 {
                 let mut reg = shard_registry();
-                let out = jobs.iter().map(|job| warm_one(job, &mut reg)).collect();
-                (out, vec![reg])
+                let out = parts.into_iter().flatten().map(|job| warm_one(job, &mut reg)).collect();
+                vec![(out, reg)]
             } else {
                 std::thread::scope(|s| {
-                    let jobs = &jobs;
                     let warm_one = &warm_one;
-                    let handles: Vec<_> = (0..workers)
-                        .map(|slot| {
+                    let handles: Vec<_> = parts
+                        .into_iter()
+                        .map(|part| {
                             s.spawn(move || {
                                 let mut reg = shard_registry();
-                                let out = jobs
-                                    .iter()
-                                    .filter(|job| {
-                                        let shard = splitmix64(job.user.0) % USER_SHARDS;
-                                        shard % workers as u64 == slot as u64
-                                    })
+                                let out = part
+                                    .into_iter()
                                     .map(|job| warm_one(job, &mut reg))
                                     .collect::<Vec<_>>();
                                 (out, reg)
                             })
                         })
                         .collect();
-                    let mut all = Vec::new();
-                    let mut registries = Vec::new();
-                    for h in handles {
+                    handles
+                        .into_iter()
                         // lint: allow(expect) — re-raising a worker panic; the closure runs lint-clean code
-                        let (out, reg) = h.join().expect("warm worker panicked");
-                        all.extend(out);
-                        registries.push(reg);
-                    }
-                    (all, registries)
+                        .map(|h| h.join().expect("warm worker panicked"))
+                        .collect()
                 })
             };
-            outcomes.sort_by_key(|o| o.idx);
-            (outcomes, registries, warm_span)
+            (runs, warm_span)
         };
         // The span brackets exactly the worker fan-out — the
-        // parallelizable region; its wall-clock share of the tick is
-        // the Amdahl parallel fraction the e13 bench reports.
+        // parallelizable region, whose 1-worker over w-worker time is
+        // the warm-phase speedup E13 gates.
         warm_span.finish(&mut self.obs);
         // Commit per-shard registries in slot order. Counter and
         // histogram merging is exact integer addition — commutative and
         // associative — so the merged totals are identical for any
-        // worker count over the same work list.
-        for reg in &shard_registries {
-            self.obs.merge_from(reg);
+        // worker count over the same work list. Each worker's run is in
+        // request order, and one run is already the whole batch; a
+        // stable sort merges several.
+        let mut outcomes: Vec<WarmOutcome> = Vec::new();
+        for (out, reg) in runs {
+            self.obs.merge_from(&reg);
+            if outcomes.is_empty() {
+                outcomes = out;
+            } else {
+                outcomes.extend(out);
+            }
         }
+        outcomes.sort_by_key(|o| o.idx);
         // Apply-only commit, in request order: install memoized models
         // and trip origins, fill the candidate cache, hand contexts to
         // the sequential loop.
         for o in outcomes {
-            if let Some(model) = o.fresh_model {
+            if let Some(model) = o.model {
                 self.tracking.install_model(o.user, model);
             }
             if let Some(origin) = o.origin_resolved {
@@ -1812,8 +1848,10 @@ impl Engine {
     /// Re-sends unacknowledged deliveries whose backoff timer fired and
     /// dead-letters those that exhausted the retry budget. Every retry
     /// and every abandonment counts as a failure on the listener's
-    /// ladder.
+    /// ladder. The `tick.sweep` span's count is the number of sweeps,
+    /// which E13 pins to one per tick.
     fn sweep_retries(&mut self, now: TimePoint) {
+        let span = Span::enter("tick.sweep");
         let (to_retry, to_dead_letter) = self.delivery.due_retries(
             now,
             &self.config.backoff,
@@ -1828,6 +1866,7 @@ impl Engine {
             self.note_failure(d.user, now);
             self.bus.dead_letter_exhausted(Topic::Recommendation, d.envelope, now);
         }
+        span.finish(&mut self.obs);
     }
 
     /// Manual skip (the Greg scenario, §2.1.1): negative feedback, then

@@ -14,6 +14,7 @@
 use pphcr_audio::ClipId;
 use pphcr_catalog::{CategoryId, Schedule, ServiceIndex};
 use pphcr_geo::{TimePoint, TimeSpan};
+use pphcr_obs::{Registry, Span};
 use pphcr_userdata::{FeedbackEvent, FeedbackKind, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -134,8 +135,10 @@ impl Player {
         self.queue.push_front(clip);
     }
 
-    /// Advances playback to `now`, returning emitted events.
-    pub fn tick(&mut self, now: TimePoint, epg: &Schedule) -> Vec<PlayerEvent> {
+    /// Advances playback to `now`, returning emitted events. Each
+    /// implicit-feedback period walked lands in `obs`'s timing table as
+    /// one `player.feedback_period` span, so E13 can pin that work.
+    pub fn tick(&mut self, now: TimePoint, epg: &Schedule, obs: &mut Registry) -> Vec<PlayerEvent> {
         let mut events = Vec::new();
         // Finish clips that ran out.
         if let PlaybackMode::Clip { clip, started } = self.mode {
@@ -172,6 +175,7 @@ impl Player {
             self.last_feedback = self.last_feedback.advance(TimeSpan::seconds(whole * period_s));
         }
         while now.since(self.last_feedback) >= self.feedback_period {
+            let span = Span::enter("player.feedback_period");
             self.last_feedback = self.last_feedback.advance(self.feedback_period);
             if let Some(category) = self.current_category(self.last_feedback, epg) {
                 let clip = match self.mode {
@@ -186,6 +190,7 @@ impl Player {
                     time: self.last_feedback,
                 }));
             }
+            span.finish(obs);
         }
         events
     }
@@ -301,16 +306,16 @@ mod tests {
         let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
         assert_eq!(p.mode(), PlaybackMode::Live);
         p.enqueue([clip(1, 10, 8)]);
-        let ev = p.tick(t0, &epg);
+        let ev = p.tick(t0, &epg, &mut Registry::disabled());
         assert!(ev.contains(&PlayerEvent::ClipStarted(ClipId(1))));
         // Mid-clip.
-        let ev = p.tick(t0.advance(TimeSpan::minutes(5)), &epg);
+        let ev = p.tick(t0.advance(TimeSpan::minutes(5)), &epg, &mut Registry::disabled());
         assert!(matches!(p.mode(), PlaybackMode::Clip { .. }));
         assert!(ev
             .iter()
             .any(|e| matches!(e, PlayerEvent::Feedback(f) if matches!(f.kind, FeedbackKind::PartialListen(_)))));
         // Past the end: finished + listened-through + shifted resume.
-        let ev = p.tick(t0.advance(TimeSpan::minutes(10)), &epg);
+        let ev = p.tick(t0.advance(TimeSpan::minutes(10)), &epg, &mut Registry::disabled());
         assert!(ev.contains(&PlayerEvent::ClipFinished(ClipId(1))));
         assert!(ev.iter().any(
             |e| matches!(e, PlayerEvent::Feedback(f) if f.kind == FeedbackKind::ListenedThrough)
@@ -326,7 +331,7 @@ mod tests {
         let t0 = TimePoint::at(0, 9, 0, 0);
         let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
         p.enqueue([clip(1, 10, 8), clip(2, 5, 9)]);
-        p.tick(t0, &epg);
+        p.tick(t0, &epg, &mut Registry::disabled());
         let ev = p.skip(t0.advance(TimeSpan::minutes(2)), &epg);
         let fb = ev
             .iter()
@@ -364,14 +369,14 @@ mod tests {
         let t0 = TimePoint::at(0, 9, 0, 0);
         let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
         // 10 minutes of live listening at 2-minute cadence → 5 events.
-        let ev = p.tick(t0.advance(TimeSpan::minutes(10)), &epg);
+        let ev = p.tick(t0.advance(TimeSpan::minutes(10)), &epg, &mut Registry::disabled());
         let n = ev
             .iter()
             .filter(|e| matches!(e, PlayerEvent::Feedback(f) if matches!(f.kind, FeedbackKind::PartialListen(_))))
             .count();
         assert_eq!(n, 5);
         // No double emission on a second tick at the same instant.
-        let again = p.tick(t0.advance(TimeSpan::minutes(10)), &epg);
+        let again = p.tick(t0.advance(TimeSpan::minutes(10)), &epg, &mut Registry::disabled());
         assert!(again.is_empty());
     }
 
@@ -381,8 +386,8 @@ mod tests {
         let t0 = TimePoint::at(0, 9, 0, 0);
         let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
         p.enqueue([clip(1, 10, 8)]);
-        p.tick(t0, &epg);
-        p.tick(t0.advance(TimeSpan::minutes(10)), &epg);
+        p.tick(t0, &epg, &mut Registry::disabled());
+        p.tick(t0.advance(TimeSpan::minutes(10)), &epg, &mut Registry::disabled());
         assert!(!p.displacement().is_zero());
         let ev = p.change_service(ServiceIndex(3));
         assert_eq!(ev, PlayerEvent::ChangedService(ServiceIndex(3)));
@@ -399,7 +404,7 @@ mod tests {
         let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
         p.enqueue([clip(1, 5, 8), clip(2, 5, 9)]);
         p.enqueue_front(clip(99, 3, 0));
-        let ev = p.tick(t0, &epg);
+        let ev = p.tick(t0, &epg, &mut Registry::disabled());
         assert!(ev.contains(&PlayerEvent::ClipStarted(ClipId(99))));
     }
 
@@ -408,8 +413,23 @@ mod tests {
         let epg = epg();
         let t0 = TimePoint::at(0, 9, 0, 0);
         let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
-        let ev = p.tick(t0.advance(TimeSpan::seconds(30)), &epg);
+        let ev = p.tick(t0.advance(TimeSpan::seconds(30)), &epg, &mut Registry::disabled());
         assert!(ev.is_empty());
         assert_eq!(p.mode(), PlaybackMode::Live);
+    }
+
+    #[test]
+    fn live_on_an_empty_epg_catches_up_without_walking_periods() {
+        let t0 = TimePoint::at(0, 0, 0, 0);
+        let mut p = Player::new(UserId(1), ServiceIndex(0), t0);
+        let mut obs = Registry::new();
+        let days_later = TimePoint::at(3, 8, 0, 30);
+        assert!(p.tick(days_later, &Schedule::new(), &mut obs).is_empty());
+        assert!(obs.timing("player.feedback_period").is_none(), "no period walked");
+        // The marker sits inside the last period, as a walk would leave it.
+        assert_eq!(p.last_feedback, TimePoint::at(3, 8, 0, 0));
+        // On a non-empty EPG every elapsed period is walked.
+        p.tick(days_later.advance(TimeSpan::minutes(4)), &epg(), &mut obs);
+        assert_eq!(obs.timing("player.feedback_period").map(|t| t.count), Some(2));
     }
 }

@@ -35,6 +35,22 @@ pub fn sample_min_s(warmup: usize, samples: usize, mut op: impl FnMut()) -> f64 
     min_after_warmup(&times, warmup).expect("at least one timed sample")
 }
 
+/// The first quartile, median and third quartile of `samples`,
+/// interpolated linearly between order statistics, or `None` when
+/// there are none. Paired measurements gate the median and report the
+/// quartiles beside it, so one outlier pair moves neither.
+#[must_use]
+pub fn quartiles(samples: &[f64]) -> Option<[f64; 3]> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    (!sorted.is_empty()).then(|| [at(0.25), at(0.5), at(0.75)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,6 +78,16 @@ mod tests {
         assert_eq!(min_after_warmup(&[1.0, 2.0], 2), None);
         assert_eq!(min_after_warmup(&[1.0, 2.0], 5), None);
         assert_eq!(min_after_warmup(&[], 0), None);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[]), None);
+        assert_eq!(quartiles(&[2.0]), Some([2.0, 2.0, 2.0]));
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), Some([2.0, 3.0, 4.0]));
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0]), Some([1.75, 2.5, 3.25]));
+        // One wild sample moves neither quartile nor the median.
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0, 500.0]), Some([2.0, 3.0, 4.0]));
     }
 
     #[test]

@@ -170,7 +170,6 @@ pub fn stay_points(
         visit_count: usize,
         hour_histogram: [u32; 24],
         last_time: Option<TimePoint>,
-        visit_start: Option<TimePoint>,
     }
     let mut accs: Vec<Acc> = (0..n_clusters)
         .map(|_| Acc {
@@ -181,7 +180,6 @@ pub fn stay_points(
             visit_count: 0,
             hour_histogram: [0; 24],
             last_time: None,
-            visit_start: None,
         })
         .collect();
     // Fixes are time-ordered (Trace invariant), so visits can be
@@ -199,7 +197,6 @@ pub fn stay_points(
             _ => {
                 acc.visit_count += 1;
                 acc.hour_histogram[t.hour_of_day() as usize] += 1;
-                acc.visit_start = Some(*t);
             }
         }
         acc.last_time = Some(*t);

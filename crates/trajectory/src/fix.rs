@@ -8,6 +8,7 @@
 
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Why a GPS fix failed validation.
 ///
@@ -89,14 +90,20 @@ impl Trace {
     }
 
     /// Appends a fix. Out-of-order fixes (device clock skew, late
-    /// uploads) are inserted at their timestamp position.
-    pub fn push(&mut self, fix: GpsFix) {
+    /// uploads) are inserted at their timestamp position. Returns
+    /// `true` when the fix went to the end, so every earlier fix kept
+    /// its index, and `false` when it was inserted before a later one.
+    pub fn push(&mut self, fix: GpsFix) -> bool {
         match self.fixes.last() {
             Some(last) if last.time > fix.time => {
                 let idx = self.fixes.partition_point(|f| f.time <= fix.time);
                 self.fixes.insert(idx, fix);
+                false
             }
-            _ => self.fixes.push(fix),
+            _ => {
+                self.fixes.push(fix);
+                true
+            }
         }
     }
 
@@ -126,21 +133,22 @@ impl Trace {
             _ => TimeSpan::ZERO,
         }
     }
+}
 
-    /// Path length in meters (sum of haversine hops).
-    #[must_use]
-    pub fn length_m(&self) -> f64 {
-        self.fixes.windows(2).map(|w| w[0].point.haversine_m(w[1].point)).sum()
-    }
+/// Path length of `fixes` in meters (sum of haversine hops).
+#[must_use]
+pub fn length_m(fixes: &[GpsFix]) -> f64 {
+    fixes.windows(2).map(|w| w[0].point.haversine_m(w[1].point)).sum()
+}
 
-    /// Mean of the reported instantaneous speeds, m/s (0 when empty).
-    #[must_use]
-    pub fn mean_speed_mps(&self) -> f64 {
-        if self.fixes.is_empty() {
-            return 0.0;
-        }
-        self.fixes.iter().map(|f| f.speed_mps).sum::<f64>() / self.fixes.len() as f64
+/// Mean of the reported instantaneous speeds of `fixes`, m/s (0 when
+/// empty).
+#[must_use]
+pub fn mean_speed_mps(fixes: &[GpsFix]) -> f64 {
+    if fixes.is_empty() {
+        return 0.0;
     }
+    fixes.iter().map(|f| f.speed_mps).sum::<f64>() / fixes.len() as f64
 }
 
 /// Splits a trace into trips separated by dwells.
@@ -176,9 +184,10 @@ impl Default for TripSegmenter {
 }
 
 impl TripSegmenter {
-    /// Segments `trace` into trips.
+    /// Segments `trace` into trips, each the index range of its fixes
+    /// in `trace.fixes()`, in order.
     #[must_use]
-    pub fn segment(&self, trace: &Trace) -> Vec<Trace> {
+    pub fn segment(&self, trace: &Trace) -> Vec<Range<usize>> {
         let fixes = trace.fixes();
         if fixes.is_empty() {
             return Vec::new();
@@ -208,20 +217,17 @@ impl TripSegmenter {
         }
         // Collect maximal moving runs as trips.
         let mut trips = Vec::new();
-        let mut current: Vec<GpsFix> = Vec::new();
-        for (fix, &is_dwell) in fixes.iter().zip(&dwelling) {
+        let mut start = 0;
+        for (i, &is_dwell) in dwelling.iter().enumerate() {
             if is_dwell {
-                if current.len() >= self.min_trip_fixes {
-                    trips.push(Trace { fixes: std::mem::take(&mut current) });
-                } else {
-                    current.clear();
+                if i - start >= self.min_trip_fixes {
+                    trips.push(start..i);
                 }
-            } else {
-                current.push(*fix);
+                start = i + 1;
             }
         }
-        if current.len() >= self.min_trip_fixes {
-            trips.push(Trace { fixes: current });
+        if fixes.len() - start >= self.min_trip_fixes {
+            trips.push(start..fixes.len());
         }
         trips
     }
@@ -241,11 +247,12 @@ mod tests {
     #[test]
     fn push_keeps_time_order() {
         let mut t = Trace::default();
-        t.push(GpsFix::new(HOME, TimePoint(100), 0.0));
-        t.push(GpsFix::new(HOME, TimePoint(50), 0.0));
-        t.push(GpsFix::new(HOME, TimePoint(75), 0.0));
+        assert!(t.push(GpsFix::new(HOME, TimePoint(100), 0.0)));
+        assert!(!t.push(GpsFix::new(HOME, TimePoint(50), 0.0)));
+        assert!(!t.push(GpsFix::new(HOME, TimePoint(75), 0.0)));
+        assert!(t.push(GpsFix::new(HOME, TimePoint(100), 0.0)), "a tie goes to the end");
         let times: Vec<u64> = t.fixes().iter().map(|f| f.time.seconds()).collect();
-        assert_eq!(times, vec![50, 75, 100]);
+        assert_eq!(times, vec![50, 75, 100, 100]);
     }
 
     #[test]
@@ -261,16 +268,16 @@ mod tests {
     fn duration_and_length() {
         let t = Trace::from_fixes((0..10).map(|i| moving_fix(i, 100.0)).collect());
         assert_eq!(t.duration(), TimeSpan::seconds(270));
-        assert!((t.length_m() - 900.0).abs() < 1.0);
-        assert!(t.mean_speed_mps() > 3.0);
+        assert!((length_m(t.fixes()) - 900.0).abs() < 1.0);
+        assert!(mean_speed_mps(t.fixes()) > 3.0);
     }
 
     #[test]
     fn empty_trace_metrics_are_zero() {
         let t = Trace::default();
         assert_eq!(t.duration(), TimeSpan::ZERO);
-        assert_eq!(t.length_m(), 0.0);
-        assert_eq!(t.mean_speed_mps(), 0.0);
+        assert_eq!(length_m(t.fixes()), 0.0);
+        assert_eq!(mean_speed_mps(t.fixes()), 0.0);
     }
 
     #[test]
@@ -309,12 +316,13 @@ mod tests {
                 10.0,
             ));
         }
-        let trips = TripSegmenter::default().segment(&Trace::from_fixes(fixes));
+        let trace = Trace::from_fixes(fixes);
+        let trips = TripSegmenter::default().segment(&trace);
         assert_eq!(trips.len(), 2);
-        assert!(trips[0].length_m() > 8_000.0);
-        assert!(trips[1].length_m() > 8_000.0);
+        assert!(length_m(&trace.fixes()[trips[0].clone()]) > 8_000.0);
+        assert!(length_m(&trace.fixes()[trips[1].clone()]) > 8_000.0);
         // The dwell fixes belong to neither trip.
-        assert!(trips.iter().all(|t| t.fixes().iter().all(|f| f.speed_mps > 0.0)));
+        assert!(trips.iter().all(|t| trace.fixes()[t.clone()].iter().all(|f| f.speed_mps > 0.0)));
     }
 
     #[test]
@@ -340,7 +348,6 @@ mod tests {
     fn single_continuous_drive_is_one_trip() {
         let fixes: Vec<GpsFix> = (0..60).map(|i| moving_fix(i, 250.0)).collect();
         let trips = TripSegmenter::default().segment(&Trace::from_fixes(fixes));
-        assert_eq!(trips.len(), 1);
-        assert_eq!(trips[0].len(), 60);
+        assert_eq!(trips, vec![0..60]);
     }
 }

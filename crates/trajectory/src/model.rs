@@ -12,11 +12,12 @@
 //! * complexity — the RDP turn-density metric.
 
 use crate::dbscan::{stay_points, DbscanParams, StayPoint};
-use crate::fix::{Trace, TripSegmenter};
+use crate::fix::{length_m, mean_speed_mps, Trace, TripSegmenter};
 use crate::rdp::{simplify, trajectory_complexity};
 use pphcr_geo::{LocalProjection, ProjectedPoint, TimePoint, TimeSpan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A compacted trip: the discrete summary the tracking DB keeps instead
 /// of the raw fixes.
@@ -124,6 +125,11 @@ impl Default for ModelConfig {
 }
 
 /// The compact mobility model for one listener.
+///
+/// A model remembers which prefix of the trace it was compacted from
+/// and where that prefix's trips lie, so the next compaction of the
+/// grown trace can reuse its work (see [`MobilityModel::compact`]).
+/// That memo is O(stays + trips), never O(fixes).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MobilityModel {
     /// Significant places, ordered by total dwell (longest first).
@@ -132,16 +138,57 @@ pub struct MobilityModel {
     pub trips: Vec<TripSummary>,
     /// Aggregates per (origin, destination) staying-point pair.
     pub profiles: HashMap<(u32, u32), RouteProfile>,
+    /// Fixes of the trace prefix this model was compacted from.
+    fixes: usize,
+    /// Of those, the fixes slow enough to count for stay points.
+    slow_fixes: usize,
+    /// The fix-index range of each of `trips`.
+    trip_ranges: Vec<Range<usize>>,
 }
 
 impl MobilityModel {
     /// Builds the model from a raw trace: segmentation → staying points
     /// → per-trip compaction → route aggregation. This is the paper's
-    /// "periodically process and simplify" batch job.
+    /// "periodically process and simplify" batch job, with no earlier
+    /// model to reuse.
     #[must_use]
     pub fn build(trace: &Trace, proj: &LocalProjection, cfg: &ModelConfig) -> Self {
-        let stays = stay_points(trace, proj, cfg.dbscan, cfg.stay_max_speed_mps);
-        let trips_raw = cfg.segmenter.segment(trace);
+        MobilityModel::compact(None, trace, proj, cfg)
+    }
+
+    /// Compacts `trace`, reusing what `prev` already compacted. `prev`
+    /// must have been compacted with `cfg` from a prefix of `trace`:
+    /// the tracking store keeps a listener's model only while fixes are
+    /// appended. The result equals [`MobilityModel::build`] of `trace`:
+    ///
+    /// * the stay points are reused while no new fix is slow enough to
+    ///   join them, because DBSCAN then sees the same points;
+    /// * a trip whose fix range `prev` already summarized keeps its
+    ///   summary, because a range inside the prefix covers the same
+    ///   fixes;
+    /// * segmentation, the trip in progress, stay attachment and route
+    ///   profiles are recomputed.
+    ///
+    /// `prev` is taken by value, so what is reused moves instead of
+    /// being copied. A `prev` compacted from more fixes than `trace`
+    /// holds is ignored.
+    #[must_use]
+    pub fn compact(
+        prev: Option<MobilityModel>,
+        trace: &Trace,
+        proj: &LocalProjection,
+        cfg: &ModelConfig,
+    ) -> Self {
+        let fixes = trace.fixes();
+        // No previous model is the model of the empty prefix.
+        let prev = prev.filter(|p| p.fixes <= fixes.len()).unwrap_or_default();
+        let slow_fixes = prev.slow_fixes
+            + fixes[prev.fixes..].iter().filter(|f| f.speed_mps <= cfg.stay_max_speed_mps).count();
+        let stays = if prev.slow_fixes == slow_fixes {
+            prev.stay_points
+        } else {
+            stay_points(trace, proj, cfg.dbscan, cfg.stay_max_speed_mps)
+        };
         let stay_positions: Vec<ProjectedPoint> =
             stays.iter().map(|s| proj.project(s.center)).collect();
         let attach = |p: ProjectedPoint| -> Option<u32> {
@@ -153,31 +200,55 @@ impl MobilityModel {
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(i, _)| i as u32)
         };
-        let mut trips = Vec::with_capacity(trips_raw.len());
-        for (id, t) in trips_raw.iter().enumerate() {
-            let pts: Vec<ProjectedPoint> =
-                t.fixes().iter().map(|f| proj.project(f.point)).collect();
+        let segments = cfg.segmenter.segment(trace);
+        let mut trips = Vec::with_capacity(segments.len());
+        let mut trip_ranges = Vec::with_capacity(segments.len());
+        // Both range lists ascend, so one walk pairs equal ranges.
+        let mut summarized = prev.trip_ranges.into_iter().zip(prev.trips).peekable();
+        for (id, range) in segments.into_iter().enumerate() {
+            let run = &fixes[range.clone()];
             // The segmenter yields non-empty trips today, but the model
             // builder must stay total: a degenerate empty trip is
             // dropped rather than panicking mid-compaction.
-            let (Some(&first), Some(&last)) = (pts.first(), pts.last()) else { continue };
-            let (Some(first_fix), Some(last_fix)) = (t.fixes().first(), t.fixes().last()) else {
-                continue;
-            };
-            trips.push(TripSummary {
-                id: id as u32,
-                origin: attach(first),
-                destination: attach(last),
-                start: first_fix.time,
-                end: last_fix.time,
-                length_m: t.length_m(),
-                mean_speed_mps: t.mean_speed_mps(),
-                complexity: trajectory_complexity(&pts, cfg.rdp_epsilon_m),
-                geometry: simplify(&pts, cfg.rdp_epsilon_m),
+            let (Some(first_fix), Some(last_fix)) = (run.first(), run.last()) else { continue };
+            let origin = attach(proj.project(first_fix.point));
+            let destination = attach(proj.project(last_fix.point));
+            while summarized.next_if(|(r, _)| r.start < range.start).is_some() {}
+            trips.push(match summarized.next_if(|(r, _)| *r == range) {
+                Some((_, old)) => TripSummary { id: id as u32, origin, destination, ..old },
+                None => {
+                    let pts: Vec<ProjectedPoint> =
+                        run.iter().map(|f| proj.project(f.point)).collect();
+                    TripSummary {
+                        id: id as u32,
+                        origin,
+                        destination,
+                        start: first_fix.time,
+                        end: last_fix.time,
+                        length_m: length_m(run),
+                        mean_speed_mps: mean_speed_mps(run),
+                        complexity: trajectory_complexity(&pts, cfg.rdp_epsilon_m),
+                        geometry: simplify(&pts, cfg.rdp_epsilon_m),
+                    }
+                }
             });
+            trip_ranges.push(range);
         }
         let profiles = aggregate_profiles(&trips);
-        MobilityModel { stay_points: stays, trips, profiles }
+        MobilityModel {
+            stay_points: stays,
+            trips,
+            profiles,
+            fixes: fixes.len(),
+            slow_fixes,
+            trip_ranges,
+        }
+    }
+
+    /// Fixes of the trace prefix this model was compacted from.
+    #[must_use]
+    pub fn fix_count(&self) -> usize {
+        self.fixes
     }
 
     /// Profiles departing from `origin`, sorted by descending
@@ -398,7 +469,7 @@ pub(crate) mod tests {
         for d in [9u32, 2, 5, 7, 1] {
             profiles.insert((0u32, d), profile(d));
         }
-        let model = MobilityModel { stay_points: Vec::new(), trips: Vec::new(), profiles };
+        let model = MobilityModel { profiles, ..MobilityModel::default() };
         let dests: Vec<u32> = model.routes_from(0).iter().map(|p| p.destination).collect();
         assert_eq!(dests, vec![1, 2, 5, 7, 9]);
     }

@@ -35,8 +35,10 @@ impl std::error::Error for TrackingError {}
 pub struct TrackingStore {
     projection: LocalProjection,
     traces: HashMap<UserId, Trace>,
-    /// Cached compact models, invalidated by new fixes.
-    models: HashMap<UserId, (usize, MobilityModel)>,
+    /// Each user's last compacted model, always of a prefix of the
+    /// user's trace: an appended fix keeps it for the next compaction
+    /// to reuse, and a fix inserted before a stored one drops it.
+    models: HashMap<UserId, MobilityModel>,
     config: ModelConfig,
     dropped_invalid: u64,
 }
@@ -69,14 +71,16 @@ impl TrackingStore {
 
     /// Ingests one fix from a device. Invalid fixes (NaN coordinates,
     /// negative speed — GPS cold-start garbage) are counted and
-    /// dropped.
+    /// dropped. A fix that lands before a stored one drops the user's
+    /// model, which no longer describes a prefix of the trace.
     pub fn record(&mut self, user: UserId, fix: GpsFix) {
         if fix.validate().is_err() {
             self.dropped_invalid += 1;
             return;
         }
-        self.traces.entry(user).or_default().push(fix);
-        self.models.remove(&user);
+        if !self.traces.entry(user).or_default().push(fix) {
+            self.models.remove(&user);
+        }
     }
 
     /// Number of invalid fixes dropped so far.
@@ -126,9 +130,10 @@ impl TrackingStore {
             .unwrap_or_default()
     }
 
-    /// The user's compact mobility model, rebuilt only when new fixes
-    /// arrived since the last build (the paper's "periodically process
-    /// and simplify" job, run on demand).
+    /// The user's compact mobility model, compacted again only when
+    /// new fixes arrived since the last compaction (the paper's
+    /// "periodically process and simplify" job, run on demand), and
+    /// then from the last model through [`MobilityModel::compact`].
     ///
     /// # Errors
     /// [`TrackingError::NoFixes`] for a user without any recorded fix —
@@ -136,27 +141,19 @@ impl TrackingStore {
     /// for the mobility of an untracked listener is a caller bug worth
     /// surfacing.
     pub fn mobility_model(&mut self, user: UserId) -> Result<&MobilityModel, TrackingError> {
-        let fix_count = match self.traces.get(&user) {
-            Some(t) => t.len(),
-            None => return Err(TrackingError::NoFixes(user)),
+        let Some(trace) = self.traces.get(&user) else {
+            return Err(TrackingError::NoFixes(user));
         };
-        let needs_build = match self.models.get(&user) {
-            Some((count, _)) => *count != fix_count,
-            None => true,
-        };
-        if needs_build {
-            let trace = self.traces.get(&user).cloned().unwrap_or_default();
-            let model = MobilityModel::build(&trace, &self.projection, &self.config);
-            self.models.insert(user, (fix_count, model));
+        if self.models.get(&user).is_none_or(|model| model.fix_count() != trace.len()) {
+            let prev = self.models.remove(&user);
+            let model = MobilityModel::compact(prev, trace, &self.projection, &self.config);
+            self.models.insert(user, model);
         }
-        match self.models.get(&user) {
-            Some((_, model)) => Ok(model),
-            None => Err(TrackingError::NoFixes(user)),
-        }
+        self.models.get(&user).ok_or(TrackingError::NoFixes(user))
     }
 
     /// The compaction configuration models are built with — exposed so
-    /// a parallel pipeline can run [`MobilityModel::build`] off-thread
+    /// a parallel pipeline can run [`MobilityModel::compact`] off-thread
     /// with the exact parameters [`TrackingStore::mobility_model`]
     /// would use.
     #[must_use]
@@ -164,29 +161,35 @@ impl TrackingStore {
         &self.config
     }
 
-    /// The user's cached mobility model, only when it is current (built
-    /// from every stored fix). A read-only twin of
-    /// [`TrackingStore::mobility_model`] for pipelines that must not
-    /// hold `&mut self`: a stale or missing cache returns `None` and
-    /// the caller rebuilds off-thread from [`TrackingStore::trace`].
+    /// The user's last compacted model: current when its
+    /// [`MobilityModel::fix_count`] equals the trace's length, else
+    /// compacted from a prefix of the trace.
     #[must_use]
-    pub fn cached_model(&self, user: UserId) -> Option<&MobilityModel> {
-        let fix_count = self.traces.get(&user)?.len();
-        match self.models.get(&user) {
-            Some((count, model)) if *count == fix_count => Some(model),
-            _ => None,
-        }
+    pub fn last_model(&self, user: UserId) -> Option<&MobilityModel> {
+        self.models.get(&user)
     }
 
-    /// Installs a model built off-thread as the user's cached model,
-    /// stamped with the current fix count. The model must have been
-    /// built from the user's full trace with [`Self::model_config`] —
-    /// [`MobilityModel::build`] is pure, so such a model is
-    /// indistinguishable from one built by
-    /// [`TrackingStore::mobility_model`] itself.
+    /// Takes the user's last model out of the store when it is stale
+    /// (compacted from a shorter prefix). Pipelines that must not hold
+    /// `&mut self` while they compact take it first, compact it
+    /// off-thread through [`MobilityModel::compact`] with
+    /// [`TrackingStore::trace`], then [`TrackingStore::install_model`]
+    /// the result.
+    pub fn take_stale_model(&mut self, user: UserId) -> Option<MobilityModel> {
+        let fixes = self.fix_count(user);
+        if self.models.get(&user)?.fix_count() == fixes {
+            return None;
+        }
+        self.models.remove(&user)
+    }
+
+    /// Installs a model compacted off-thread as the user's model. It
+    /// must have been compacted from the user's trace, or a prefix of
+    /// it, with [`Self::model_config`] — [`MobilityModel::compact`] is
+    /// pure, so such a model is indistinguishable from one
+    /// [`TrackingStore::mobility_model`] would have compacted itself.
     pub fn install_model(&mut self, user: UserId, model: MobilityModel) {
-        let fix_count = self.fix_count(user);
-        self.models.insert(user, (fix_count, model));
+        self.models.insert(user, model);
     }
 
     /// Users with at least one fix.
@@ -286,6 +289,27 @@ mod tests {
         // New fix invalidates.
         s.record(UserId(1), GpsFix::new(TORINO, TimePoint::at(3, 0, 0, 0), 0.1));
         assert!(s.mobility_model(UserId(1)).is_ok());
+    }
+
+    #[test]
+    fn appended_fixes_keep_the_model_for_reuse_and_late_ones_drop_it() {
+        let mut s = store_with_drive();
+        let built = s.mobility_model(UserId(1)).expect("has fixes").fix_count();
+        assert_eq!(built, 60);
+        let fix = |t: u64| GpsFix::new(TORINO.destination(90.0, 12_000.0), TimePoint(t), 7.0);
+        // Appended: the stored model stays, now of a 60-fix prefix.
+        s.record(UserId(1), fix(60 * 30));
+        assert_eq!(s.last_model(UserId(1)).map(MobilityModel::fix_count), Some(60));
+        let grown = s.mobility_model(UserId(1)).expect("has fixes").clone();
+        assert_eq!(grown.fix_count(), 61);
+        let trace = s.trace(UserId(1)).expect("has fixes");
+        let scratch = MobilityModel::build(trace, s.projection(), s.model_config());
+        assert_eq!((grown.trips.len(), &grown.trips), (1, &scratch.trips));
+        // Inserted before a stored fix: the model describes no prefix
+        // of the trace any more and goes.
+        s.record(UserId(1), fix(15));
+        assert!(s.last_model(UserId(1)).is_none());
+        assert_eq!(s.mobility_model(UserId(1)).expect("has fixes").fix_count(), 62);
     }
 
     #[test]
