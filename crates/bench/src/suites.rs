@@ -140,7 +140,7 @@ pub fn e13(spec: &BenchSpec, host_cores: usize) -> (Vec<Entry>, String) {
 pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
     let mut entries = Vec::new();
     let ops = script(SHARD_SEED, Shape::Differential).into_ops();
-    let (baseline, baseline_ms) = run_in_process(&[], &ops);
+    let (baseline, baseline_ms) = in_process_best(&[], &ops, spec.shard_rounds);
     println!(
         "=== E16: shard scaling, seed {SHARD_SEED}, {} ops, {} event lines, in-process \
          {baseline_ms:.1} ms ===",
@@ -168,13 +168,7 @@ pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
 
     let heavy = script(SHARD_SEED, Shape::TickHeavy { users: spec.heavy_users });
     let (setup, window) = (&heavy.setup, &heavy.window);
-    // The first run is the identity reference and the discarded
-    // warmup; the baseline is the best of `heavy_rounds` after it, as
-    // the sharded windows it divides are.
-    let (heavy_baseline, reference_ms) = run_in_process(setup, window);
-    let mut times = vec![reference_ms];
-    times.extend((0..spec.heavy_rounds).map(|_| run_in_process(setup, window).1));
-    let heavy_baseline_ms = min_after_warmup(&times, 1).expect("every spec has heavy rounds");
+    let (heavy_baseline, heavy_baseline_ms) = in_process_best(setup, window, spec.heavy_rounds);
     println!(
         "=== E16b: tick-heavy window, {} commuters, {TICK_HEAVY_STEPS}+1 ticks, {} setup ops, \
          in-process window {heavy_baseline_ms:.1} ms ===",
@@ -203,6 +197,17 @@ pub fn e16(spec: &BenchSpec, agent_bin: &Path) -> Result<Vec<Entry>, String> {
         );
     }
     Ok(entries)
+}
+
+/// Runs `setup`, then `window`, in process: once as the identity
+/// reference and discarded warmup, then `rounds` timed runs. Returns
+/// the reference and the best timed window in ms, as the sharded rounds
+/// it is divided against are timed.
+fn in_process_best(setup: &[EngineCommand], window: &[EngineCommand], rounds: usize) -> (Run, f64) {
+    let (reference, warmup_ms) = run_in_process(setup, window);
+    let mut times = vec![warmup_ms];
+    times.extend((0..rounds).map(|_| run_in_process(setup, window).1));
+    (reference, min_after_warmup(&times, 1).expect("every spec has at least one round"))
 }
 
 /// Runs `rounds` fresh `shards`-process deployments, returning the best

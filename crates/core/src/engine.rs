@@ -22,8 +22,7 @@ use pphcr_catalog::{
     CATEGORY_COUNT,
 };
 use pphcr_geo::{
-    DistractionZone, GeoPoint, LocalProjection, NodeKind, Polyline, ProjectedPoint, RoadNetwork,
-    TimePoint, TimeSpan,
+    DistractionZone, GeoPoint, NodeKind, Polyline, ProjectedPoint, RoadNetwork, TimePoint, TimeSpan,
 };
 use pphcr_nlp::{NaiveBayes, Vocabulary};
 use pphcr_obs::{
@@ -33,8 +32,7 @@ use pphcr_recommender::{
     Activity, Ambient, DriveContext, ListenerContext, ProactivityModel, Recommender,
     RetrievalStats, ScoredClip, SlotSchedule, Trigger, Weather,
 };
-use pphcr_trajectory::model::ModelConfig;
-use pphcr_trajectory::{GpsFix, MobilityModel, Trace, TripPredictor};
+use pphcr_trajectory::{GpsFix, MobilityModel, TripPredictor};
 use pphcr_userdata::{
     FeedbackEvent, FeedbackStore, ProfileStore, TrackingStore, UserId, UserProfile,
 };
@@ -271,29 +269,6 @@ pub(crate) struct CandidateCacheKey {
     pub(crate) context_rev: u64,
 }
 
-impl CandidateCacheKey {
-    /// Composes the key from its already-gathered inputs. Free of
-    /// `&Engine` so the parallel warm phase and the sequential serve
-    /// path share one definition by construction.
-    pub(crate) fn compose(
-        epoch: u64,
-        feedback_events: usize,
-        heard_len: usize,
-        now: TimePoint,
-        ctx: &ListenerContext,
-        quanta: &CacheQuanta,
-    ) -> Self {
-        CandidateCacheKey {
-            epoch,
-            feedback_events,
-            heard_len,
-            freshness_rev: now.seconds() / quanta.freshness.as_seconds().max(1),
-            decay_rev: now.seconds() / quanta.decay.as_seconds().max(1),
-            context_rev: context_rev(ctx, quanta),
-        }
-    }
-}
-
 /// Digest of the quantized listener context for the cache key: a
 /// `SplitMix64` chain over each discretized component. Chaining (rather
 /// than a symmetric XOR of parts) keeps distinct component sequences
@@ -366,10 +341,12 @@ pub struct TickRequest<'a> {
     pub users: &'a [UserId],
     /// The tick instant.
     pub now: TimePoint,
-    /// Run the shared batch preamble (bus clock advance, telemetry
-    /// pump, parallel candidate-cache warm) once before the sequential
-    /// user loop. `false` steps each user on its own: each user's step
-    /// performs its own clock advance and pumps.
+    /// Run the parallel warm phase (every listener's context and, for
+    /// those about to fire, their shortlist) before the sequential
+    /// user loop; `false` builds each context in its user's step.
+    /// Either way the tick advances the bus clock and pumps telemetry
+    /// once, before any step, so `batch` changes where contexts are
+    /// built, never what they read.
     pub batch: bool,
     /// Worker threads for the warm phase; `None` uses
     /// [`EngineConfig::worker_threads`]. Ignored unless `batch`.
@@ -383,7 +360,7 @@ impl<'a> TickRequest<'a> {
         TickRequest { users: std::slice::from_ref(user), now, batch: false, workers: None }
     }
 
-    /// A population step with the shared preamble and warm phase.
+    /// A population step with the warm phase.
     #[must_use]
     pub fn batch(users: &'a [UserId], now: TimePoint) -> Self {
         TickRequest { users, now, batch: true, workers: None }
@@ -484,120 +461,22 @@ pub fn user_shard(user: UserId, shards: u64) -> u64 {
     splitmix64(user.0) % shards
 }
 
-/// Distraction zones where non-plain junctions lie near the route —
-/// free of `&Engine` so the parallel warm phase shares the exact
-/// definition [`Engine::zones_for`] uses.
-fn zones_for_route(
-    net: Option<&RoadNetwork>,
-    snap_m: f64,
-    route: &Polyline,
-) -> Vec<DistractionZone> {
-    let Some(net) = net else { return Vec::new() };
-    let mut zones = Vec::new();
-    for node in net.nodes() {
-        if node.kind == NodeKind::Plain {
-            continue;
-        }
-        let Some(projection) = route.project_point(node.pos) else { continue };
-        if projection.distance_m <= snap_m {
-            let r = node.kind.distraction_radius_m();
-            zones.push(DistractionZone {
-                node: node.id,
-                kind: node.kind,
-                start_m: (projection.along_m - r).max(0.0),
-                end_m: (projection.along_m + r).min(route.length_m()),
-            });
-        }
-    }
-    zones.sort_by(|a, b| a.start_m.total_cmp(&b.start_m));
-    zones
+/// What a listener's read-only decisions resolved, for
+/// [`Engine::commit`] to write: a trip origin, the mobility model to
+/// keep (freshly compacted, or the stale one the build did not need)
+/// and a shortlist fill.
+#[derive(Default)]
+struct Memo {
+    origin: Option<u32>,
+    model: Option<MobilityModel>,
+    fill: Option<CachedCandidates>,
 }
 
-/// The pure core of [`Engine::context_for`]: builds one listener
-/// context from already-borrowed tracking state, so the parallel warm
-/// phase can run it off-thread against `&` borrows and hand the result
-/// (plus the memoizations a sequential build would have committed —
-/// a newly resolved trip origin and a freshly compacted mobility model)
-/// back to the apply-only commit.
-///
-/// The store's model arrives borrowed when it is current, or by value
-/// when the caller took it out of the store as stale; a stale model not
-/// needed here is handed back untouched for install.
-/// [`MobilityModel::compact`] is pure, so a model compacted here is
-/// indistinguishable from one the tracking store would have compacted
-/// itself — which is what keeps the batch event stream bit-identical
-/// to the sequential one.
-#[allow(clippy::too_many_arguments)]
-fn build_context(
-    now: TimePoint,
-    fix: Option<GpsFix>,
-    proj: &LocalProjection,
-    tracker: Option<&TripTracker>,
-    current_model: Option<&MobilityModel>,
-    mut stale_model: Option<MobilityModel>,
-    trace: Option<&Trace>,
-    model_config: &ModelConfig,
-    predictor: &TripPredictor,
-    net: Option<&RoadNetwork>,
-    snap_m: f64,
-) -> (ListenerContext, Option<u32>, Option<MobilityModel>) {
-    let (position, speed) = match fix {
-        Some(f) => (Some(proj.project(f.point)), f.speed_mps),
-        None => (None, 0.0),
-    };
-    let mut ctx = ListenerContext {
-        now,
-        position,
-        speed_mps: speed,
-        drive: None,
-        ambient: Ambient::default(),
-    };
-    // Resolve trip state.
-    let Some(tracker) = tracker else { return (ctx, None, stale_model) };
-    let Some(departure) = tracker.driving_since else { return (ctx, None, stale_model) };
-    // Reuse the store's model when it is current; compact the trace from
-    // the stale one otherwise, handing the fresh model back for install.
-    let mut fresh_model: Option<MobilityModel> = None;
-    let model: Option<&MobilityModel> = match (current_model, trace) {
-        (Some(m), _) => Some(m),
-        (None, Some(t)) if !t.is_empty() => {
-            fresh_model = Some(MobilityModel::compact(stale_model.take(), t, proj, model_config));
-            fresh_model.as_ref()
-        }
-        _ => None,
-    };
-    let mut origin_resolved = None;
-    let origin_stay = match tracker.origin_stay {
-        Some(o) => Some(o),
-        None => {
-            let start_pos = tracker.path.first().copied();
-            let resolved = model
-                .and_then(|m| start_pos.and_then(|p| m.stay_near(p, proj, 400.0)).map(|s| s.id));
-            origin_resolved = resolved;
-            resolved
-        }
-    };
-    if let Some(origin) = origin_stay {
-        if let Some(model) = model {
-            if let Some(prediction) =
-                predictor.predict(model, origin, departure, now, &tracker.path)
-            {
-                let route = Polyline::new(prediction.route_ahead.clone());
-                let zones = zones_for_route(net, snap_m, &route);
-                ctx.drive = Some(DriveContext::new(prediction, zones));
-            }
-        }
-    }
-    (ctx, origin_resolved, fresh_model.or(stale_model))
-}
-
-/// Per-user output of the parallel warm phase, consumed slot-by-slot by
-/// the sequential user loop: the listener context the worker built.
-/// Identical to what [`Engine::context_for`] would compute at the same
-/// point, because no telemetry can arrive between the batch preamble
-/// and the user's sequential turn.
-struct Warmed {
-    ctx: ListenerContext,
+/// A listener's shortlist at one tick: the cached entry while its key
+/// still holds, else a fill under the new key.
+enum Shortlist<'a> {
+    Cached(&'a CachedCandidates),
+    Fill(CachedCandidates),
 }
 
 /// The engine.
@@ -894,12 +773,10 @@ impl Engine {
         user: UserId,
         now: TimePoint,
     ) -> Result<Vec<PlayerEvent>, EngineError> {
-        let Some(player) = self.players.get_mut(&user) else {
+        if !self.players.contains_key(&user) {
             return Err(EngineError::UnknownUser(user));
-        };
-        let events = player.tick(now, &self.epg, &mut self.obs);
-        self.apply_player_events(user, &events);
-        Ok(events)
+        }
+        Ok(self.tick_player(user, now))
     }
 
     /// Read access to a listener's player.
@@ -1109,68 +986,369 @@ impl Engine {
     /// Distraction zones where non-plain junctions lie near the route.
     #[must_use]
     pub fn zones_for(&self, route: &Polyline) -> Vec<DistractionZone> {
-        zones_for_route(self.road_network.as_ref(), self.config.junction_snap_m, route)
-    }
-
-    /// Builds the listener context at `now` from tracking state, then
-    /// commits the memoizations the build produced (resolved trip
-    /// origin, freshly compacted mobility model) back into the stores.
-    /// The pure build itself lives in [`build_context`], which the
-    /// parallel warm phase calls directly off-thread.
-    pub fn context_for(&mut self, user: UserId, now: TimePoint) -> ListenerContext {
-        let proj = *self.tracking.projection();
-        let fix = self.tracking.recent_fixes(user, 1).last().copied();
-        let stale_model = self.tracking.take_stale_model(user);
-        let (ctx, origin_resolved, model) = build_context(
-            now,
-            fix,
-            &proj,
-            self.trips.get(&user),
-            self.tracking.last_model(user),
-            stale_model,
-            self.tracking.trace(user),
-            self.tracking.model_config(),
-            &self.config.predictor,
-            self.road_network.as_ref(),
-            self.config.junction_snap_m,
-        );
-        if let Some(model) = model {
-            self.tracking.install_model(user, model);
-        }
-        if let Some(origin) = origin_resolved {
-            if let Some(t) = self.trips.get_mut(&user) {
-                t.origin_stay = Some(origin);
+        let Some(net) = self.road_network.as_ref() else { return Vec::new() };
+        let mut zones = Vec::new();
+        for node in net.nodes() {
+            if node.kind == NodeKind::Plain {
+                continue;
+            }
+            let Some(projection) = route.project_point(node.pos) else { continue };
+            if projection.distance_m <= self.config.junction_snap_m {
+                let r = node.kind.distraction_radius_m();
+                zones.push(DistractionZone {
+                    node: node.id,
+                    kind: node.kind,
+                    start_m: (projection.along_m - r).max(0.0),
+                    end_m: (projection.along_m + r).min(route.length_m()),
+                });
             }
         }
+        zones.sort_by(|a, b| a.start_m.total_cmp(&b.start_m));
+        zones
+    }
+
+    /// Builds the listener context at `now` from tracking state
+    /// ([`Engine::decide`]), then commits what the build resolved — the
+    /// trip origin, a freshly compacted mobility model — back into the
+    /// stores ([`Engine::commit`]). A batch tick's warm workers make
+    /// the same decision on a shared `&Engine`, and its merge makes the
+    /// same commit.
+    pub fn context_for(&mut self, user: UserId, now: TimePoint) -> ListenerContext {
+        let stale = self.take_stale_model(user);
+        let (ctx, memo) = self.decide(user, now, stale);
+        self.commit(user, memo);
         ctx
     }
 
-    /// The single-user step body: advance the player, learn from its
-    /// events, send editorial injections and proactive schedules as
-    /// acknowledged deliveries over the bus, and sweep the retry
-    /// ledger. A batch tick hands in the context its warm phase already
-    /// built via `warmed`; [`Engine::run_tick`] guarantees the user is
-    /// registered before this runs.
+    /// Takes a driving listener's stale mobility model out of the
+    /// store, so [`Engine::decide`] compacts it without copying. Only a
+    /// driving listener's context reads a model; the others keep theirs.
+    fn take_stale_model(&mut self, user: UserId) -> Option<MobilityModel> {
+        let driving = self.hot.fix_count(user) > 0
+            && self.trips.get(&user).is_some_and(|t| t.driving_since.is_some());
+        if driving {
+            self.tracking.take_stale_model(user)
+        } else {
+            None
+        }
+    }
+
+    /// The listener's context at `now`, read-only: position and speed
+    /// from the last fix and, while a trip is under way, the predicted
+    /// drive with its distraction zones. The store's model serves when
+    /// it is current; otherwise the trace is compacted from `stale`,
+    /// and the fresh model goes back in the [`Memo`].
+    /// [`MobilityModel::compact`] is pure, so a model compacted here is
+    /// the one the tracking store would have compacted itself — which
+    /// keeps the batch event stream identical to the sequential one.
+    fn decide(
+        &self,
+        user: UserId,
+        now: TimePoint,
+        mut stale: Option<MobilityModel>,
+    ) -> (ListenerContext, Memo) {
+        let proj = self.tracking.projection();
+        // The hot fix-count column answers "any GPS at all?" without
+        // probing the tracking store's maps; fixless users (the
+        // stationary bulk of a large fleet) skip them entirely.
+        let trace = if self.hot.fix_count(user) > 0 { self.tracking.trace(user) } else { None };
+        let fix = trace.and_then(|t| t.fixes().last());
+        let mut ctx = ListenerContext {
+            now,
+            position: fix.map(|f| proj.project(f.point)),
+            speed_mps: fix.map_or(0.0, |f| f.speed_mps),
+            drive: None,
+            ambient: Ambient::default(),
+        };
+        let trip = self.trips.get(&user).and_then(|t| Some((t, t.driving_since?)));
+        let Some((tracker, departure)) = trip else {
+            return (ctx, Memo { model: stale, ..Memo::default() });
+        };
+        let mut fresh = None;
+        let model = match (self.tracking.last_model(user), trace) {
+            (Some(model), _) => Some(model),
+            (None, Some(trace)) if !trace.is_empty() => {
+                let config = self.tracking.model_config();
+                fresh = Some(MobilityModel::compact(stale.take(), trace, proj, config));
+                fresh.as_ref()
+            }
+            _ => None,
+        };
+        // The trip's origin stay is resolved once, from its first point.
+        let origin = match (tracker.origin_stay, model, tracker.path.first()) {
+            (None, Some(model), Some(&start)) => model.stay_near(start, proj, 400.0).map(|s| s.id),
+            _ => None,
+        };
+        let prediction = tracker.origin_stay.or(origin).zip(model).and_then(|(from, model)| {
+            self.config.predictor.predict(model, from, departure, now, &tracker.path)
+        });
+        if let Some(prediction) = prediction {
+            let zones = self.zones_for(&Polyline::new(prediction.route_ahead.clone()));
+            ctx.drive = Some(DriveContext::new(prediction, zones));
+        }
+        (ctx, Memo { origin, model: fresh.or(stale), fill: None })
+    }
+
+    /// The one write of what the read-only decisions resolved: installs
+    /// the mobility model, the trip origin and the shortlist fill. The
+    /// warm merge and the serial context and retrieve stages all commit
+    /// here.
+    fn commit(&mut self, user: UserId, memo: Memo) {
+        if let Some(model) = memo.model {
+            self.tracking.install_model(user, model);
+        }
+        if let (Some(origin), Some(trip)) = (memo.origin, self.trips.get_mut(&user)) {
+            trip.origin_stay = Some(origin);
+        }
+        if let Some(fill) = memo.fill {
+            self.hot.insert_cache(user, fill);
+        }
+    }
+
+    /// The listener's shortlist at `now` under `ctx`, read-only: the
+    /// cached entry while every component of its [`CandidateCacheKey`]
+    /// holds, else the index walk's ranked candidates and their
+    /// [`RetrievalStats`] as a fill under the new key. The warm workers
+    /// and the serial retrieve stage both decide here.
+    fn shortlist(&self, user: UserId, ctx: &ListenerContext, now: TimePoint) -> Shortlist<'_> {
+        let quanta = &self.config.cache_quanta;
+        let key = CandidateCacheKey {
+            epoch: self.repo.epoch(),
+            feedback_events: self.hot.feedback_len(user),
+            heard_len: self.hot.heard_len(user),
+            freshness_rev: now.seconds() / quanta.freshness.as_seconds().max(1),
+            decay_rev: now.seconds() / quanta.decay.as_seconds().max(1),
+            context_rev: context_rev(ctx, quanta),
+        };
+        if let Some(entry) = self.hot.cache(user).filter(|entry| entry.key == key) {
+            return Shortlist::Cached(entry);
+        }
+        let prefs = self.feedback.preferences(user, now);
+        let empty = HashSet::new();
+        let heard = self.hot.heard_ref(user).unwrap_or(&empty);
+        let (ranked, stats) = self.recommender.filter.candidates_indexed_excluding_stats(
+            &self.repo,
+            &prefs,
+            ctx,
+            &self.recommender.weights,
+            heard,
+        );
+        Shortlist::Fill(CachedCandidates { key, ranked, stats, warmed_at: self.tick_seq })
+    }
+
+    /// The engine step, for one listener ([`TickRequest::single`]) or a
+    /// population ([`TickRequest::batch`]). Returns the events in
+    /// delivery order.
+    ///
+    /// The tick pumps telemetry once, then, for batch requests, builds
+    /// every listener's context and the shortlists about to be needed
+    /// on the sharded worker pool ([`Engine::warm_users`]); then each
+    /// listener takes its step ([`Engine::tick_user`]) in request
+    /// order, and the first step ends with the retry sweep. The event
+    /// stream is bit-identical to stepping each user on its own: the
+    /// workers make the same read-only decisions the serial stages
+    /// make, against stores nothing writes between the pump and a
+    /// listener's step but the steps themselves, and commit them
+    /// through the same [`Engine::commit`]; the serial retrieve stage
+    /// still checks each shortlist's key, so a list the earlier steps
+    /// invalidated is rebuilt. Worker count therefore cannot change
+    /// observable behavior, only wall-clock time — and because
+    /// per-shard metric registries merge by exact integer addition, it
+    /// cannot change the observability snapshot either.
+    ///
+    /// # Errors
+    /// [`EngineError::UnknownUser`] for the first unregistered user in
+    /// request order. Validation happens up front, before any clock
+    /// advance, pump, or tick-sequence bump — a rejected request leaves
+    /// the engine untouched, so batch and single-user callers see one
+    /// typed contract instead of the old silent skip.
+    pub fn run_tick(&mut self, request: &TickRequest<'_>) -> Result<Vec<EngineEvent>, EngineError> {
+        if let Some(&user) = request.users.iter().find(|u| !self.players.contains_key(u)) {
+            return Err(EngineError::UnknownUser(user));
+        }
+        self.tick_seq += 1;
+        let span = Span::enter("engine.tick");
+        self.tick_pump(request.now);
+        let mut warmed = Vec::new();
+        if request.batch {
+            let workers = request.workers.unwrap_or(self.config.worker_threads).max(1);
+            warmed = self.warm_users(request.users, request.now, workers);
+        }
+        let mut warmed = warmed.into_iter();
+        let mut events = Vec::new();
+        for (idx, &user) in request.users.iter().enumerate() {
+            events.extend(self.tick_user(user, request.now, warmed.next()));
+            // The first sweep at a given `now` re-arms every delivery
+            // due, and the later steps deliver what it resent; a sweep
+            // per step would rescan the whole ledger for nothing.
+            if idx == 0 {
+                self.tick_sweep(request.now);
+            }
+        }
+        span.finish(&mut self.obs);
+        self.obs.inc("engine.ticks");
+        self.obs.add("engine.tick_users", request.users.len() as u64);
+        Ok(events)
+    }
+
+    /// The parallel warm phase: each listener's context decision
+    /// ([`Engine::decide`]) and, for listeners whose proactivity model
+    /// is about to fire, their shortlist ([`Engine::shortlist`]).
+    /// Returns the contexts in request order.
+    ///
+    /// Workers share `&Engine` and only read; each hands back a context
+    /// and a [`Memo`], which this thread commits in request order
+    /// through [`Engine::commit`]. Users are assigned to one of [`USER_SHARDS`]
+    /// logical shards by a `UserId` hash and each worker owns the
+    /// shards congruent to its slot, so user→worker placement is
+    /// deterministic and independent of batch composition; per-shard
+    /// metric registries merge by exact integer addition in slot order.
+    fn warm_users(
+        &mut self,
+        users: &[UserId],
+        now: TimePoint,
+        workers: usize,
+    ) -> Vec<ListenerContext> {
+        // A driving listener's stale model moves into its job, so
+        // compaction reuses it without copying and the commit drops
+        // nothing.
+        let jobs: Vec<_> = users
+            .iter()
+            .enumerate()
+            .map(|(idx, &user)| (idx, user, self.take_stale_model(user)))
+            .collect();
+        // Clamp the thread fan-out to what the job list can amortize:
+        // tiny fleets (fewer jobs than the per-worker floor) run inline,
+        // and no thread is spawned for a shard range that holds no user.
+        // `USER_SHARDS` is 64, so one bit per shard covers the space.
+        let shard = |user: UserId| splitmix64(user.0) % USER_SHARDS;
+        let shard_mask = users.iter().fold(0u64, |mask, &user| mask | 1 << shard(user));
+        let workers = effective_warm_workers(workers, jobs.len(), shard_mask.count_ones() as usize);
+        // Each worker owns the jobs of the shards congruent to its
+        // slot, in request order.
+        let parts = if workers <= 1 {
+            vec![jobs]
+        } else {
+            let mut parts: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+            for job in jobs {
+                parts[(shard(job.1) % workers as u64) as usize].push(job);
+            }
+            parts
+        };
+        let obs_enabled = self.obs.is_enabled();
+        let engine = &*self;
+        let warm = move |part: Vec<(usize, UserId, Option<MobilityModel>)>| {
+            let mut reg = if obs_enabled { Registry::new() } else { Registry::disabled() };
+            let outcomes: Vec<_> = part
+                .into_iter()
+                .map(|(idx, user, stale)| {
+                    let (ctx, mut memo) = engine.decide(user, now, stale);
+                    let fires =
+                        engine.proactivity.get(&user).is_some_and(|p| p.would_trigger(&ctx));
+                    if fires {
+                        if let Shortlist::Fill(fill) = engine.shortlist(user, &ctx, now) {
+                            reg.inc("candidates.warmed");
+                            reg.observe("candidates.ranked_len", fill.ranked.len() as u64);
+                            memo.fill = Some(fill);
+                        }
+                    }
+                    (idx, user, ctx, memo)
+                })
+                .collect();
+            (outcomes, reg)
+        };
+        let warm_span = Span::enter("engine.warm");
+        let runs: Vec<_> = if workers <= 1 {
+            parts.into_iter().map(warm).collect()
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> =
+                    parts.into_iter().map(|part| s.spawn(move || warm(part))).collect();
+                handles
+                    .into_iter()
+                    // lint: allow(expect) — re-raising a worker panic; the closure runs lint-clean code
+                    .map(|h| h.join().expect("warm worker panicked"))
+                    .collect()
+            })
+        };
+        // The span brackets exactly the worker fan-out — the
+        // parallelizable region, whose 1-worker over w-worker time is
+        // the warm-phase speedup E13 gates.
+        warm_span.finish(&mut self.obs);
+        // Commit per-shard registries in slot order. Counter and
+        // histogram merging is exact integer addition — commutative and
+        // associative — so the merged totals are identical for any
+        // worker count over the same work list. Each worker's run is in
+        // request order, and one run is already the whole batch; a
+        // stable sort merges several.
+        let mut outcomes = Vec::new();
+        for (run, reg) in runs {
+            self.obs.merge_from(&reg);
+            if outcomes.is_empty() {
+                outcomes = run;
+            } else {
+                outcomes.extend(run);
+            }
+        }
+        outcomes.sort_by_key(|&(idx, ..)| idx);
+        outcomes
+            .into_iter()
+            .map(|(_, user, ctx, memo)| {
+                self.commit(user, memo);
+                ctx
+            })
+            .collect()
+    }
+
+    /// One listener's step, as a fixed sequence of stages: advance the
+    /// player, send pending editorial injections, deliver what arrived,
+    /// take the context and the proactivity gate's verdict, retrieve
+    /// and pack a schedule when the gate fires, and deliver again. A
+    /// batch tick hands in the context its warm phase built;
+    /// [`Engine::run_tick`] guarantees the user is registered.
     fn tick_user(
         &mut self,
         user: UserId,
         now: TimePoint,
-        warmed: Option<Warmed>,
-        sweep: bool,
+        warmed: Option<ListenerContext>,
     ) -> Vec<EngineEvent> {
         let mut out = Vec::new();
+        self.tick_player(user, now);
+        self.tick_inject(user, now);
+        self.tick_deliver(now, &mut out);
+        let (ctx, trigger) = self.tick_context(user, now, warmed, &mut out);
+        if let Some(trigger) = trigger {
+            let shortlist = self.tick_retrieve(user, &ctx, now);
+            self.tick_pack(user, &ctx, now, trigger, shortlist);
+        }
+        self.tick_deliver(now, &mut out);
+        out
+    }
+
+    /// Pump stage, once per tick: advances the bus clock and collects
+    /// the telemetry that arrived by `now`. Nothing publishes on
+    /// Tracking during a tick, so every listener's context reads the
+    /// tracking store as this pump leaves it — even under a bandwidth
+    /// cap, where each further receive would release more.
+    fn tick_pump(&mut self, now: TimePoint) {
         self.bus.advance_clock(now);
-        // 0. Collect telemetry that was still on the wire.
         self.pump_tracking();
         self.pump_feedback();
-        // 1. Advance the player.
-        if let Some(player) = self.players.get_mut(&user) {
-            let events = player.tick(now, &self.epg, &mut self.obs);
-            self.apply_player_events(user, &events);
-        }
-        // 2. Send pending editorial injections as tracked deliveries.
-        let pending = self.injections.take(user);
-        for inj in pending {
+    }
+
+    /// Player stage: advances the listener's player to `now` against
+    /// the broadcast schedule and learns from its events.
+    fn tick_player(&mut self, user: UserId, now: TimePoint) -> Vec<PlayerEvent> {
+        let Some(player) = self.players.get_mut(&user) else { return Vec::new() };
+        let events = player.tick(now, &self.epg, &mut self.obs);
+        self.apply_player_events(user, &events);
+        events
+    }
+
+    /// Inject stage: sends the listener's pending editorial injections
+    /// as tracked deliveries.
+    fn tick_inject(&mut self, user: UserId, now: TimePoint) {
+        for inj in self.injections.take(user) {
             if let Some(meta) = self.repo.get(inj.clip) {
                 if self.players.contains_key(&user) {
                     // Sender-side heard bookkeeping: never re-recommend a
@@ -1185,13 +1363,23 @@ impl Engine {
                 }
             }
         }
-        self.pump_recommendations(now, &mut out);
-        // 3. Proactive loop. A warm-phase context is identical to what
-        // `context_for` would compute here — nothing that feeds it can
-        // change between the batch preamble and this user's turn — so
-        // reusing it is pure memoization, not a behavioral fork.
+    }
+
+    /// Context stage: the listener's context — the warm phase's, or one
+    /// [`Engine::context_for`] builds here — with its predicted trip,
+    /// and the proactivity gate's verdict on it. A warm context is the
+    /// one `context_for` would build here: between the tick's one pump
+    /// and this step, nothing writes the tracking store or the trip
+    /// trackers.
+    fn tick_context(
+        &mut self,
+        user: UserId,
+        now: TimePoint,
+        warmed: Option<ListenerContext>,
+        out: &mut Vec<EngineEvent>,
+    ) -> (ListenerContext, Option<Trigger>) {
         let ctx = match warmed {
-            Some(w) => w.ctx,
+            Some(ctx) => ctx,
             None => self.context_for(user, now),
         };
         self.note_stale_model(user, &ctx, now);
@@ -1205,439 +1393,94 @@ impl Engine {
             });
         }
         let trigger = self.proactivity.entry(user).or_default().observe(&ctx);
-        if let Some(trigger) = trigger {
+        if trigger.is_some() {
             self.obs.inc("proactive.triggers");
-            let (ranked, stats) = self.ranked_candidates_stats(user, &ctx, now);
-            let mut entry = trace_entry(user, now, trigger, &stats, &ranked);
-            if let Some(drive) = ctx.drive.as_ref() {
-                let schedule = self.recommender.scheduler.pack(&ranked, drive, now);
-                if !schedule.items.is_empty() {
-                    entry.scheduled = schedule.items.len() as u64;
-                    entry.verdict = Verdict::Scheduled;
-                    self.obs.inc("schedule.delivered");
-                    self.obs.observe("schedule.items", entry.scheduled);
-                    if self.players.contains_key(&user) {
-                        for item in &schedule.items {
-                            self.hot.heard_insert(user, item.clip);
-                        }
-                        self.send_tracked(
-                            user,
-                            BusMessage::Delivery { user, schedule: schedule.clone() },
-                            now,
-                        );
-                    }
-                    self.decisions.push(DecisionRecord {
-                        user,
-                        at: now,
-                        trigger,
-                        schedule,
-                        confidence: ctx.drive.as_ref().map_or(0.0, |d| d.prediction.confidence),
-                    });
-                }
-            }
-            match entry.verdict {
-                Verdict::Scheduled => {}
-                Verdict::NoCandidates => self.obs.inc("proactive.no_candidates"),
-                Verdict::EmptySchedule => self.obs.inc("proactive.empty_schedule"),
-            }
-            if self.obs.is_enabled() {
-                self.obs_trace.push(entry);
-            }
         }
-        self.pump_recommendations(now, &mut out);
-        // 4. Retry sweep: re-send unacknowledged deliveries whose
-        // backoff timer fired; dead-letter the ones out of budget. The
-        // first sweep at a given `now` re-arms everything due, so a
-        // batch runs it for its first user only — per-user sweeps were
-        // guaranteed no-ops that still scanned the whole ledger,
-        // O(users × outstanding) per batch tick.
-        if sweep {
-            self.sweep_retries(now);
-        }
-        out
+        (ctx, trigger)
     }
 
-    /// The engine step, for one listener ([`TickRequest::single`]) or a
-    /// population ([`TickRequest::batch`]). Returns the events in
-    /// delivery order.
-    ///
-    /// For batch requests the telemetry is drained once for the whole
-    /// batch — exactly what the first sequential step would do, so
-    /// contexts are stable from here through the user loop — and the
-    /// listener contexts plus ranked candidate lists are computed by
-    /// the sharded worker pool. The event stream is bit-identical to
-    /// stepping each user in order: the parallel phase only *memoizes*
-    /// — workers hand back fully built contexts and scored lists keyed
-    /// by component-wise revisions, and the sequential loop becomes
-    /// apply-only, recomputing anything the key cannot vouch for.
-    /// Worker count therefore cannot change observable behavior, only
-    /// wall-clock time — and because per-shard metric registries merge
-    /// by exact integer addition, it cannot change the observability
-    /// snapshot either.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownUser`] for the first unregistered user in
-    /// request order. Validation happens up front, before any clock
-    /// advance, pump, or tick-sequence bump — a rejected request leaves
-    /// the engine untouched, so batch and single-user callers see one
-    /// typed contract instead of the old silent skip.
-    pub fn run_tick(&mut self, request: &TickRequest<'_>) -> Result<Vec<EngineEvent>, EngineError> {
-        if let Some(&user) = request.users.iter().find(|u| !self.players.contains_key(u)) {
-            return Err(EngineError::UnknownUser(user));
-        }
-        self.tick_seq += 1;
-        let span = Span::enter("engine.tick");
-        let mut warmed: Vec<Option<Warmed>> = Vec::new();
-        if request.batch {
-            self.bus.advance_clock(request.now);
-            self.pump_tracking();
-            self.pump_feedback();
-            let workers = request.workers.unwrap_or(self.config.worker_threads).max(1);
-            warmed = self.warm_users(request.users, request.now, workers);
-        }
-        let mut events = Vec::new();
-        for (idx, &user) in request.users.iter().enumerate() {
-            let warm = warmed.get_mut(idx).and_then(Option::take);
-            events.extend(self.tick_user(user, request.now, warm, idx == 0));
-        }
-        span.finish(&mut self.obs);
-        self.obs.inc("engine.ticks");
-        self.obs.add("engine.tick_users", request.users.len() as u64);
-        Ok(events)
-    }
-
-    /// The cache key for `user`'s ranked candidates at `now` under
-    /// context `ctx` (see [`CandidateCacheKey`] for the components).
-    fn candidate_cache_key(
-        &self,
-        user: UserId,
-        ctx: &ListenerContext,
-        now: TimePoint,
-    ) -> CandidateCacheKey {
-        CandidateCacheKey::compose(
-            self.repo.epoch(),
-            self.hot.feedback_len(user),
-            self.hot.heard_len(user),
-            now,
-            ctx,
-            &self.config.cache_quanta,
-        )
-    }
-
-    /// The user's ranked candidate list: served from the per-user cache
-    /// when every input revision matches, recomputed (and re-cached)
-    /// otherwise. Uses the index-backed retrieval path, which is
-    /// differentially tested to be bit-identical to the linear scan.
-    fn ranked_candidates(
-        &mut self,
-        user: UserId,
-        ctx: &ListenerContext,
-        now: TimePoint,
-    ) -> Vec<ScoredClip> {
-        self.ranked_candidates_stats(user, ctx, now).0
-    }
-
-    /// [`Self::ranked_candidates`] plus the retrieval-stage counters —
-    /// replayed from the cache on a hit, so the decision trace records
-    /// the same numbers whether the warm phase ran or not.
-    fn ranked_candidates_stats(
+    /// Retrieve stage: the listener's ranked shortlist and its
+    /// retrieval counters — served from the cache while the key holds,
+    /// replaying the stats so a warmed tick traces the same numbers as
+    /// a cold one, and rebuilt and cached otherwise.
+    fn tick_retrieve(
         &mut self,
         user: UserId,
         ctx: &ListenerContext,
         now: TimePoint,
     ) -> (Vec<ScoredClip>, RetrievalStats) {
-        let key = self.candidate_cache_key(user, ctx, now);
-        if let Some(entry) = self.hot.cache(user) {
-            if entry.key == key {
+        match self.shortlist(user, ctx, now) {
+            Shortlist::Cached(entry) => {
                 let hit = (entry.ranked.clone(), entry.stats);
                 // Same-tick serves of a just-warmed entry and genuine
                 // cross-tick reuse are different claims; count them
-                // apart (the old blended "cache_hits" read as reuse
-                // even when nothing survived a tick).
-                if entry.warmed_at == self.tick_seq {
-                    self.obs.inc("candidates.warm_serve");
+                // apart.
+                let serve = if entry.warmed_at == self.tick_seq {
+                    "candidates.warm_serve"
                 } else {
-                    self.obs.inc("candidates.cross_tick_hit");
-                }
-                return hit;
+                    "candidates.cross_tick_hit"
+                };
+                self.obs.inc(serve);
+                hit
+            }
+            Shortlist::Fill(CachedCandidates { key, ranked, stats, warmed_at }) => {
+                self.obs.inc("candidates.cache_misses");
+                self.obs.observe("candidates.ranked_len", ranked.len() as u64);
+                // The cache keeps a copy sized to the shortlist; the
+                // walk's own buffer, with room for every scored clip,
+                // is dropped after packing.
+                let fill = CachedCandidates { key, ranked: ranked.clone(), stats, warmed_at };
+                self.commit(user, Memo { fill: Some(fill), ..Memo::default() });
+                (ranked, stats)
             }
         }
-        self.obs.inc("candidates.cache_misses");
-        let prefs = self.feedback.preferences(user, now);
-        let empty = HashSet::new();
-        let heard = self.hot.heard_ref(user).unwrap_or(&empty);
-        let (ranked, stats) = self.recommender.filter.candidates_indexed_excluding_stats(
-            &self.repo,
-            &prefs,
-            ctx,
-            &self.recommender.weights,
-            heard,
-        );
-        self.obs.observe("candidates.ranked_len", ranked.len() as u64);
-        let warmed_at = self.tick_seq;
-        self.hot
-            .insert_cache(user, CachedCandidates { key, ranked: ranked.clone(), stats, warmed_at });
-        (ranked, stats)
     }
 
-    /// The parallel warm phase: builds every registered user's listener
-    /// context off-thread — mobility-model compaction, trip prediction,
-    /// distraction zones — and, for users whose proactivity model is
-    /// about to fire, a fully scored ranked candidate list, unless a
-    /// cached entry's component-wise key already vouches for one.
-    ///
-    /// Workers only read (`&` borrows of the stores plus the hot-state
-    /// columns — no heard-set cloning); everything they produce comes
-    /// back as a [`WarmOutcome`] and is committed by this thread in
-    /// request order, so the sequential loop is apply-only. Users are
-    /// assigned to one of [`USER_SHARDS`] logical shards by a `UserId`
-    /// hash and each worker owns the shards congruent to its slot, so
-    /// user→worker placement is deterministic and independent of batch
-    /// composition; per-shard metric registries merge by exact integer
-    /// addition in slot order.
-    ///
-    /// Returns one slot per requested user, `Some` for registered ones.
-    fn warm_users(
+    /// Pack stage: fits the shortlist into the predicted drive, sends
+    /// the schedule as a tracked delivery, and traces the decision.
+    fn tick_pack(
         &mut self,
-        users: &[UserId],
+        user: UserId,
+        ctx: &ListenerContext,
         now: TimePoint,
-        workers: usize,
-    ) -> Vec<Option<Warmed>> {
-        /// Inputs for one user's warm job: borrowed from the stores for
-        /// the lifetime of the scoped workers, except a stale model,
-        /// which the job owns.
-        struct WarmJob<'a> {
-            idx: usize,
-            user: UserId,
-            fix: Option<GpsFix>,
-            tracker: Option<&'a TripTracker>,
-            current_model: Option<&'a MobilityModel>,
-            stale_model: Option<MobilityModel>,
-            trace: Option<&'a Trace>,
-            proactivity: Option<&'a ProactivityModel>,
-            heard: Option<&'a HashSet<ClipId>>,
-            feedback_events: usize,
-            heard_len: usize,
-            existing_key: Option<CandidateCacheKey>,
-        }
-        /// Everything a worker hands back for the apply-only commit.
-        struct WarmOutcome {
-            idx: usize,
-            user: UserId,
-            ctx: ListenerContext,
-            origin_resolved: Option<u32>,
-            model: Option<MobilityModel>,
-            cache_fill: Option<CachedCandidates>,
-        }
-        let mut warmed: Vec<Option<Warmed>> = Vec::new();
-        warmed.resize_with(users.len(), || None);
-        // A driving listener's stale model moves into its job, so
-        // compaction reuses it without copying and the commit drops
-        // nothing. `run_tick` has checked that every user is
-        // registered, so every model taken here reaches a job.
-        let mut stale_models: Vec<Option<MobilityModel>> = users
-            .iter()
-            .map(|&user| {
-                let driving = self.hot.fix_count(user) > 0
-                    && self.trips.get(&user).is_some_and(|t| t.driving_since.is_some());
-                if driving {
-                    self.tracking.take_stale_model(user)
-                } else {
-                    None
+        trigger: Trigger,
+        (ranked, stats): (Vec<ScoredClip>, RetrievalStats),
+    ) {
+        let mut entry = trace_entry(user, now, trigger, &stats, &ranked);
+        if let Some(drive) = ctx.drive.as_ref() {
+            let schedule = self.recommender.scheduler.pack(&ranked, drive, now);
+            if !schedule.items.is_empty() {
+                entry.scheduled = schedule.items.len() as u64;
+                entry.verdict = Verdict::Scheduled;
+                self.obs.inc("schedule.delivered");
+                self.obs.observe("schedule.items", entry.scheduled);
+                if self.players.contains_key(&user) {
+                    for item in &schedule.items {
+                        self.hot.heard_insert(user, item.clip);
+                    }
+                    self.send_tracked(
+                        user,
+                        BusMessage::Delivery { user, schedule: schedule.clone() },
+                        now,
+                    );
                 }
-            })
-            .collect();
-        let (runs, warm_span) = {
-            let repo = &self.repo;
-            let feedback = &self.feedback;
-            let tracking = &self.tracking;
-            let trips = &self.trips;
-            let proactivity = &self.proactivity;
-            let players = &self.players;
-            let hot = &self.hot;
-            let weights = self.recommender.weights;
-            let filter = self.recommender.filter;
-            let predictor = &self.config.predictor;
-            let net = self.road_network.as_ref();
-            let snap_m = self.config.junction_snap_m;
-            let quanta = self.config.cache_quanta;
-            let epoch = repo.epoch();
-            let tick_seq = self.tick_seq;
-            let proj = *tracking.projection();
-            let model_config = tracking.model_config();
-            let obs_enabled = self.obs.is_enabled();
-            let mut jobs: Vec<WarmJob<'_>> = Vec::with_capacity(users.len());
-            for (idx, &user) in users.iter().enumerate() {
-                if !players.contains_key(&user) {
-                    continue;
-                }
-                // The hot fix-count column answers "any GPS at all?"
-                // without probing the tracking store's maps; fixless
-                // users (the stationary bulk of a large fleet) skip
-                // them entirely.
-                let has_fixes = hot.fix_count(user) > 0;
-                jobs.push(WarmJob {
-                    idx,
+                self.decisions.push(DecisionRecord {
                     user,
-                    fix: if has_fixes {
-                        tracking.recent_fixes(user, 1).last().copied()
-                    } else {
-                        None
-                    },
-                    tracker: trips.get(&user),
-                    current_model: if has_fixes { tracking.last_model(user) } else { None },
-                    stale_model: stale_models[idx].take(),
-                    trace: if has_fixes { tracking.trace(user) } else { None },
-                    proactivity: proactivity.get(&user),
-                    heard: hot.heard_ref(user),
-                    feedback_events: hot.feedback_len(user),
-                    heard_len: hot.heard_len(user),
-                    existing_key: hot.cache(user).map(|e| e.key),
+                    at: now,
+                    trigger,
+                    schedule,
+                    confidence: drive.prediction.confidence,
                 });
             }
-            let shard_registry =
-                move || if obs_enabled { Registry::new() } else { Registry::disabled() };
-            let warm_one = |job: WarmJob<'_>, reg: &mut Registry| -> WarmOutcome {
-                let (ctx, origin_resolved, model) = build_context(
-                    now,
-                    job.fix,
-                    &proj,
-                    job.tracker,
-                    job.current_model,
-                    job.stale_model,
-                    job.trace,
-                    model_config,
-                    predictor,
-                    net,
-                    snap_m,
-                );
-                let fires = match job.proactivity {
-                    Some(model) => model.would_trigger(&ctx),
-                    None => ProactivityModel::default().would_trigger(&ctx),
-                };
-                let mut cache_fill = None;
-                if fires {
-                    let key = CandidateCacheKey::compose(
-                        epoch,
-                        job.feedback_events,
-                        job.heard_len,
-                        now,
-                        &ctx,
-                        &quanta,
-                    );
-                    if job.existing_key != Some(key) {
-                        let prefs = feedback.preferences(job.user, now);
-                        let empty = HashSet::new();
-                        let heard = job.heard.unwrap_or(&empty);
-                        let (ranked, stats) = filter.candidates_indexed_excluding_stats(
-                            repo, &prefs, &ctx, &weights, heard,
-                        );
-                        reg.inc("candidates.warmed");
-                        reg.observe("candidates.ranked_len", ranked.len() as u64);
-                        cache_fill =
-                            Some(CachedCandidates { key, ranked, stats, warmed_at: tick_seq });
-                    }
-                }
-                WarmOutcome {
-                    idx: job.idx,
-                    user: job.user,
-                    ctx,
-                    origin_resolved,
-                    model,
-                    cache_fill,
-                }
-            };
-            // Clamp the thread fan-out to what the job list can
-            // amortize: tiny fleets (fewer jobs than the per-worker
-            // floor) run inline, and no thread is spawned for a shard
-            // range that holds no user. `USER_SHARDS` is 64, so one
-            // bit per shard covers the space.
-            let mut shard_mask = 0u64;
-            for job in &jobs {
-                shard_mask |= 1u64 << (splitmix64(job.user.0) % USER_SHARDS);
-            }
-            let workers =
-                effective_warm_workers(workers, jobs.len(), shard_mask.count_ones() as usize);
-            // Each worker owns the jobs of the shards congruent to its
-            // slot, in request order.
-            let parts: Vec<Vec<WarmJob<'_>>> = if workers <= 1 {
-                vec![jobs]
-            } else {
-                let mut parts: Vec<Vec<WarmJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-                for job in jobs {
-                    let shard = splitmix64(job.user.0) % USER_SHARDS;
-                    parts[(shard % workers as u64) as usize].push(job);
-                }
-                parts
-            };
-            let warm_span = Span::enter("engine.warm");
-            let runs: Vec<(Vec<WarmOutcome>, Registry)> = if workers <= 1 {
-                let mut reg = shard_registry();
-                let out = parts.into_iter().flatten().map(|job| warm_one(job, &mut reg)).collect();
-                vec![(out, reg)]
-            } else {
-                std::thread::scope(|s| {
-                    let warm_one = &warm_one;
-                    let handles: Vec<_> = parts
-                        .into_iter()
-                        .map(|part| {
-                            s.spawn(move || {
-                                let mut reg = shard_registry();
-                                let out = part
-                                    .into_iter()
-                                    .map(|job| warm_one(job, &mut reg))
-                                    .collect::<Vec<_>>();
-                                (out, reg)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        // lint: allow(expect) — re-raising a worker panic; the closure runs lint-clean code
-                        .map(|h| h.join().expect("warm worker panicked"))
-                        .collect()
-                })
-            };
-            (runs, warm_span)
-        };
-        // The span brackets exactly the worker fan-out — the
-        // parallelizable region, whose 1-worker over w-worker time is
-        // the warm-phase speedup E13 gates.
-        warm_span.finish(&mut self.obs);
-        // Commit per-shard registries in slot order. Counter and
-        // histogram merging is exact integer addition — commutative and
-        // associative — so the merged totals are identical for any
-        // worker count over the same work list. Each worker's run is in
-        // request order, and one run is already the whole batch; a
-        // stable sort merges several.
-        let mut outcomes: Vec<WarmOutcome> = Vec::new();
-        for (out, reg) in runs {
-            self.obs.merge_from(&reg);
-            if outcomes.is_empty() {
-                outcomes = out;
-            } else {
-                outcomes.extend(out);
-            }
         }
-        outcomes.sort_by_key(|o| o.idx);
-        // Apply-only commit, in request order: install memoized models
-        // and trip origins, fill the candidate cache, hand contexts to
-        // the sequential loop.
-        for o in outcomes {
-            if let Some(model) = o.model {
-                self.tracking.install_model(o.user, model);
-            }
-            if let Some(origin) = o.origin_resolved {
-                if let Some(t) = self.trips.get_mut(&o.user) {
-                    t.origin_stay = Some(origin);
-                }
-            }
-            if let Some(fill) = o.cache_fill {
-                self.hot.insert_cache(o.user, fill);
-            }
-            warmed[o.idx] = Some(Warmed { ctx: o.ctx });
+        match entry.verdict {
+            Verdict::Scheduled => {}
+            Verdict::NoCandidates => self.obs.inc("proactive.no_candidates"),
+            Verdict::EmptySchedule => self.obs.inc("proactive.empty_schedule"),
         }
-        warmed
+        if self.obs.is_enabled() {
+            self.obs_trace.push(entry);
+        }
     }
 
     /// Publishes a message on the Recommendation topic and registers it
@@ -1707,11 +1550,11 @@ impl Engine {
         }
     }
 
-    /// Drains arrived Recommendation deliveries and applies them to the
-    /// target players: duplicate-filtered by sequence number, guarded
-    /// by the unicast clip fetch, acknowledged on success, and mapped
-    /// onto the degradation ladder on failure.
-    fn pump_recommendations(&mut self, now: TimePoint, out: &mut Vec<EngineEvent>) {
+    /// Deliver stage: drains arrived Recommendation deliveries and
+    /// applies them to the target players: duplicate-filtered by
+    /// sequence number, guarded by the unicast clip fetch, acknowledged
+    /// on success, and mapped onto the degradation ladder on failure.
+    fn tick_deliver(&mut self, now: TimePoint, out: &mut Vec<EngineEvent>) {
         for envelope in self.bus.drain(Topic::Recommendation) {
             let target = match &envelope.message {
                 BusMessage::Inject { user, .. } | BusMessage::Delivery { user, .. } => *user,
@@ -1845,12 +1688,12 @@ impl Engine {
         out.push(EngineEvent::Recommended { user, schedule });
     }
 
-    /// Re-sends unacknowledged deliveries whose backoff timer fired and
-    /// dead-letters those that exhausted the retry budget. Every retry
-    /// and every abandonment counts as a failure on the listener's
-    /// ladder. The `tick.sweep` span's count is the number of sweeps,
-    /// which E13 pins to one per tick.
-    fn sweep_retries(&mut self, now: TimePoint) {
+    /// Sweep stage, once per tick: re-sends unacknowledged deliveries
+    /// whose backoff timer fired and dead-letters those that exhausted
+    /// the retry budget. Every retry and every abandonment counts as a
+    /// failure on the listener's ladder. The `tick.sweep` span's count
+    /// is the number of sweeps, which E13 pins to one per tick.
+    fn tick_sweep(&mut self, now: TimePoint) {
         let span = Span::enter("tick.sweep");
         let (to_retry, to_dead_letter) = self.delivery.due_retries(
             now,
@@ -1879,7 +1722,7 @@ impl Engine {
         let needs_refill = self.players.get(&user).is_some_and(|p| p.queue_len() == 0);
         if needs_refill {
             let ctx = self.context_for(user, now);
-            let ranked = self.ranked_candidates(user, &ctx, now);
+            let (ranked, _) = self.tick_retrieve(user, &ctx, now);
             for cand in ranked.iter().take(3) {
                 if let Some(meta) = self.repo.get(cand.clip) {
                     if let Some(player) = self.players.get_mut(&user) {
@@ -2304,10 +2147,10 @@ mod tests {
             );
         }
         let ctx = e.context_for(UserId(1), t);
-        let first = e.ranked_candidates(UserId(1), &ctx, t);
+        let first = e.tick_retrieve(UserId(1), &ctx, t).0;
         assert_eq!(first.len(), 5);
         let cached_key = e.hot.cache(UserId(1)).unwrap().key;
-        assert_eq!(e.ranked_candidates(UserId(1), &ctx, t), first, "cache hit");
+        assert_eq!(e.tick_retrieve(UserId(1), &ctx, t).0, first, "cache hit");
         assert_eq!(e.hot.cache(UserId(1)).unwrap().key, cached_key);
         // Ingest bumps the repo epoch: the new clip must appear.
         e.ingest_clip(
@@ -2319,7 +2162,7 @@ mod tests {
             &[],
             Some(CategoryId::new(9)),
         );
-        assert_eq!(e.ranked_candidates(UserId(1), &ctx, t).len(), 6, "epoch invalidates");
+        assert_eq!(e.tick_retrieve(UserId(1), &ctx, t).0.len(), 6, "epoch invalidates");
         // A feedback write changes the user's event count.
         let key_before = e.hot.cache(UserId(1)).unwrap().key;
         e.record_feedback(FeedbackEvent {
@@ -2329,7 +2172,7 @@ mod tests {
             kind: FeedbackKind::Like,
             time: t,
         });
-        let _ = e.ranked_candidates(UserId(1), &ctx, t);
+        let _ = e.tick_retrieve(UserId(1), &ctx, t);
         assert_ne!(e.hot.cache(UserId(1)).unwrap().key, key_before, "feedback");
         // A GPS fix alone moves no key component: same context, same
         // ranked list, same key. (The old key hashed the raw fix count,
@@ -2338,20 +2181,20 @@ mod tests {
         let key_before = e.hot.cache(UserId(1)).unwrap().key;
         let misses_before = e.obs.counter("candidates.cache_misses");
         e.record_fix(UserId(1), GpsFix::new(torino(), t, 0.1));
-        let _ = e.ranked_candidates(UserId(1), &ctx, t);
+        let _ = e.tick_retrieve(UserId(1), &ctx, t);
         assert_eq!(e.hot.cache(UserId(1)).unwrap().key, key_before, "fix alone keeps key");
         assert_eq!(e.obs.counter("candidates.cache_misses"), misses_before);
         // A `now` step inside the freshness quantum keeps the key…
-        let _ = e.ranked_candidates(UserId(1), &ctx, t.advance(TimeSpan::seconds(30)));
+        let _ = e.tick_retrieve(UserId(1), &ctx, t.advance(TimeSpan::seconds(30)));
         assert_eq!(e.hot.cache(UserId(1)).unwrap().key, key_before, "sub-quantum step");
         // …and crossing the quantum boundary invalidates.
-        let _ = e.ranked_candidates(UserId(1), &ctx, t.advance(e.config.cache_quanta.freshness));
+        let _ = e.tick_retrieve(UserId(1), &ctx, t.advance(e.config.cache_quanta.freshness));
         assert_ne!(e.hot.cache(UserId(1)).unwrap().key, key_before, "freshness quantum");
         // A context change (position appears) moves the context digest.
         let key_before = e.hot.cache(UserId(1)).unwrap().key;
         let moved =
             ListenerContext { position: Some(ProjectedPoint::new(5_000.0, 0.0)), ..ctx.clone() };
-        let _ = e.ranked_candidates(UserId(1), &moved, t);
+        let _ = e.tick_retrieve(UserId(1), &moved, t);
         assert_ne!(e.hot.cache(UserId(1)).unwrap().key, key_before, "context rev");
     }
 
@@ -2378,14 +2221,14 @@ mod tests {
         // Tick once so tick_seq advances past the warm epoch of the
         // first fill, then fill the cache.
         let _ = e.run_tick(&TickRequest::single(&UserId(1), t)).expect("registered");
-        let _ = e.ranked_candidates(UserId(1), &ctx, t);
+        let _ = e.tick_retrieve(UserId(1), &ctx, t);
         assert_eq!(e.obs.counter("candidates.cache_misses"), 1);
         // Next tick: tick_seq moves, the entry does not.
         let _ = e
             .run_tick(&TickRequest::single(&UserId(1), t.advance(TimeSpan::seconds(30))))
             .expect("registered");
         let hits_before = e.obs.counter("candidates.cross_tick_hit");
-        let _ = e.ranked_candidates(UserId(1), &ctx, t.advance(TimeSpan::seconds(30)));
+        let _ = e.tick_retrieve(UserId(1), &ctx, t.advance(TimeSpan::seconds(30)));
         assert_eq!(e.obs.counter("candidates.cache_misses"), 1, "no new miss");
         assert_eq!(
             e.obs.counter("candidates.cross_tick_hit"),

@@ -207,8 +207,9 @@ pub fn transport_from_state(state: TransportState) -> Box<dyn Transport> {
 ///
 /// `send` accepts a message at `now`; `receive` returns the messages
 /// that have arrived by `now`, in wire order. Implementations decide
-/// what the wire does in between.
-pub trait Transport: std::fmt::Debug {
+/// what the wire does in between. `Send + Sync` keeps the engine that
+/// owns the wire shareable with the batch tick's warm workers.
+pub trait Transport: std::fmt::Debug + Send + Sync {
     /// Accepts a message for delivery on `topic` at `now`.
     fn send(&mut self, topic: Topic, envelope: Envelope, now: TimePoint);
 

@@ -1,11 +1,16 @@
 //! Batch-tick equivalence: a batch `Engine::run_tick` must emit a
 //! bit-identical event stream to ticking each user sequentially, for
-//! any worker count. The parallel phase is pure memoization, so this
-//! holds by construction — these tests pin the construction down.
+//! any worker count. The warm workers make the serial stages'
+//! read-only decisions, and one commit writes what they resolved, so
+//! this holds by construction — these tests pin the construction down,
+//! on a perfect wire, under a bandwidth cap and on a lossy wire.
 
 use pphcr_audio::clip::ClipId;
-use pphcr_catalog::{CategoryId, ClipKind};
-use pphcr_core::{CacheQuanta, Engine, EngineConfig, EngineEvent, PlayerEvent, TickRequest};
+use pphcr_catalog::{CategoryId, ClipKind, ServiceIndex};
+use pphcr_core::{
+    CacheQuanta, Engine, EngineConfig, EngineEvent, FaultProfile, FaultyTransport, PlayerEvent,
+    TickRequest, Topic,
+};
 use pphcr_geo::{GeoPoint, TimePoint, TimeSpan};
 use pphcr_trajectory::GpsFix;
 use pphcr_userdata::{AgeBand, FeedbackEvent, FeedbackKind, UserId, UserProfile};
@@ -17,7 +22,7 @@ fn profile(id: u64) -> UserProfile {
         id: UserId(id),
         name: format!("user {id}"),
         age_band: AgeBand::Adult,
-        favourite_service: pphcr_catalog::ServiceIndex(0),
+        favourite_service: ServiceIndex(0),
     }
 }
 
@@ -100,8 +105,25 @@ fn commuter_engine_with(n_users: u64, config: EngineConfig) -> (Engine, Vec<Clip
     (e, clips)
 }
 
+/// The same fleet, switched to `wire` for the day-8 window.
+fn commuter_engine_on(n_users: u64, wire: FaultyTransport) -> Engine {
+    let mut e = commuter_engine(n_users);
+    e.bus.set_transport(Box::new(wire));
+    e
+}
+
 /// Drives day-8 commutes through `step`, collecting every event.
-fn run_day8<F>(e: &mut Engine, n_users: u64, mut step: F) -> Vec<EngineEvent>
+fn run_day8<F>(e: &mut Engine, n_users: u64, step: F) -> Vec<EngineEvent>
+where
+    F: FnMut(&mut Engine, &[UserId], TimePoint) -> Vec<EngineEvent>,
+{
+    run_day8_surfing(e, n_users, false, step)
+}
+
+/// [`run_day8`], where with `surf` every listener changes service
+/// before each step's fixes: a `Tuned` announcement on the Tracking
+/// topic that nothing pumps until the next fix or tick.
+fn run_day8_surfing<F>(e: &mut Engine, n_users: u64, surf: bool, mut step: F) -> Vec<EngineEvent>
 where
     F: FnMut(&mut Engine, &[UserId], TimePoint) -> Vec<EngineEvent>,
 {
@@ -110,6 +132,11 @@ where
     let mut out = Vec::new();
     for i in 0..12u64 {
         let now = d8.advance(TimeSpan::seconds(i * 30));
+        if surf {
+            for &u in &users {
+                e.change_service(u, ServiceIndex(1 + (i % 2) as u32), now).expect("registered");
+            }
+        }
         for &u in &users {
             let home = TORINO.destination(30.0 * u.0 as f64, 1_500.0 * u.0 as f64);
             let bearing = 80.0 + 15.0 * u.0 as f64;
@@ -124,14 +151,7 @@ where
 #[test]
 fn tick_batch_matches_sequential_ticks_across_worker_counts() {
     let n = 3;
-    let mut sequential = commuter_engine(n);
-    let reference = run_day8(&mut sequential, n, |e, users, now| {
-        let mut evs = Vec::new();
-        for &u in users {
-            evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered"));
-        }
-        evs
-    });
+    let reference = run_day8(&mut commuter_engine(n), n, single_ticks);
     assert!(
         reference.iter().any(|ev| matches!(ev, EngineEvent::Recommended { .. })),
         "scenario must exercise the proactive path"
@@ -151,19 +171,77 @@ fn tick_batch_matches_sequential_ticks_across_worker_counts() {
 #[test]
 fn tick_batch_default_workers_matches_sequential() {
     let n = 2;
-    let mut sequential = commuter_engine(n);
-    let reference = run_day8(&mut sequential, n, |e, users, now| {
-        let mut evs = Vec::new();
-        for &u in users {
-            evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered"));
-        }
-        evs
-    });
+    let reference = run_day8(&mut commuter_engine(n), n, single_ticks);
     let mut batched = commuter_engine(n);
     let events = run_day8(&mut batched, n, |e, users, now| {
         e.run_tick(&TickRequest::batch(users, now)).expect("registered")
     });
     assert_eq!(events, reference);
+}
+
+/// Single ticks, one listener per request, as the reference stream.
+fn single_ticks(e: &mut Engine, users: &[UserId], now: TimePoint) -> Vec<EngineEvent> {
+    let mut evs = Vec::new();
+    for &u in users {
+        evs.extend(e.run_tick(&TickRequest::single(&u, now)).expect("registered"));
+    }
+    evs
+}
+
+/// Under a Tracking bandwidth cap each receive call releases one
+/// message, so how often a tick pumps decides which fixes land in it.
+/// Surfing listeners keep a backlog on the wire. A tick pumps once,
+/// before its warm phase: a second pump per step would release fixes
+/// after the warm phase built those listeners' contexts, and the batch
+/// would serve the stale ones.
+#[test]
+fn tick_batch_matches_unwarmed_ticks_under_a_tracking_bandwidth_cap() {
+    let n = 3;
+    let run = |batch: bool, workers: usize| {
+        let mut profile = FaultProfile::none();
+        profile.bandwidth_caps.insert(Topic::Tracking, 1);
+        let mut e = commuter_engine_on(n, FaultyTransport::new(profile, 1));
+        run_day8_surfing(&mut e, n, true, |e, users, now| {
+            let request = TickRequest { users, now, batch, workers: None }.with_workers(workers);
+            e.run_tick(&request).expect("registered")
+        })
+    };
+    let reference = run(false, 1);
+    assert!(
+        reference.iter().any(|ev| matches!(ev, EngineEvent::TripPredicted { .. })),
+        "scenario must predict trips"
+    );
+    for workers in [1usize, 2, 8] {
+        assert_eq!(
+            run(true, workers),
+            reference,
+            "batch tick with {workers} workers diverged from the unwarmed tick under a cap"
+        );
+    }
+}
+
+/// Batch ticks equal single ticks on a lossy wire too — loss,
+/// duplication, reordering and delay — under `CHAOS_SEED` (default 1),
+/// which the nightly sweep varies.
+#[test]
+fn tick_batch_matches_sequential_ticks_on_a_lossy_wire() {
+    let seed = std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1u64);
+    let n = 4;
+    let lossy = || commuter_engine_on(n, FaultyTransport::new(FaultProfile::lossy_mobile(), seed));
+    let reference = run_day8(&mut lossy(), n, single_ticks);
+    assert!(
+        reference.iter().any(|ev| matches!(ev, EngineEvent::TripPredicted { .. })),
+        "scenario must predict trips under seed {seed}"
+    );
+    for workers in [1usize, 2, 8] {
+        let events = run_day8(&mut lossy(), n, |e, users, now| {
+            e.run_tick(&TickRequest::batch(users, now).with_workers(workers)).expect("registered")
+        });
+        assert_eq!(
+            events, reference,
+            "batch tick with {workers} workers diverged from single ticks under seed {seed}"
+        );
+    }
 }
 
 /// Coarse quanta so the freshness/phase/position buckets hold across a

@@ -70,74 +70,54 @@ impl Default for ProactivityModel {
 
 impl ProactivityModel {
     /// Feeds one context observation; returns a trigger when a
-    /// proactive recommendation should be generated *now*.
+    /// proactive recommendation should be generated *now*. Commits
+    /// what [`Self::evaluate`] decides.
     pub fn observe(&mut self, ctx: &ListenerContext) -> Option<Trigger> {
-        // Track sustained driving.
-        if ctx.is_driving() {
-            self.driving_since.get_or_insert(ctx.now);
-        } else {
-            self.driving_since = None;
+        let (driving_since, trigger) = self.evaluate(ctx);
+        self.driving_since = driving_since;
+        if trigger.is_some() {
+            self.last_delivery = Some(ctx.now);
         }
-        let driving_since = self.driving_since?;
-        if ctx.now.since(driving_since) < self.min_driving {
-            return None;
-        }
-        let drive = ctx.drive.as_ref()?;
-        if drive.prediction.confidence < self.min_confidence {
-            return None;
-        }
-        if drive.delta_t() < self.min_delta_t {
-            return None;
-        }
-        // Not while threading a junction: a zone whose window starts at
-        // 0 seconds from now means the driver is inside it.
-        if drive.zone_windows().iter().any(|&(a, _)| a == 0) {
-            return None;
-        }
-        if let Some(last) = self.last_delivery {
-            if ctx.now.since(last) < self.cooldown {
-                return None;
-            }
-        }
-        self.last_delivery = Some(ctx.now);
-        Some(Trigger::TripStarted)
+        trigger
     }
 
-    /// Non-mutating peek: would [`Self::observe`] fire for `ctx`?
-    /// Replicates the same gate sequence without touching the driving
-    /// clock or the cooldown state, so batch pipelines can decide
-    /// whether candidate generation is worth speculating for a user
-    /// before the authoritative sequential `observe` call.
+    /// Non-mutating peek: would [`Self::observe`] fire for `ctx`? Batch
+    /// pipelines ask before the authoritative sequential `observe`
+    /// call, to decide whether candidate generation is worth
+    /// speculating for a user.
     #[must_use]
     pub fn would_trigger(&self, ctx: &ListenerContext) -> bool {
-        let driving_since = if ctx.is_driving() {
-            match self.driving_since {
-                Some(t) => Some(t),
-                None => Some(ctx.now),
+        self.evaluate(ctx).1.is_some()
+    }
+
+    /// The gate sequence, read-only: the driving clock an observation
+    /// of `ctx` leaves behind (started at `ctx.now` when driving
+    /// begins, cleared when it stops) and the trigger, if every gate
+    /// passes.
+    fn evaluate(&self, ctx: &ListenerContext) -> (Option<TimePoint>, Option<Trigger>) {
+        let driving_since = ctx.is_driving().then(|| self.driving_since.unwrap_or(ctx.now));
+        let gates = || {
+            if ctx.now.since(driving_since?) < self.min_driving {
+                return None;
             }
-        } else {
-            None
+            let drive = ctx.drive.as_ref()?;
+            if drive.prediction.confidence < self.min_confidence {
+                return None;
+            }
+            if drive.delta_t() < self.min_delta_t {
+                return None;
+            }
+            // Not while threading a junction: a zone whose window
+            // starts at 0 seconds from now means the driver is inside it.
+            if drive.zone_windows().iter().any(|&(a, _)| a == 0) {
+                return None;
+            }
+            if self.last_delivery.is_some_and(|last| ctx.now.since(last) < self.cooldown) {
+                return None;
+            }
+            Some(Trigger::TripStarted)
         };
-        let Some(driving_since) = driving_since else { return false };
-        if ctx.now.since(driving_since) < self.min_driving {
-            return false;
-        }
-        let Some(drive) = ctx.drive.as_ref() else { return false };
-        if drive.prediction.confidence < self.min_confidence {
-            return false;
-        }
-        if drive.delta_t() < self.min_delta_t {
-            return false;
-        }
-        if drive.zone_windows().iter().any(|&(a, _)| a == 0) {
-            return false;
-        }
-        if let Some(last) = self.last_delivery {
-            if ctx.now.since(last) < self.cooldown {
-                return false;
-            }
-        }
-        true
+        (driving_since, gates())
     }
 
     /// Resets the driving state (trip ended, app restarted).

@@ -8,7 +8,7 @@
 //!
 //! **Ticks** fan out with per-shard user *sub-lists* (order preserved,
 //! possibly empty): every shard runs every tick so its `tick_seq`,
-//! batch preamble and `engine.ticks` counter advance exactly like the
+//! telemetry pump and `engine.ticks` counter advance exactly like the
 //! single process's. Fan-out is *pipelined* — the router dispatches
 //! every sub-list before reading any response — so the per-shard tick
 //! work runs concurrently across the agent processes. Each shard returns its events in sub-list order;
